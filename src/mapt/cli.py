@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as mio
-from .errors import InvalidModalityError, InvalidValueError, MaptError
+from .errors import FormatError, InvalidModalityError, InvalidValueError, MaptError
 from .geometry import compose_scene_points
 from .losses import (
     DEFAULT_ALPHA_CONF,
@@ -56,6 +57,26 @@ def _emit(obj, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _model_config(path: str) -> ModelConfig:
+    """ModelConfig from a JSON object whose keys override the defaults."""
+    overrides = _read_json(path)
+    fields = [f.name for f in dataclasses.fields(ModelConfig)]
+    valid = f"valid fields: {', '.join(fields)}"
+    if not isinstance(overrides, dict):
+        raise InvalidValueError(f"{path}: model config must be a JSON object; {valid}")
+    unknown = [k for k in overrides if k not in fields]
+    if unknown:
+        raise InvalidValueError(f"{path}: unknown model config field(s) {', '.join(map(repr, unknown))}; {valid}")
+    return ModelConfig(**overrides)
+
+
 def _parse_size(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
@@ -96,7 +117,9 @@ def cmd_covis(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    data = json.loads(Path(args.covis).read_text())
+    data = _read_json(args.covis)
+    if not isinstance(data, dict) or "fraction" not in data:
+        raise FormatError(f"{args.covis}: covisibility file lacks 'fraction'")
     graph = CovisGraph(np.array(data["fraction"], dtype=np.float64))
     adj = build_adjacency(graph, threshold=args.threshold)
     views = random_walk_sample(adj, args.n, args.seed)
@@ -167,10 +190,7 @@ def cmd_forward(args) -> int:
     use_sparse = "depth_sparse" in wanted
     use_depth = "depth" in wanted or use_sparse
 
-    if args.config:
-        model_cfg = ModelConfig(**json.loads(Path(args.config).read_text()))
-    else:
-        model_cfg = ModelConfig()
+    model_cfg = _model_config(args.config) if args.config else ModelConfig()
     weights = init_weights(model_cfg, args.seed)
     config = InputConfig.from_modalities(
         n, rays=use_rays, pose=use_pose, depth=use_depth, depth_sparse=use_sparse

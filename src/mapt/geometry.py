@@ -308,10 +308,24 @@ def compose_scene_points(scene: FactoredScene) -> list[PointMap]:
 # quaternions and poses
 
 
+def _components(q) -> np.ndarray:
+    """(..., 4) quaternions as their (4, ...) components w, x, y, z.
+
+    A transpose view, much cheaper than np.moveaxis on single quaternions.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    return q.transpose(-1, *range(q.ndim - 1))
+
+
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
+    """Hamilton product a * b of (w, x, y, z) quaternions.
+
+    Takes single (4,) quaternions or stacked (..., 4) ones, which broadcast
+    against each other; the result has the broadcast shape.
+    """
+    aw, ax, ay, az = _components(a)
+    bw, bx, by, bz = _components(b)
+    prod = np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
@@ -319,22 +333,30 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             aw * bz + ax * by - ay * bx + az * bw,
         ]
     )
+    return prod.transpose(*range(1, prod.ndim), 0)
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
-    q = np.asarray(q, dtype=np.float64).reshape(4)
-    n = np.linalg.norm(q)
-    if not np.isfinite(n) or abs(n - 1.0) > 1e-6:
+    """Rotation matrix of a unit quaternion (w, x, y, z).
+
+    A (4,) quaternion gives a (3, 3) matrix and a stack (..., 4) gives
+    (..., 3, 3). Raises when any quaternion is off unit length by more than 1e-6.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape[-1:] != (4,):
+        raise ShapeError(f"quaternions must be (..., 4), got {q.shape}")
+    n = np.linalg.norm(q, axis=-1, keepdims=True)
+    if not (np.abs(n - 1.0) <= 1e-6).all():
         raise InvalidRotationError("quaternion must be unit length")
-    w, x, y, z = q / n
-    return np.array(
+    w, x, y, z = _components(q / n)
+    rot = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
             [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+    return rot.transpose(*range(2, rot.ndim), 0, 1)
 
 
 def rot_to_quat(rot: np.ndarray) -> np.ndarray:

@@ -54,6 +54,8 @@ def read_tensor(path) -> np.ndarray:
     version, code, ndim = struct.unpack("<BBB", data[4:7])
     if version != TENSOR_VERSION:
         raise FormatError(f"{path}: unsupported tensor version {version}")
+    if len(data) < 7 + 4 * ndim:
+        raise FormatError(f"{path}: truncated tensor header")
     dims = struct.unpack(f"<{ndim}I", data[7 : 7 + 4 * ndim])
     payload = data[7 + 4 * ndim :]
     count = int(np.prod(dims)) if ndim else 1
@@ -164,11 +166,24 @@ def _load_manifest(path: Path) -> dict:
     mf = path / MANIFEST_NAME
     if not mf.is_file():
         raise FormatError(f"{path}: missing {MANIFEST_NAME}")
-    manifest = json.loads(mf.read_text())
+    try:
+        manifest = json.loads(mf.read_text())
+    except ValueError as exc:
+        raise FormatError(f"{mf}: not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{mf}: manifest must be a JSON object")
     if manifest.get("version") != MANIFEST_VERSION:
         raise FormatError(f"{path}: unsupported manifest version")
     if len(manifest.get("views", [])) != manifest.get("n_views"):
         raise FormatError(f"{path}: view count does not match manifest entries")
+    if "metric_scale" not in manifest:
+        raise FormatError(f"{path}: manifest lacks 'metric_scale'")
+    for i, entry in enumerate(manifest["views"]):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: view {i} must be a JSON object")
+        for key in ("pose", "files", "width", "height"):
+            if key not in entry:
+                raise FormatError(f"{path}: view {i} lacks {key!r}")
     return manifest
 
 

@@ -13,11 +13,10 @@ from .geometry import (
     FactoredView,
     MetricScale,
     Pose,
-    PointMap,
+    compose_scene_points,
     quat_mul,
     quat_to_rot,
     ray_angular_error,
-    relative_pose,
     rot_to_quat,
 )
 from .synth import SceneSample
@@ -25,6 +24,8 @@ from .synth import SceneSample
 TAU_DEFAULT = 1.03
 AUC_DEFAULT_DEG = 5.0
 BASELINE_EPS = 1e-9
+# conjugation mask: conj(w, x, y, z) = (w, -x, -y, -z)
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass
@@ -167,38 +168,41 @@ def ate_rmse(pred_traj: list[Pose], gt_traj: list[Pose]) -> float:
     return float(np.sqrt(np.mean(np.sum(res * res, axis=1))))
 
 
+def _pair_relative_poses(poses: list[Pose], i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pose of view j in the frame of view i for every index pair: renormalized
+    quaternions conj(q_i) * q_j (P, 4) and translations R_i^T (t_j - t_i) (P, 3)."""
+    q = np.stack([p.rotation for p in poses])
+    t = np.stack([p.translation for p in poses])
+    rel_q = quat_mul(q[i] * _CONJ, q[j])
+    rel_q /= np.linalg.norm(rel_q, axis=1, keepdims=True)
+    rel_t = np.einsum("pki,pk->pi", quat_to_rot(q)[i], t[j] - t[i])
+    return rel_q, rel_t
+
+
 def pose_angular_errors(pred: list[Pose], gt: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
     """Relative rotation / translation-direction errors in degrees per ordered pair.
 
-    Translation entries are NaN for pairs whose ground-truth or predicted
-    baseline is shorter than 1e-9 (direction undefined). Raises when every
-    pair is translation-degenerate.
+    Pairs (i, j) with i != j come in row-major order: (0, 1), (0, 2), ...,
+    (1, 0), (1, 2), ... Translation entries are NaN for pairs whose
+    ground-truth or predicted baseline is shorter than 1e-9 (direction
+    undefined). Raises when every pair is translation-degenerate.
     """
     if len(pred) != len(gt):
         raise ShapeError("pose list lengths differ")
     if len(pred) < 2:
         raise DegenerateError("pose errors need at least 2 poses")
-    rra, rta = [], []
-    n = len(pred)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            rp = relative_pose(pred[i], pred[j])
-            rg = relative_pose(gt[i], gt[j])
-            dq = quat_mul(rg.rotation * np.array([1.0, -1.0, -1.0, -1.0]), rp.rotation)
-            ang = 2.0 * np.degrees(np.arccos(np.clip(abs(dq[0]), -1.0, 1.0)))
-            rra.append(ang)
-            np_, ng = np.linalg.norm(rp.translation), np.linalg.norm(rg.translation)
-            if np_ < BASELINE_EPS or ng < BASELINE_EPS:
-                rta.append(np.nan)
-            else:
-                cosang = np.clip(rp.translation @ rg.translation / (np_ * ng), -1.0, 1.0)
-                rta.append(float(np.degrees(np.arccos(cosang))))
-    rra = np.array(rra)
-    rta = np.array(rta)
-    if np.all(np.isnan(rta)):
+    i, j = np.nonzero(~np.eye(len(pred), dtype=bool))
+    qp, tp = _pair_relative_poses(pred, i, j)
+    qg, tg = _pair_relative_poses(gt, i, j)
+    dq = quat_mul(qg * _CONJ, qp)
+    rra = 2.0 * np.degrees(np.arccos(np.clip(np.abs(dq[:, 0]), -1.0, 1.0)))
+    np_, ng = np.linalg.norm(tp, axis=1), np.linalg.norm(tg, axis=1)
+    ok = (np_ >= BASELINE_EPS) & (ng >= BASELINE_EPS)
+    if not np.any(ok):
         raise DegenerateError("all pose pairs have degenerate baselines")
+    cosang = np.clip(np.sum(tp[ok] * tg[ok], axis=1) / (np_[ok] * ng[ok]), -1.0, 1.0)
+    rta = np.full(i.size, np.nan)
+    rta[ok] = np.degrees(np.arccos(cosang))
     return rra, rta
 
 
@@ -218,15 +222,6 @@ def auc_at_threshold(errors_deg, max_threshold: float = AUC_DEFAULT_DEG) -> floa
 
 # ---------------------------------------------------------------------------
 # scene-level evaluation
-
-
-def _compose_world(scene: FactoredScene) -> list[PointMap]:
-    from .geometry import local_pointmap, metric_upgrade, world_pointmap
-
-    return [
-        metric_upgrade(world_pointmap(local_pointmap(v.rays, v.depth), v.pose), scene.scale)
-        for v in scene.views
-    ]
 
 
 def evaluate_scene(pred: FactoredScene, gt: SceneSample, align_points: bool = False) -> MetricReport:
@@ -256,8 +251,8 @@ def evaluate_scene(pred: FactoredScene, gt: SceneSample, align_points: bool = Fa
     depth_rel = abs_rel(d_pred, d_gt, ones)
     depth_tau = inlier_ratio_tau(d_pred, d_gt, ones)
 
-    pred_world = _compose_world(pred)
-    gt_world = _compose_world(FactoredScene(
+    pred_world = compose_scene_points(pred)
+    gt_world = compose_scene_points(FactoredScene(
         views=[FactoredView(rays=g.rays, depth=g.depth, pose=g.pose) for g in gt.views],
         scale=MetricScale(m_gt),
     ))

@@ -11,7 +11,9 @@ import struct
 
 import numpy as np
 
-from mapt.geometry import quat_to_rot
+from mapt.errors import DegenerateError, ShapeError
+from mapt.geometry import quat_mul, quat_to_rot, relative_pose
+from mapt.metrics import BASELINE_EPS
 
 
 def pose_matrix(pose) -> np.ndarray:
@@ -20,6 +22,36 @@ def pose_matrix(pose) -> np.ndarray:
     m[:3, :3] = quat_to_rot(pose.rotation)
     m[:3, 3] = pose.translation
     return m
+
+
+def pose_angular_errors_reference(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    """Pose-pair errors by a Python loop over relative_pose objects, one ordered
+    pair (i, j), i != j, at a time in row-major order."""
+    if len(pred) != len(gt):
+        raise ShapeError("pose list lengths differ")
+    if len(pred) < 2:
+        raise DegenerateError("pose errors need at least 2 poses")
+    rra, rta = [], []
+    n = len(pred)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            rp = relative_pose(pred[i], pred[j])
+            rg = relative_pose(gt[i], gt[j])
+            dq = quat_mul(rg.rotation * np.array([1.0, -1.0, -1.0, -1.0]), rp.rotation)
+            rra.append(2.0 * np.degrees(np.arccos(np.clip(abs(dq[0]), -1.0, 1.0))))
+            np_, ng = np.linalg.norm(rp.translation), np.linalg.norm(rg.translation)
+            if np_ < BASELINE_EPS or ng < BASELINE_EPS:
+                rta.append(np.nan)
+            else:
+                cosang = np.clip(rp.translation @ rg.translation / (np_ * ng), -1.0, 1.0)
+                rta.append(float(np.degrees(np.arccos(cosang))))
+    rra = np.array(rra)
+    rta = np.array(rta)
+    if np.all(np.isnan(rta)):
+        raise DegenerateError("all pose pairs have degenerate baselines")
+    return rra, rta
 
 
 def fd_central(f, x: float, h: float = 1e-5) -> float:

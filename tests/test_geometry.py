@@ -20,6 +20,7 @@ from mapt.geometry import (
     metric_upgrade,
     pose_compose,
     pose_inverse,
+    quat_mul,
     quat_to_rot,
     ray_angular_error,
     rays_from_intrinsics,
@@ -224,6 +225,46 @@ class TestQuatRot:
             rot_to_quat(np.eye(3) * 1.1)
         with pytest.raises(InvalidRotationError):
             quat_to_rot([0.5, 0.0, 0.0, 0.0])
+
+    @staticmethod
+    def _unit_stack(rng, shape):
+        q = rng.normal(size=(*shape, 4))
+        return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+    def test_stacked_matches_single(self):
+        rng = np.random.default_rng(6)
+        a, b = self._unit_stack(rng, (5, 3)), self._unit_stack(rng, (5, 3))
+        prod, rot = quat_mul(a, b), quat_to_rot(a)
+        assert prod.shape == (5, 3, 4) and rot.shape == (5, 3, 3, 3)
+        for idx in np.ndindex(5, 3):
+            np.testing.assert_array_equal(prod[idx], quat_mul(a[idx], b[idx]))
+            np.testing.assert_array_equal(rot[idx], quat_to_rot(a[idx]))
+
+    def test_single_broadcasts_against_stack(self):
+        rng = np.random.default_rng(7)
+        a, b = self._unit_stack(rng, ()), self._unit_stack(rng, (6,))
+        prod = quat_mul(a, b)
+        assert prod.shape == (6, 4)
+        for k in range(6):
+            np.testing.assert_array_equal(prod[k], quat_mul(a, b[k]))
+
+    def test_single_shapes(self):
+        assert quat_mul([1.0, 0, 0, 0], [0.0, 1.0, 0, 0]).shape == (4,)
+        assert quat_to_rot(np.array([1.0, 0, 0, 0])).shape == (3, 3)
+
+    def test_stack_with_one_non_unit_row_raises(self):
+        q = self._unit_stack(np.random.default_rng(8), (4,))
+        quat_to_rot(q)
+        q[2] *= 1.01
+        with pytest.raises(InvalidRotationError):
+            quat_to_rot(q)
+        q[2] = np.nan
+        with pytest.raises(InvalidRotationError):
+            quat_to_rot(q)
+
+    def test_rejects_wrong_last_axis(self):
+        with pytest.raises(ShapeError):
+            quat_to_rot(np.eye(3))
 
 
 class TestRayAngularError:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,13 @@ class TestTensorContainer:
         with pytest.raises(FormatError):
             read_tensor(tmp_path / "bad.mapt")
 
+    def test_rejects_truncated_header(self, tmp_path):
+        write_tensor(tmp_path / "t.mapt", np.zeros((2, 3, 4), dtype=np.float32))
+        raw = (tmp_path / "t.mapt").read_bytes()
+        (tmp_path / "t.mapt").write_bytes(raw[:13])  # ndim 3 needs 12 header bytes after byte 7
+        with pytest.raises(FormatError, match="truncated tensor header"):
+            read_tensor(tmp_path / "t.mapt")
+
 
 class TestSceneRoundTrip:
     def test_ground_truth_round_trip(self, tmp_path):
@@ -90,6 +98,42 @@ class TestSceneRoundTrip:
         write_scene(tmp_path / "s", sample)
         (tmp_path / "s" / "view_001_depth.mapt").unlink()
         with pytest.raises(FormatError):
+            read_scene(tmp_path / "s")
+
+    def test_manifest_not_json(self, tmp_path):
+        _, sample = gen_scene(n_views=2, width=16, height=12, n_spheres=3, seed=34)
+        write_scene(tmp_path / "s", sample)
+        (tmp_path / "s" / "scene.json").write_text('{"version": 1, "views": [')
+        with pytest.raises(FormatError, match="not valid JSON"):
+            read_scene(tmp_path / "s")
+        with pytest.raises(FormatError, match="not valid JSON"):
+            read_factored(tmp_path / "s")
+
+    @pytest.mark.parametrize("key", ["pose", "files", "width", "height"])
+    def test_manifest_view_missing_key(self, tmp_path, key):
+        _, sample = gen_scene(n_views=2, width=16, height=12, n_spheres=3, seed=35)
+        write_scene(tmp_path / "s", sample)
+        manifest = json.loads((tmp_path / "s" / "scene.json").read_text())
+        del manifest["views"][1][key]
+        (tmp_path / "s" / "scene.json").write_text(json.dumps(manifest))
+        for reader in (read_scene, read_factored):
+            with pytest.raises(FormatError, match=f"view 1 lacks '{key}'"):
+                reader(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: [m], "must be a JSON object"),
+            (lambda m: {k: v for k, v in m.items() if k != "metric_scale"}, "lacks 'metric_scale'"),
+            (lambda m: {**m, "views": [m["views"][0], 3]}, "view 1 must be a JSON object"),
+        ],
+    )
+    def test_manifest_malformed_structure(self, tmp_path, edit, message):
+        _, sample = gen_scene(n_views=2, width=16, height=12, n_spheres=3, seed=36)
+        write_scene(tmp_path / "s", sample)
+        manifest = json.loads((tmp_path / "s" / "scene.json").read_text())
+        (tmp_path / "s" / "scene.json").write_text(json.dumps(edit(manifest)))
+        with pytest.raises(FormatError, match=message):
             read_scene(tmp_path / "s")
 
     def test_reread_composition_matches_raycast(self, tmp_path):
@@ -229,6 +273,59 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: shape-mismatch:")
         assert "view 0" in err
+
+
+class TestCliErrorContract:
+    """Malformed inputs end in exit code 1 and one `error: <category>: <message>` line."""
+
+    @staticmethod
+    def _single_error(capsys, code, category):
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(rf"error: {category}: \S.*", err[0])
+        return err[0]
+
+    @pytest.fixture
+    def scene_dir(self, tmp_path):
+        assert main(["synth", "--seed", "14", "--views", "2", "--size", "28x28", "--spheres", "3", "--out", str(tmp_path / "s")]) == 0
+        return tmp_path / "s"
+
+    @pytest.mark.parametrize("text", ["not json at all", '{"n_views": 2}'])
+    def test_sample_bad_covis_file(self, tmp_path, capsys, text):
+        (tmp_path / "bad.json").write_text(text)
+        code = main(["sample", "--covis", str(tmp_path / "bad.json"), "--n", "2"])
+        self._single_error(capsys, code, "format")
+
+    def test_forward_unknown_config_key(self, scene_dir, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"bogus": 1}))
+        code = main(["forward", "--scene", str(scene_dir), "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "p")])
+        line = self._single_error(capsys, code, "invalid-value")
+        assert "'bogus'" in line and "mlp_ratio" in line
+
+    def test_forward_config_not_object(self, scene_dir, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text("[4, 64]")
+        code = main(["forward", "--scene", str(scene_dir), "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "p")])
+        line = self._single_error(capsys, code, "invalid-value")
+        assert "depth" in line and "patch" in line
+
+    def test_forward_config_not_json(self, scene_dir, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text("{depth: 2}")
+        code = main(["forward", "--scene", str(scene_dir), "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "p")])
+        self._single_error(capsys, code, "format")
+
+    def test_eval_manifest_view_missing_pose(self, scene_dir, tmp_path, capsys):
+        manifest = json.loads((scene_dir / "scene.json").read_text())
+        del manifest["views"][0]["pose"]
+        (scene_dir / "scene.json").write_text(json.dumps(manifest))
+        code = main(["eval", "--gt", str(scene_dir), "--pred", str(scene_dir)])
+        line = self._single_error(capsys, code, "format")
+        assert "'pose'" in line
+
+    def test_covis_truncated_tensor(self, scene_dir, capsys):
+        (scene_dir / "view_000_rays.mapt").write_bytes(b"MAPT\x01\x01\x03\x1c\x00")
+        code = main(["covis", "--scene", str(scene_dir)])
+        self._single_error(capsys, code, "format")
 
 
 class TestPlyExport:

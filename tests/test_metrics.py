@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapt.errors import DegenerateError, EmptyDepthError, InvalidValueError
+from mapt.errors import DegenerateError, EmptyDepthError, InvalidValueError, MaptError
 from mapt.geometry import (
     DepthAlongRay,
     FactoredScene,
@@ -27,7 +29,7 @@ from mapt.metrics import (
 from mapt.synth import SceneSample, ViewSample
 
 from conftest import random_pose
-from oracles import rotation_angle_deg, umeyama_reference
+from oracles import pose_angular_errors_reference, rotation_angle_deg, umeyama_reference
 
 
 def _ones(shape):
@@ -226,6 +228,40 @@ class TestPoseAngularErrors:
         gt = [Pose(q, np.zeros(3)), Pose(q, np.zeros(3))]
         with pytest.raises(DegenerateError):
             pose_angular_errors(gt, gt)
+
+    @staticmethod
+    @st.composite
+    def _poses(draw, n):
+        """n poses with random unit quaternions; translations on a 0.01 grid,
+        each view k taking the camera centre of a view <= k, so centres repeat
+        (zero baselines) and distinct centres are at least 0.01 apart."""
+        quat = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).map(np.array)
+        quat = quat.filter(lambda q: np.linalg.norm(q) > 0.1).map(lambda q: q / np.linalg.norm(q))
+        centre = st.lists(st.integers(-1000, 1000), min_size=3, max_size=3).map(lambda t: np.array(t) / 100.0)
+        centres = [draw(centre) for _ in range(n)]
+        same = [draw(st.integers(0, k)) for k in range(n)]
+        return [Pose(draw(quat), centres[same[k]]) for k in range(n)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 8), pred_is_gt=st.booleans())
+    def test_matches_per_pair_reference(self, data, n, pred_is_gt):
+        gt = data.draw(self._poses(n))
+        pred = gt if pred_is_gt else data.draw(self._poses(n))
+        outcomes = []
+        for f in (pose_angular_errors, pose_angular_errors_reference):
+            try:
+                outcomes.append(f(pred, gt))
+            except MaptError as e:
+                outcomes.append(type(e))
+        got, ref = outcomes
+        if isinstance(ref, type) or isinstance(got, type):
+            assert got is ref
+            return
+        assert got[0].shape == got[1].shape == (n * (n - 1),)
+        np.testing.assert_array_equal(np.isnan(got[1]), np.isnan(ref[1]))
+        # arccos conditioning near 0 deg bounds the agreement, as above
+        np.testing.assert_allclose(got[0], ref[0], rtol=0, atol=1e-5)
+        np.testing.assert_allclose(got[1], ref[1], rtol=0, atol=1e-5)
 
 
 class TestAuc:
