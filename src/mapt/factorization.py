@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDepthError, InvalidValueError
-from .geometry import DepthAlongRay, MetricScale, PointMap
+from .geometry import DepthAlongRay, MetricScale, PointMap, _pool
 
 POSE_SCALE_EPS = 1e-9
 LOG_SCALE_MIN = 1e-6
@@ -113,15 +113,25 @@ def f_log_jacobian(x: np.ndarray) -> np.ndarray:
 
 def norm_scale(pointmaps: list[PointMap]) -> NormScale:
     """Mean norm of all valid points pooled over the given views."""
-    total = 0.0
-    count = 0
-    for pm in pointmaps:
-        pts = pm.points[pm.validity]
-        total += float(np.sum(np.linalg.norm(pts, axis=1)))
-        count += pts.shape[0]
-    if count == 0:
+    masks = [pm.validity for pm in pointmaps]
+    return _norm_scale(*_pool("norm scale", masks, [pm.points for pm in pointmaps]), masks)
+
+
+def _norm_scale(points: np.ndarray, masks: list) -> NormScale:
+    """norm_scale of (N, 3) points pooled over ``masks`` (see geometry._pool).
+
+    The per-view partial sums are added in view order: one np.sum over all N
+    norms would round differently.
+    """
+    norms = np.linalg.norm(points, axis=1)
+    total, start = 0.0, 0
+    for m in masks:
+        stop = start + int(np.count_nonzero(m))
+        total += float(np.sum(norms[start:stop]))
+        start = stop
+    if start == 0:
         raise EmptyDepthError("norm scale requires at least one valid point")
-    return NormScale(total / count)
+    return NormScale(total / start)
 
 
 def metric_norm_scale(m: MetricScale, z_pred: NormScale) -> NormScale:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    EmptyDepthError,
     InvalidIntrinsicsError,
     InvalidRotationError,
     InvalidValueError,
@@ -274,34 +275,99 @@ def intrinsics_from_rays(r: RayMap) -> tuple[Intrinsics, float]:
 # pointmap composition
 
 
+def _compose(points, validity, depth=None, pose=None, scale=None) -> np.ndarray:
+    """One view's points ``scale * (R @ (points * depth) + t)``, 0 at invalid pixels.
+
+    Each stage runs only when its argument is given: ``points`` are unit rays
+    when ``depth`` is, else camera-frame points. The stages run in the order
+    of local_pointmap, world_pointmap and metric_upgrade, and the result is
+    always a new (H, W, 3) array. Finite inputs can overflow, so a non-finite
+    result raises InvalidValueError.
+    """
+    pts = points if depth is None else points * depth[:, :, None]
+    if pose is not None:
+        pts = pts @ quat_to_rot(pose.rotation).T + pose.translation
+    pts = np.where(validity[:, :, None], pts, 0.0)
+    if scale is not None:
+        pts *= scale
+    if not np.isfinite(pts).all():
+        raise InvalidValueError("valid points must be finite")
+    return pts
+
+
+def _check(what: str, shapes: list, *grids: list) -> None:
+    """Raise unless every grid list has one array per view whose leading
+    dimensions are that view's entry in ``shapes``; the errors name ``what``
+    and the first bad view."""
+    if not shapes:
+        raise EmptyDepthError(f"{what}: no views")
+    for g in grids:
+        if len(g) != len(shapes):
+            raise ShapeError(f"{what}: view counts differ ({len(g)} vs {len(shapes)})")
+    for i, shape in enumerate(shapes):
+        for g in grids:
+            if g[i].shape[: len(shape)] != shape:
+                raise ShapeError(f"{what}: view {i} resolution mismatch ({g[i].shape[: len(shape)]} vs {shape})")
+
+
+def _pool(what: str, masks: list, *grids: list) -> list[np.ndarray]:
+    """The pixels selected by ``masks[i]`` of view i of each per-view grid
+    list, concatenated in view order.
+
+    Every grid list needs one (H, W, ...) array per (H, W) mask, at that
+    mask's resolution (see _check).
+    """
+    _check(what, [m.shape for m in masks], *grids)
+    idx = [np.flatnonzero(m) for m in masks]
+    offsets = np.cumsum([0] + [i.size for i in idx])
+    pooled = []
+    for g in grids:
+        out = np.empty((offsets[-1], *g[0].shape[masks[0].ndim :]), dtype=np.result_type(*g))
+        for x, m, i, a, b in zip(g, masks, idx, offsets, offsets[1:]):
+            # np.take into the output is several times faster than x[m] and a
+            # concatenate; mode="clip" skips the bounds check of valid indices
+            np.take(x.reshape(m.size, *x.shape[m.ndim :]), i, axis=0, out=out[a:b], mode="clip")
+        pooled.append(out)
+    return pooled
+
+
+def _forward_normals(points: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals of a (H, W, 3) point grid with validity ``v`` from forward
+    differences, as a (H-1, W-1, 3) grid, and where they exist: the 2x2 patch
+    is valid and the cross product nonzero. Normals elsewhere are 0."""
+    dx = points[:-1, 1:, :] - points[:-1, :-1, :]
+    dy = points[1:, :-1, :] - points[:-1, :-1, :]
+    n = np.cross(dx, dy)
+    norms = np.linalg.norm(n, axis=2)
+    ok = (v[:-1, :-1] & v[:-1, 1:] & v[1:, :-1] & v[1:, 1:]) & (norms > 1e-12)
+    n = np.where(ok[:, :, None], n / np.where(norms[:, :, None] > 1e-12, norms[:, :, None], 1.0), 0.0)
+    return n, ok
+
+
 def local_pointmap(r: RayMap, d: DepthAlongRay) -> PointMap:
     """Lift depths along rays into the camera frame: point = direction * depth."""
     if (r.height, r.width) != (d.height, d.width):
         raise ShapeError("ray map and depth resolutions differ")
-    pts = r.directions * d.values[:, :, None]
-    return PointMap(pts, d.validity.copy())
+    return PointMap(_compose(r.directions, d.validity, d.values), d.validity.copy())
 
 
 def world_pointmap(l: PointMap, p: Pose) -> PointMap:
     """Rotate/translate valid points of a local pointmap into the reference frame."""
-    rot = quat_to_rot(p.rotation)
-    pts = l.points @ rot.T + p.translation
-    pts[~l.validity] = 0.0
-    return PointMap(pts, l.validity.copy())
+    return PointMap(_compose(l.points, l.validity, pose=p), l.validity.copy())
 
 
 def metric_upgrade(x: PointMap, m: MetricScale) -> PointMap:
     """Scale every valid point by the metric factor."""
-    return PointMap(x.points * m.value, x.validity.copy())
+    return PointMap(_compose(x.points, x.validity, scale=m.value), x.validity.copy())
 
 
 def compose_scene_points(scene: FactoredScene) -> list[PointMap]:
     """Metric world pointmaps for every view of a factored scene."""
-    out = []
-    for view in scene.views:
-        lpm = local_pointmap(view.rays, view.depth)
-        out.append(metric_upgrade(world_pointmap(lpm, view.pose), scene.scale))
-    return out
+    s = scene.scale.value
+    return [
+        PointMap(_compose(v.rays.directions, v.depth.validity, v.depth.values, v.pose, s), v.depth.validity.copy())
+        for v in scene.views
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ row-major payload. Reads reproduce writes bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -83,10 +84,12 @@ def _pose_list(p: Pose) -> list[float]:
 
 
 def _pose_from_list(vals) -> Pose:
-    vals = [float(v) for v in vals]
-    if len(vals) != 7:
-        raise FormatError("pose entry must have 7 values (qw qx qy qz tx ty tz)")
-    return Pose(np.array(vals[:4]), np.array(vals[4:]))
+    return Pose(np.array(vals[:4], dtype=np.float64), np.array(vals[4:], dtype=np.float64))
+
+
+def _numbers(vals, n: int) -> bool:
+    """Whether a manifest value is a list of n JSON numbers."""
+    return isinstance(vals, list) and len(vals) == n and all(type(v) in (int, float) for v in vals)
 
 
 def _view_files(i: int, with_conf: bool) -> dict:
@@ -104,54 +107,33 @@ def _view_files(i: int, with_conf: bool) -> dict:
 
 def write_scene(path, scene: SceneSample) -> None:
     """Write a ground-truth scene directory (manifest + tensors)."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    views = []
-    for i, v in enumerate(scene.views):
-        files = _view_files(i, with_conf=False)
-        write_tensor(path / files["rays"], v.rays.directions)
-        write_tensor(path / files["depth"], v.depth.values)
-        write_tensor(path / files["validity"], v.depth.validity)
-        write_tensor(path / files["mask"], v.mask.astype(np.uint8))
-        views.append(
-            {
-                "width": v.rays.width,
-                "height": v.rays.height,
-                "intrinsics": [float(v.intrinsics.fx), float(v.intrinsics.fy), float(v.intrinsics.cx), float(v.intrinsics.cy)],
-                "pose": _pose_list(v.pose),
-                "files": files,
-            }
-        )
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "n_views": scene.n_views,
-        "metric_scale": float(scene.scale.value),
-        "views": views,
-    }
-    _dump_json(path / MANIFEST_NAME, manifest)
+    intrinsics = [{"intrinsics": [float(x) for x in dataclasses.astuple(v.intrinsics)]} for v in scene.views]
+    _write_dir(path, scene, [v.mask.astype(np.uint8) for v in scene.views], [None] * scene.n_views, intrinsics)
 
 
 def write_factored(path, scene: FactoredScene) -> None:
     """Write a predicted factored scene directory (no intrinsics; float masks)."""
+    masks = [v.mask_prob if v.mask_prob is not None else np.ones_like(v.depth.values) for v in scene.views]
+    _write_dir(path, scene, masks, [v.confidence for v in scene.views], [{}] * scene.n_views)
+
+
+def _write_dir(path, scene, masks: list, confidences: list, entries: list) -> None:
+    """Write the tensors and the manifest of a scene directory: per view its
+    mask tensor, its confidence tensor or None, and the manifest entries that
+    go between its height and its pose."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     views = []
-    for i, v in enumerate(scene.views):
-        files = _view_files(i, with_conf=v.confidence is not None)
+    for i, (v, mask, conf, extra) in enumerate(zip(scene.views, masks, confidences, entries)):
+        files = _view_files(i, with_conf=conf is not None)
         write_tensor(path / files["rays"], v.rays.directions)
         write_tensor(path / files["depth"], v.depth.values)
         write_tensor(path / files["validity"], v.depth.validity)
-        mask = v.mask_prob if v.mask_prob is not None else np.ones_like(v.depth.values)
         write_tensor(path / files["mask"], mask)
-        if v.confidence is not None:
-            write_tensor(path / files["confidence"], v.confidence)
+        if conf is not None:
+            write_tensor(path / files["confidence"], conf)
         views.append(
-            {
-                "width": v.rays.width,
-                "height": v.rays.height,
-                "pose": _pose_list(v.pose),
-                "files": files,
-            }
+            {"width": v.rays.width, "height": v.rays.height, **extra, "pose": _pose_list(v.pose), "files": files}
         )
     manifest = {
         "version": MANIFEST_VERSION,
@@ -174,16 +156,27 @@ def _load_manifest(path: Path) -> dict:
         raise FormatError(f"{mf}: manifest must be a JSON object")
     if manifest.get("version") != MANIFEST_VERSION:
         raise FormatError(f"{path}: unsupported manifest version")
-    if len(manifest.get("views", [])) != manifest.get("n_views"):
+    if not isinstance(manifest.get("views"), list):
+        raise FormatError(f"{path}: manifest 'views' must be a list")
+    if len(manifest["views"]) != manifest.get("n_views"):
         raise FormatError(f"{path}: view count does not match manifest entries")
     if "metric_scale" not in manifest:
         raise FormatError(f"{path}: manifest lacks 'metric_scale'")
+    if type(manifest["metric_scale"]) not in (int, float):
+        raise FormatError(f"{path}: manifest 'metric_scale' must be a number")
     for i, entry in enumerate(manifest["views"]):
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: view {i} must be a JSON object")
         for key in ("pose", "files", "width", "height"):
             if key not in entry:
                 raise FormatError(f"{path}: view {i} lacks {key!r}")
+        if not _numbers(entry["pose"], 7):
+            raise FormatError(f"{path}: view {i} 'pose' must be 7 numbers (qw qx qy qz tx ty tz)")
+        if "intrinsics" in entry and not _numbers(entry["intrinsics"], 4):
+            raise FormatError(f"{path}: view {i} 'intrinsics' must be 4 numbers (fx fy cx cy)")
+        files = entry["files"]
+        if not isinstance(files, dict) or not all(isinstance(f, str) for f in files.values()):
+            raise FormatError(f"{path}: view {i} 'files' must map tensor names to file names")
     return manifest
 
 

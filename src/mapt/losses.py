@@ -13,26 +13,42 @@ Conventions (fixed for this artifact):
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyDepthError, InvalidValueError, ShapeError
-from .factorization import NormScale, f_log, metric_norm_scale, norm_scale
+from .factorization import NormScale, _norm_scale, f_log, metric_norm_scale
 from .geometry import (
     DepthAlongRay,
     FactoredScene,
     MetricScale,
     PointMap,
     RayMap,
-    local_pointmap,
-    world_pointmap,
+    _check,
+    _compose,
+    _forward_normals,
+    _pool,
 )
 
-# Loss weighting of the total objective: the global pointmap term is
-# up-weighted and the mask term down-weighted; everything else is 1.
-WEIGHT_POINTMAP = 10.0
-WEIGHT_MASK = 0.1
+# Weight of each term in the total objective, in the order the total adds
+# them: the global pointmap term is up-weighted and the mask term
+# down-weighted; everything else is 1.
+_WEIGHTS = {
+    "pointmap": 10.0,
+    "rays": 1.0,
+    "rot": 1.0,
+    "translation": 1.0,
+    "depth": 1.0,
+    "lpm": 1.0,
+    "scale": 1.0,
+    "normal": 1.0,
+    "gm": 1.0,
+    "mask": 0.1,
+}
 
 DEFAULT_ALPHA_CONF = 0.2
 DEFAULT_EXCLUDE_TOP = 0.05
@@ -98,52 +114,13 @@ class LossReport:
     mask: float
     total: float
 
-    @classmethod
-    def from_terms(cls, **terms) -> "LossReport":
-        total = (
-            WEIGHT_POINTMAP * terms["pointmap"]
-            + terms["rays"]
-            + terms["rot"]
-            + terms["translation"]
-            + terms["depth"]
-            + terms["lpm"]
-            + terms["scale"]
-            + terms["normal"]
-            + terms["gm"]
-            + WEIGHT_MASK * terms["mask"]
-        )
-        return cls(total=float(total), **{k: float(v) for k, v in terms.items()})
-
     def as_dict(self) -> dict:
-        return {
-            "pointmap": self.pointmap,
-            "rays": self.rays,
-            "rot": self.rot,
-            "translation": self.translation,
-            "depth": self.depth,
-            "lpm": self.lpm,
-            "scale": self.scale,
-            "normal": self.normal,
-            "gm": self.gm,
-            "mask": self.mask,
-            "total": self.total,
-        }
+        return dataclasses.asdict(self)
 
 
 def loss_weights() -> dict:
     """The weights applied to each term in the total."""
-    return {
-        "pointmap": WEIGHT_POINTMAP,
-        "rays": 1.0,
-        "rot": 1.0,
-        "translation": 1.0,
-        "depth": 1.0,
-        "lpm": 1.0,
-        "scale": 1.0,
-        "normal": 1.0,
-        "gm": 1.0,
-        "mask": WEIGHT_MASK,
-    }
+    return dict(_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +139,22 @@ def _excluded_mean(values: np.ndarray, exclude_top: float) -> float:
     return float(np.mean(kept))
 
 
-def _check_views(pred: list, gt: list, what: str):
-    if len(pred) != len(gt):
-        raise ShapeError(f"{what}: view counts differ ({len(pred)} vs {len(gt)})")
+def _point_residual(pp: np.ndarray, pg: np.ndarray, z_pred: NormScale, z_gt: NormScale) -> np.ndarray:
+    """Norm of the f_log residual of (N, 3) points, each side over its normalizer."""
+    res = f_log(pg / z_gt.value, axis=1)
+    res -= f_log(pp / z_pred.value, axis=1)  # in place: the pooled arrays are large
+    return np.linalg.norm(res, axis=1)
 
 
 # ---------------------------------------------------------------------------
-# per-term losses
+# per-term losses; the _*_term functions reduce pixels pooled by geometry._pool
 
 
 def loss_rays(pred: list[RayMap], gt: list[RayMap], p: RobustKernelParams = DEFAULT_KERNEL) -> float:
     """Kernel of the per-pixel direction residual norm, mean over all pixels."""
-    _check_views(pred, gt, "rays loss")
-    chunks = []
-    for rp, rg in zip(pred, gt):
-        if rp.directions.shape != rg.directions.shape:
-            raise ShapeError("rays loss: resolution mismatch")
-        res = np.linalg.norm(rp.directions - rg.directions, axis=2)
-        chunks.append(robust_kernel(res, p).ravel())
-    return float(np.mean(np.concatenate(chunks)))
+    _check("rays loss", [r.directions.shape[:2] for r in gt], [r.directions for r in pred])
+    res = np.concatenate([np.linalg.norm(a.directions - b.directions, axis=2).ravel() for a, b in zip(pred, gt)])
+    return float(np.mean(robust_kernel(res, p)))
 
 
 def loss_rot(pred_quats, gt_quats, p: RobustKernelParams = DEFAULT_KERNEL) -> float:
@@ -221,15 +195,13 @@ def loss_depth(
     Pixels are selected by the ground-truth validity masks and pooled across
     views before the exclusion quantile is applied.
     """
-    _check_views(pred, gt, "depth loss")
-    chunks = []
-    for dp, dg in zip(pred, gt):
-        if dp.values.shape != dg.values.shape:
-            raise ShapeError("depth loss: resolution mismatch")
-        m = dg.validity
-        res = np.abs(f_log(dg.values[m] / z_gt.value) - f_log(dp.values[m] / z_pred.value))
-        chunks.append(robust_kernel(res, p))
-    return _excluded_mean(np.concatenate(chunks), exclude_top)
+    dp, dg = _pool("depth loss", [d.validity for d in gt], [d.values for d in pred], [d.values for d in gt])
+    return _depth_term(dp, dg, z_pred, z_gt, p, exclude_top)
+
+
+def _depth_term(dp, dg, z_pred, z_gt, p, exclude_top) -> float:
+    res = np.abs(f_log(dg / z_gt.value) - f_log(dp / z_pred.value))
+    return _excluded_mean(robust_kernel(res, p), exclude_top)
 
 
 def loss_local_pointmap(
@@ -241,18 +213,13 @@ def loss_local_pointmap(
     exclude_top: float = DEFAULT_EXCLUDE_TOP,
 ) -> float:
     """As the depth loss but on 3D points: kernel of the f_log residual norm."""
-    _check_views(pred, gt, "local pointmap loss")
-    chunks = []
-    for pp, pg in zip(pred, gt):
-        if pp.points.shape != pg.points.shape:
-            raise ShapeError("local pointmap loss: resolution mismatch")
-        m = pg.validity
-        res = np.linalg.norm(
-            f_log(pg.points[m] / z_gt.value, axis=1) - f_log(pp.points[m] / z_pred.value, axis=1),
-            axis=1,
-        )
-        chunks.append(robust_kernel(res, p))
-    return _excluded_mean(np.concatenate(chunks), exclude_top)
+    masks = [pm.validity for pm in gt]
+    pp, pg = _pool("local pointmap loss", masks, [pm.points for pm in pred], [pm.points for pm in gt])
+    return _lpm_term(pp, pg, z_pred, z_gt, p, exclude_top)
+
+
+def _lpm_term(pp, pg, z_pred, z_gt, p, exclude_top) -> float:
+    return _excluded_mean(robust_kernel(_point_residual(pp, pg, z_pred, z_gt), p), exclude_top)
 
 
 def loss_pointmap_conf(
@@ -265,27 +232,18 @@ def loss_pointmap_conf(
     alpha_conf: float = DEFAULT_ALPHA_CONF,
 ) -> float:
     """Confidence-weighted world pointmap loss: mean of C * rho(res) - a * log C."""
-    _check_views(pred, gt, "pointmap loss")
-    chunks = []
-    for pp, pg, c in zip(pred, gt, conf):
-        if pp.points.shape != pg.points.shape:
-            raise ShapeError("pointmap loss: resolution mismatch")
-        c = np.asarray(c, dtype=np.float64)
-        if c.shape != pg.validity.shape:
-            raise ShapeError("pointmap loss: confidence resolution mismatch")
-        if np.min(c) < 1.0:
-            raise InvalidValueError("confidence must be >= 1")
-        m = pg.validity
-        res = np.linalg.norm(
-            f_log(pg.points[m] / z_gt.value, axis=1) - f_log(pp.points[m] / z_pred.value, axis=1),
-            axis=1,
-        )
-        cm = c[m]
-        chunks.append(cm * robust_kernel(res, p) - alpha_conf * np.log(cm))
-    pooled = np.concatenate(chunks)
-    if pooled.size == 0:
+    conf = [np.asarray(c, dtype=np.float64) for c in conf]
+    masks = [pm.validity for pm in gt]
+    pp, pg, c = _pool("pointmap loss", masks, [pm.points for pm in pred], [pm.points for pm in gt], conf)
+    if any(np.min(x) < 1.0 for x in conf):
+        raise InvalidValueError("confidence must be >= 1")
+    return _pointmap_term(pp, pg, c, z_pred, z_gt, p, alpha_conf)
+
+
+def _pointmap_term(pp, pg, c, z_pred, z_gt, p, alpha_conf) -> float:
+    if c.size == 0:
         raise EmptyDepthError("pointmap loss: no valid pixels")
-    return float(np.mean(pooled))
+    return float(np.mean(c * robust_kernel(_point_residual(pp, pg, z_pred, z_gt), p) - alpha_conf * np.log(c)))
 
 
 def loss_scale(
@@ -311,40 +269,28 @@ def loss_scale_grad_m(
     return float(robust_kernel_grad(r, p) * dr_dm)
 
 
-def _forward_normals(pm: PointMap) -> tuple[np.ndarray, np.ndarray]:
-    """Unit normals from forward differences; valid where the 2x2 patch is valid."""
-    pts, v = pm.points, pm.validity
-    dx = pts[:-1, 1:, :] - pts[:-1, :-1, :]
-    dy = pts[1:, :-1, :] - pts[:-1, :-1, :]
-    n = np.cross(dx, dy)
-    norms = np.linalg.norm(n, axis=2)
-    ok = (v[:-1, :-1] & v[:-1, 1:] & v[1:, :-1] & v[1:, 1:]) & (norms > 1e-12)
-    n = np.where(ok[:, :, None], n / np.where(norms[:, :, None] > 1e-12, norms[:, :, None], 1.0), 0.0)
-    return n, ok
-
-
 def loss_normal(pred: list[PointMap], gt: list[PointMap]) -> float:
     """Mean (1 - cos) between forward-difference normals of local pointmaps.
 
     Pixels need a fully valid 2x2 neighborhood in both maps; if none qualify
     anywhere the loss is 0.
     """
-    _check_views(pred, gt, "normal loss")
-    chunks = []
-    for pp, pg in zip(pred, gt):
-        if pp.points.shape != pg.points.shape:
-            raise ShapeError("normal loss: resolution mismatch")
-        if pp.height < 2 or pp.width < 2:
-            raise ShapeError("normal loss requires at least 2x2 maps")
-        npred, okp = _forward_normals(pp)
-        ngt, okg = _forward_normals(pg)
-        ok = okp & okg
-        if np.any(ok):
-            dots = np.sum(npred[ok] * ngt[ok], axis=1)
-            chunks.append(1.0 - dots)
-    if not chunks:
-        return 0.0
-    return float(np.mean(np.concatenate(chunks)))
+    return _normal_term(
+        [pm.points for pm in pred], [pm.validity for pm in pred], [pm.points for pm in gt], [pm.validity for pm in gt]
+    )
+
+
+def _normal_term(pred_pts: list, pred_valid: list, gt_pts: list, gt_valid: list) -> float:
+    if any(min(x.shape[:2]) < 2 for x in [*pred_pts, *gt_pts]):
+        raise ShapeError("normal loss requires at least 2x2 maps")
+    _check("normal loss", [v.shape for v in gt_valid], pred_pts, pred_valid, gt_pts)
+    cos, ok = [], []
+    for pts_p, valid_p, pts_g, valid_g in zip(pred_pts, pred_valid, gt_pts, gt_valid):
+        (npred, okp), (ngt, okg) = _forward_normals(pts_p, valid_p), _forward_normals(pts_g, valid_g)
+        cos.append(np.sum(npred * ngt, axis=2))
+        ok.append(okp & okg)
+    (cos,) = _pool("normal loss", ok, cos)
+    return float(np.mean(1.0 - cos)) if cos.size else 0.0
 
 
 def _pool_half(d: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,54 +317,34 @@ def loss_gradient_matching(
     d = log(pred) - log(gt) are averaged over pairs whose both endpoints are
     valid, pooled across views; the per-scale terms are summed.
     """
-    _check_views(pred_z, gt_z, "gradient matching loss")
-    per_view = []
-    for zp, zg, m in zip(pred_z, gt_z, validity):
-        zp = np.asarray(zp, dtype=np.float64)
-        zg = np.asarray(zg, dtype=np.float64)
-        m = np.asarray(m, dtype=bool)
-        if zp.shape != zg.shape or m.shape != zg.shape:
-            raise ShapeError("gradient matching loss: resolution mismatch")
-        if np.any(zp[m] <= 0.0) or np.any(zg[m] <= 0.0):
-            raise InvalidValueError("gradient matching loss requires positive depths")
-        d = np.zeros_like(zg)
-        d[m] = np.log(zp[m]) - np.log(zg[m])
-        per_view.append((d, m))
+    masks = [np.asarray(m, dtype=bool) for m in validity]
+    zp = [np.asarray(z, dtype=np.float64) for z in pred_z]
+    zg = [np.asarray(z, dtype=np.float64) for z in gt_z]
+    if any(np.any(z <= 0.0) for z in _pool("gradient matching loss", masks, zp, zg)):
+        raise InvalidValueError("gradient matching loss requires positive depths")
+    per_view = [(np.log(np.where(m, a, 1.0)) - np.log(np.where(m, b, 1.0)), m) for a, b, m in zip(zp, zg, masks)]
 
     total = 0.0
     for _ in range(n_scales):
-        gx, gy = [], []
-        nxt = []
-        for d, m in per_view:
-            vx = m[:, 1:] & m[:, :-1]
-            vy = m[1:, :] & m[:-1, :]
-            gx.append(np.abs(d[:, 1:] - d[:, :-1])[vx])
-            gy.append(np.abs(d[1:, :] - d[:-1, :])[vy])
-            nxt.append(_pool_half(d, m))
-        gx = np.concatenate(gx)
-        gy = np.concatenate(gy)
-        if gx.size:
-            total += float(np.mean(gx))
-        if gy.size:
-            total += float(np.mean(gy))
-        per_view = nxt
+        for ahead, behind in ((np.s_[:, 1:], np.s_[:, :-1]), (np.s_[1:, :], np.s_[:-1, :])):  # x, then y
+            pairs = [m[ahead] & m[behind] for _, m in per_view]
+            (grad,) = _pool("gradient matching loss", pairs, [np.abs(d[ahead] - d[behind]) for d, _ in per_view])
+            if grad.size:
+                total += float(np.mean(grad))
+        per_view = [_pool_half(d, m) for d, m in per_view]
     return total
 
 
 def loss_mask(pred_prob: list[np.ndarray], gt: list[np.ndarray]) -> float:
     """Mean binary cross entropy over all pixels of all views."""
-    _check_views(pred_prob, gt, "mask loss")
-    chunks = []
-    for p, g in zip(pred_prob, gt):
-        p = np.asarray(p, dtype=np.float64)
-        g = np.asarray(g, dtype=np.float64)
-        if p.shape != g.shape:
-            raise ShapeError("mask loss: resolution mismatch")
-        if np.min(p) < 0.0 or np.max(p) > 1.0:
-            raise InvalidValueError("mask probabilities must lie in [0, 1]")
-        pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-        chunks.append(-(g * np.log(pc) + (1.0 - g) * np.log(1.0 - pc)).ravel())
-    return float(np.mean(np.concatenate(chunks)))
+    pred_prob = [np.asarray(x, dtype=np.float64) for x in pred_prob]
+    if any(np.min(x) < 0.0 or np.max(x) > 1.0 for x in pred_prob):
+        raise InvalidValueError("mask probabilities must lie in [0, 1]")
+    gt = [np.asarray(g, dtype=np.float64) for g in gt]
+    _check("mask loss", [g.shape for g in gt], pred_prob)
+    pc = np.clip(np.concatenate([x.ravel() for x in pred_prob]), BCE_CLAMP, 1.0 - BCE_CLAMP)
+    g = np.concatenate([x.ravel() for x in gt])
+    return float(np.mean(-(g * np.log(pc) + (1.0 - g) * np.log(1.0 - pc))))
 
 
 # ---------------------------------------------------------------------------
@@ -440,63 +366,47 @@ def total_loss(
     is set. Pixels enter the dense losses through the ground-truth validity
     masks; the prediction normalizer z_pred uses the same masks.
     """
-    if pred.n_views != len(gt.views):
-        raise ShapeError(f"view counts differ: pred {pred.n_views} vs gt {len(gt.views)}")
-
-    gt_rays, gt_depths, gt_local, gt_world = [], [], [], []
-    pr_rays, pr_depths, pr_local, pr_world, pr_world_masked = [], [], [], [], []
-    confs, mask_probs, gt_masks = [], [], []
-    for i, (pv, gv) in enumerate(zip(pred.views, gt.views)):
-        if (pv.rays.height, pv.rays.width) != (gv.rays.height, gv.rays.width):
-            raise ShapeError(
-                f"total loss: view {i} resolution mismatch "
-                f"(pred {pv.rays.width}x{pv.rays.height}, gt {gv.rays.width}x{gv.rays.height})"
-            )
-        gt_rays.append(gv.rays)
-        gt_depths.append(gv.depth)
-        gl = local_pointmap(gv.rays, gv.depth)
-        gt_local.append(gl)
-        gt_world.append(world_pointmap(gl, gv.pose))
-        pr_rays.append(pv.rays)
-        pr_depths.append(pv.depth)
-        pl = local_pointmap(pv.rays, pv.depth)
-        pr_local.append(pl)
-        pw = world_pointmap(pl, pv.pose)
-        pr_world.append(pw)
-        pr_world_masked.append(PointMap(pw.points, gv.depth.validity & pw.validity))
-        confs.append(pv.confidence if pv.confidence is not None else np.ones_like(gv.depth.values))
-        mask_probs.append(pv.mask_prob)
-        gt_masks.append(gv.mask)
-
-    z_gt = norm_scale(gt_world)
-    z_pred = norm_scale(pr_world_masked)
-
-    gt_quats = np.stack([v.pose.rotation for v in gt.views])
-    pr_quats = np.stack([v.pose.rotation for v in pred.views])
-    gt_trans = np.stack([v.pose.translation for v in gt.views])
-    pr_trans = np.stack([v.pose.translation for v in pred.views])
-
+    what = "total loss"
+    masks = [g.depth.validity for g in gt.views]
+    pr_valid = [v.depth.validity for v in pred.views]
+    confs = [v.confidence if v.confidence is not None else np.ones(v.depth.values.shape) for v in pred.views]
+    dp, dg, c, pv = _pool(
+        what, masks, [v.depth.values for v in pred.views], [g.depth.values for g in gt.views], confs, pr_valid
+    )
+    pr_local = [_compose(v.rays.directions, v.depth.validity, v.depth.values) for v in pred.views]
+    gt_local = [_compose(g.rays.directions, g.depth.validity, g.depth.values) for g in gt.views]
+    # Each pooled point array is about as large as the grids it comes from,
+    # so the world grids and every pooled copy are dropped once used.
+    pw, gw = _pool(
+        what,
+        masks,
+        [_compose(x, v.depth.validity, pose=v.pose) for x, v in zip(pr_local, pred.views)],
+        [_compose(x, g.depth.validity, pose=g.pose) for x, g in zip(gt_local, gt.views)],
+    )
+    z_gt = _norm_scale(gw, masks)
+    z_pred = _norm_scale(pw[pv], [m & v for m, v in zip(masks, pr_valid)])
+    pointmap = _pointmap_term(pw, gw, c, z_pred, z_gt, p, alpha_conf)
+    del pw, gw
+    pl, gl = _pool(what, masks, pr_local, gt_local)
+    lpm = _lpm_term(pl, gl, z_pred, z_gt, p, exclude_top)
+    del pl, gl
     terms = {
-        "pointmap": loss_pointmap_conf(pr_world, gt_world, confs, z_pred, z_gt, p, alpha_conf),
-        "rays": loss_rays(pr_rays, gt_rays, p),
-        "rot": loss_rot(pr_quats, gt_quats, p),
-        "translation": loss_translation(pr_trans, gt_trans, z_pred, z_gt, p),
-        "depth": loss_depth(pr_depths, gt_depths, z_pred, z_gt, p, exclude_top),
-        "lpm": loss_local_pointmap(pr_local, gt_local, z_pred, z_gt, p, exclude_top),
+        "pointmap": pointmap,
+        "rays": loss_rays([v.rays for v in pred.views], [g.rays for g in gt.views], p),
+        "rot": loss_rot([v.pose.rotation for v in pred.views], [g.pose.rotation for g in gt.views], p),
+        "translation": loss_translation(
+            [v.pose.translation for v in pred.views], [g.pose.translation for g in gt.views], z_pred, z_gt, p
+        ),
+        "depth": _depth_term(dp, dg, z_pred, z_gt, p, exclude_top),
+        "lpm": lpm,
         "scale": loss_scale(z_gt, pred.scale, z_pred, p),
+        "normal": _normal_term(pr_local, pr_valid, gt_local, masks) if synthetic else 0.0,
+        "gm": loss_gradient_matching([x[:, :, 2] for x in pr_local], [x[:, :, 2] for x in gt_local], masks)
+        if synthetic
+        else 0.0,
+        "mask": loss_mask([v.mask_prob for v in pred.views], [g.mask for g in gt.views])
+        if all(v.mask_prob is not None for v in pred.views)
+        else 0.0,
     }
-    if synthetic:
-        terms["normal"] = loss_normal(pr_local, gt_local)
-        terms["gm"] = loss_gradient_matching(
-            [pm.points[:, :, 2] for pm in pr_local],
-            [pm.points[:, :, 2] for pm in gt_local],
-            [d.validity for d in gt_depths],
-        )
-    else:
-        terms["normal"] = 0.0
-        terms["gm"] = 0.0
-    if all(mp is not None for mp in mask_probs):
-        terms["mask"] = loss_mask(mask_probs, [m.astype(np.float64) for m in gt_masks])
-    else:
-        terms["mask"] = 0.0
-    return LossReport.from_terms(**terms)
+    total = functools.reduce(operator.add, [w * terms[k] for k, w in _WEIGHTS.items()])
+    return LossReport(**{k: float(v) for k, v in terms.items()}, total=float(total))

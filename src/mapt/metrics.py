@@ -3,6 +3,7 @@ alignment, ray angular errors and the closed-form alignment solvers."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,10 +11,10 @@ import numpy as np
 from .errors import DegenerateError, EmptyDepthError, InvalidValueError, ShapeError
 from .geometry import (
     FactoredScene,
-    FactoredView,
     MetricScale,
     Pose,
-    compose_scene_points,
+    _compose,
+    _pool,
     quat_mul,
     quat_to_rot,
     ray_angular_error,
@@ -58,18 +59,7 @@ class MetricReport:
     scale_rel: float
 
     def as_dict(self) -> dict:
-        return {
-            "depth_rel": self.depth_rel,
-            "depth_tau": self.depth_tau,
-            "points_rel": self.points_rel,
-            "points_tau": self.points_tau,
-            "ate_rmse": self.ate_rmse,
-            "pose_auc5": self.pose_auc5,
-            "pose_rra_deg": self.pose_rra_deg,
-            "pose_rta_deg": self.pose_rta_deg,
-            "ray_err_deg": self.ray_err_deg,
-            "scale_rel": self.scale_rel,
-        }
+        return dataclasses.asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -233,31 +223,23 @@ def evaluate_scene(pred: FactoredScene, gt: SceneSample, align_points: bool = Fa
     that relative distance is below (tau - 1). With align_points set, one
     global least-squares scale is fitted to the predicted points first.
     """
-    if pred.n_views != len(gt.views):
-        raise ShapeError("view counts differ")
-    for i, (pv, gv) in enumerate(zip(pred.views, gt.views)):
-        if (pv.rays.height, pv.rays.width) != (gv.rays.height, gv.rays.width):
-            raise ShapeError(
-                f"view {i} resolution mismatch "
-                f"(pred {pv.rays.width}x{pv.rays.height}, gt {gv.rays.width}x{gv.rays.height})"
-            )
-
+    masks = [g.depth.validity for g in gt.views]
     m_pred = pred.scale.value
     m_gt = gt.scale.value
 
-    d_pred = np.concatenate([m_pred * v.depth.values[g.depth.validity] for v, g in zip(pred.views, gt.views)])
-    d_gt = np.concatenate([m_gt * g.depth.values[g.depth.validity] for g in gt.views])
+    dp, dg = _pool("evaluate scene", masks, [v.depth.values for v in pred.views], [g.depth.values for g in gt.views])
+    d_pred = m_pred * dp
+    d_gt = m_gt * dg
     ones = np.ones_like(d_gt, dtype=bool)
     depth_rel = abs_rel(d_pred, d_gt, ones)
     depth_tau = inlier_ratio_tau(d_pred, d_gt, ones)
 
-    pred_world = compose_scene_points(pred)
-    gt_world = compose_scene_points(FactoredScene(
-        views=[FactoredView(rays=g.rays, depth=g.depth, pose=g.pose) for g in gt.views],
-        scale=MetricScale(m_gt),
-    ))
-    pw = np.concatenate([w.points[g.depth.validity] for w, g in zip(pred_world, gt.views)])
-    gw = np.concatenate([w.points[g.depth.validity] for w, g in zip(gt_world, gt.views)])
+    pw, gw = _pool(
+        "evaluate scene",
+        masks,
+        [_compose(v.rays.directions, v.depth.validity, v.depth.values, v.pose, m_pred) for v in pred.views],
+        [_compose(g.rays.directions, g.depth.validity, g.depth.values, g.pose, m_gt) for g in gt.views],
+    )
     if align_points:
         denom = float(np.sum(pw * pw))
         if denom <= 0.0:
@@ -284,7 +266,7 @@ def evaluate_scene(pred: FactoredScene, gt: SceneSample, align_points: bool = Fa
         auc = rra_mean = rta_mean = float("nan")
 
     ray_err = float(np.mean([ray_angular_error(v.rays, g.rays) for v, g in zip(pred.views, gt.views)]))
-    s_rel = scale_rel(pred.scale, MetricScale(m_gt))
+    s_rel = scale_rel(pred.scale, gt.scale)
 
     return MetricReport(
         depth_rel=depth_rel,

@@ -13,6 +13,8 @@ Pure numpy, float64, fully deterministic per (weights, inputs).
 
 from __future__ import annotations
 
+import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,9 @@ from .geometry import (
 from .viewgraph import InputConfig
 
 EXP_CLIP = 30.0
+# Accepted value types of each ModelConfig field type; bool is an int in
+# Python, so __post_init__ also rejects bools for the numeric fields.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": (bool, np.bool_)}
 
 
 @dataclass
@@ -44,6 +49,12 @@ class ModelConfig:
     scale_token_in_frame: bool = False  # scale token normally attends only globally
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, (bool, np.bool_)) != (f.type == "bool") or not isinstance(v, _FIELD_TYPES[f.type]):
+                raise InvalidValueError(f"model config {f.name} must be of type {f.type}, got {v!r}")
+        if self.heads < 1:
+            raise InvalidValueError("heads must be >= 1")
         if self.dim % self.heads != 0:
             raise InvalidValueError("dim must be divisible by heads")
         if self.depth < 2 or self.depth % 2 != 0:
@@ -55,25 +66,6 @@ class ModelConfig:
 # Constants of the full-scale model, recorded for reference only; this
 # artifact never instantiates them.
 FULL_SCALE_CONFIG = ModelConfig(depth=24, dim=768, heads=12, mlp_ratio=4.0, patch=14)
-
-# Full-scale training schedule constants, recorded for reference only
-# (training is out of scope here).
-TRAINING_SCHEDULE = {
-    "optimizer": "adamw",
-    "peak_lr": 1e-4,
-    "peak_lr_image_encoder": 5e-6,
-    "warmup_fraction": 0.1,
-    "final_lr_factor": 0.01,
-    "weight_decay": 0.05,
-    "betas": (0.9, 0.95),
-    "grad_clip_norm": 1.0,
-    "max_image_dim": 518,
-    "total_steps": 420_000,
-    "stages": [
-        {"views": (4, 2), "batch_size": (768, 1536)},
-        {"views": (24, 2), "batch_size": (128, 1536), "lr_factor": 0.1},
-    ],
-}
 
 
 @dataclass

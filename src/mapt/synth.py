@@ -23,6 +23,8 @@ from .geometry import (
     MetricScale,
     Pose,
     RayMap,
+    _compose,
+    _forward_normals,
     quat_to_rot,
     rays_from_intrinsics,
     rot_to_quat,
@@ -170,18 +172,9 @@ def shade_view(rays: RayMap, depth: DepthAlongRay) -> np.ndarray:
     forward-difference normals, sky gradient on misses. Returns (H, W, 3) f32."""
     dirs = rays.directions
     v = depth.validity
-    pts = dirs * depth.values[:, :, None]
-
     h, w = v.shape
     normals = np.zeros((h, w, 3))
-    if h >= 2 and w >= 2:
-        dx = pts[:-1, 1:, :] - pts[:-1, :-1, :]
-        dy = pts[1:, :-1, :] - pts[:-1, :-1, :]
-        n = np.cross(dx, dy)
-        nn = np.linalg.norm(n, axis=2, keepdims=True)
-        ok = (v[:-1, :-1] & v[:-1, 1:] & v[1:, :-1] & v[1:, 1:]) & (nn[:, :, 0] > 1e-12)
-        n = np.where(ok[:, :, None], n / np.where(nn > 1e-12, nn, 1.0), 0.0)
-        normals[:-1, :-1] = n
+    normals[:-1, :-1] = _forward_normals(_compose(dirs, v, depth.values), v)[0]
     # fall back to facing the camera where no neighborhood normal exists
     missing = np.linalg.norm(normals, axis=2) < 0.5
     normals[missing] = -dirs[missing]

@@ -11,9 +11,29 @@ import struct
 
 import numpy as np
 
-from mapt.errors import DegenerateError, ShapeError
-from mapt.geometry import quat_mul, quat_to_rot, relative_pose
-from mapt.metrics import BASELINE_EPS
+from mapt.errors import DegenerateError, EmptyDepthError, InvalidValueError, ShapeError
+from mapt.factorization import NormScale, f_log
+from mapt.geometry import PointMap, quat_mul, quat_to_rot, ray_angular_error, relative_pose
+from mapt.losses import (
+    BCE_CLAMP,
+    DEFAULT_ALPHA_CONF,
+    DEFAULT_EXCLUDE_TOP,
+    DEFAULT_KERNEL,
+    loss_rot,
+    loss_scale,
+    loss_translation,
+    robust_kernel,
+)
+from mapt.metrics import (
+    BASELINE_EPS,
+    TAU_DEFAULT,
+    abs_rel,
+    ate_rmse,
+    auc_at_threshold,
+    inlier_ratio_tau,
+    pose_angular_errors,
+    scale_rel,
+)
 
 
 def pose_matrix(pose) -> np.ndarray:
@@ -192,3 +212,290 @@ def rotation_angle_deg(r: np.ndarray) -> float:
     """Rotation angle from the matrix trace."""
     c = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
     return float(np.degrees(np.arccos(c)))
+
+
+# ---------------------------------------------------------------------------
+# total_loss and evaluate_scene as per-view PointMap pipelines: every
+# intermediate is a validated PointMap and every loss term loops over views
+# and concatenates its own pixels.
+
+
+def _local_pointmap(rays, depth) -> PointMap:
+    return PointMap(rays.directions * depth.values[:, :, None], depth.validity.copy())
+
+
+def _world_pointmap(local: PointMap, pose) -> PointMap:
+    pts = local.points @ quat_to_rot(pose.rotation).T + pose.translation
+    pts[~local.validity] = 0.0
+    return PointMap(pts, local.validity.copy())
+
+
+def _metric_upgrade(x: PointMap, scale: float) -> PointMap:
+    return PointMap(x.points * scale, x.validity.copy())
+
+
+def _check_views(pred, gt, what):
+    if len(pred) != len(gt):
+        raise ShapeError(f"{what}: view counts differ ({len(pred)} vs {len(gt)})")
+
+
+def _excluded_mean(values, exclude_top):
+    n = values.size
+    if n == 0:
+        raise EmptyDepthError("no valid pixels to reduce")
+    n_drop = int(np.floor(exclude_top * n))
+    if n_drop == 0:
+        return float(np.mean(values))
+    return float(np.mean(np.sort(values)[: n - n_drop]))
+
+
+def norm_scale_reference(pointmaps) -> NormScale:
+    total, count = 0.0, 0
+    for pm in pointmaps:
+        pts = pm.points[pm.validity]
+        total += float(np.sum(np.linalg.norm(pts, axis=1)))
+        count += pts.shape[0]
+    if count == 0:
+        raise EmptyDepthError("norm scale requires at least one valid point")
+    return NormScale(total / count)
+
+
+def loss_rays_reference(pred, gt, p):
+    _check_views(pred, gt, "rays loss")
+    chunks = []
+    for rp, rg in zip(pred, gt):
+        if rp.directions.shape != rg.directions.shape:
+            raise ShapeError("rays loss: resolution mismatch")
+        chunks.append(robust_kernel(np.linalg.norm(rp.directions - rg.directions, axis=2), p).ravel())
+    return float(np.mean(np.concatenate(chunks)))
+
+
+def loss_depth_reference(pred, gt, z_pred, z_gt, p, exclude_top):
+    _check_views(pred, gt, "depth loss")
+    chunks = []
+    for dp, dg in zip(pred, gt):
+        if dp.values.shape != dg.values.shape:
+            raise ShapeError("depth loss: resolution mismatch")
+        m = dg.validity
+        res = np.abs(f_log(dg.values[m] / z_gt.value) - f_log(dp.values[m] / z_pred.value))
+        chunks.append(robust_kernel(res, p))
+    return _excluded_mean(np.concatenate(chunks), exclude_top)
+
+
+def _point_residuals(pred, gt, z_pred, z_gt, what):
+    _check_views(pred, gt, what)
+    for pp, pg in zip(pred, gt):
+        if pp.points.shape != pg.points.shape:
+            raise ShapeError(f"{what}: resolution mismatch")
+        m = pg.validity
+        yield m, np.linalg.norm(
+            f_log(pg.points[m] / z_gt.value, axis=1) - f_log(pp.points[m] / z_pred.value, axis=1), axis=1
+        )
+
+
+def loss_local_pointmap_reference(pred, gt, z_pred, z_gt, p, exclude_top):
+    chunks = [robust_kernel(res, p) for _, res in _point_residuals(pred, gt, z_pred, z_gt, "local pointmap loss")]
+    return _excluded_mean(np.concatenate(chunks), exclude_top)
+
+
+def loss_pointmap_conf_reference(pred, gt, conf, z_pred, z_gt, p, alpha_conf):
+    chunks = []
+    for c, (m, res) in zip(conf, _point_residuals(pred, gt, z_pred, z_gt, "pointmap loss")):
+        if np.min(c) < 1.0:
+            raise InvalidValueError("confidence must be >= 1")
+        cm = c[m]
+        chunks.append(cm * robust_kernel(res, p) - alpha_conf * np.log(cm))
+    pooled = np.concatenate(chunks)
+    if pooled.size == 0:
+        raise EmptyDepthError("pointmap loss: no valid pixels")
+    return float(np.mean(pooled))
+
+
+def _normals(pm: PointMap):
+    pts, v = pm.points, pm.validity
+    dx = pts[:-1, 1:, :] - pts[:-1, :-1, :]
+    dy = pts[1:, :-1, :] - pts[:-1, :-1, :]
+    n = np.cross(dx, dy)
+    norms = np.linalg.norm(n, axis=2)
+    ok = (v[:-1, :-1] & v[:-1, 1:] & v[1:, :-1] & v[1:, 1:]) & (norms > 1e-12)
+    n = np.where(ok[:, :, None], n / np.where(norms[:, :, None] > 1e-12, norms[:, :, None], 1.0), 0.0)
+    return n, ok
+
+
+def loss_normal_reference(pred, gt):
+    _check_views(pred, gt, "normal loss")
+    chunks = []
+    for pp, pg in zip(pred, gt):
+        if pp.points.shape != pg.points.shape:
+            raise ShapeError("normal loss: resolution mismatch")
+        if pp.height < 2 or pp.width < 2:
+            raise ShapeError("normal loss requires at least 2x2 maps")
+        npred, okp = _normals(pp)
+        ngt, okg = _normals(pg)
+        ok = okp & okg
+        if np.any(ok):
+            chunks.append(1.0 - np.sum(npred[ok] * ngt[ok], axis=1))
+    return float(np.mean(np.concatenate(chunks))) if chunks else 0.0
+
+
+def _pool_half(d, valid):
+    h, w = d.shape
+    h2, w2 = (h + 1) // 2, (w + 1) // 2
+    dp = np.zeros((h2 * 2, w2 * 2))
+    vp = np.zeros((h2 * 2, w2 * 2), dtype=bool)
+    dp[:h, :w] = np.where(valid, d, 0.0)
+    vp[:h, :w] = valid
+    counts = vp.reshape(h2, 2, w2, 2).sum(axis=(1, 3))
+    sums = dp.reshape(h2, 2, w2, 2).sum(axis=(1, 3))
+    out_valid = counts > 0
+    return np.where(out_valid, sums / np.maximum(counts, 1), 0.0), out_valid
+
+
+def loss_gradient_matching_reference(pred_z, gt_z, validity, n_scales=4):
+    _check_views(pred_z, gt_z, "gradient matching loss")
+    per_view = []
+    for zp, zg, m in zip(pred_z, gt_z, validity):
+        if zp.shape != zg.shape or m.shape != zg.shape:
+            raise ShapeError("gradient matching loss: resolution mismatch")
+        if np.any(zp[m] <= 0.0) or np.any(zg[m] <= 0.0):
+            raise InvalidValueError("gradient matching loss requires positive depths")
+        d = np.zeros_like(zg)
+        d[m] = np.log(zp[m]) - np.log(zg[m])
+        per_view.append((d, m))
+    total = 0.0
+    for _ in range(n_scales):
+        gx, gy, nxt = [], [], []
+        for d, m in per_view:
+            vx = m[:, 1:] & m[:, :-1]
+            vy = m[1:, :] & m[:-1, :]
+            gx.append(np.abs(d[:, 1:] - d[:, :-1])[vx])
+            gy.append(np.abs(d[1:, :] - d[:-1, :])[vy])
+            nxt.append(_pool_half(d, m))
+        gx, gy = np.concatenate(gx), np.concatenate(gy)
+        if gx.size:
+            total += float(np.mean(gx))
+        if gy.size:
+            total += float(np.mean(gy))
+        per_view = nxt
+    return total
+
+
+def loss_mask_reference(pred_prob, gt):
+    _check_views(pred_prob, gt, "mask loss")
+    chunks = []
+    for p, g in zip(pred_prob, gt):
+        if p.shape != g.shape:
+            raise ShapeError("mask loss: resolution mismatch")
+        if np.min(p) < 0.0 or np.max(p) > 1.0:
+            raise InvalidValueError("mask probabilities must lie in [0, 1]")
+        pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+        chunks.append(-(g * np.log(pc) + (1.0 - g) * np.log(1.0 - pc)).ravel())
+    return float(np.mean(np.concatenate(chunks)))
+
+
+def total_loss_reference(
+    pred, gt, synthetic=False, p=DEFAULT_KERNEL, alpha_conf=DEFAULT_ALPHA_CONF, exclude_top=DEFAULT_EXCLUDE_TOP
+) -> dict:
+    """The loss terms and the weighted total ("total") as a dict, computed
+    term by term over per-view PointMaps."""
+    if pred.n_views != len(gt.views):
+        raise ShapeError(f"view counts differ: pred {pred.n_views} vs gt {len(gt.views)}")
+    gt_local, gt_world, pr_local, pr_world, pr_world_masked = [], [], [], [], []
+    for i, (pv, gv) in enumerate(zip(pred.views, gt.views)):
+        if (pv.rays.height, pv.rays.width) != (gv.rays.height, gv.rays.width):
+            raise ShapeError(f"total loss: view {i} resolution mismatch")
+        gl = _local_pointmap(gv.rays, gv.depth)
+        gt_local.append(gl)
+        gt_world.append(_world_pointmap(gl, gv.pose))
+        pl = _local_pointmap(pv.rays, pv.depth)
+        pr_local.append(pl)
+        pw = _world_pointmap(pl, pv.pose)
+        pr_world.append(pw)
+        pr_world_masked.append(PointMap(pw.points, gv.depth.validity & pw.validity))
+    confs = [
+        v.confidence if v.confidence is not None else np.ones_like(g.depth.values) for v, g in zip(pred.views, gt.views)
+    ]
+    z_gt = norm_scale_reference(gt_world)
+    z_pred = norm_scale_reference(pr_world_masked)
+    terms = {
+        "pointmap": loss_pointmap_conf_reference(pr_world, gt_world, confs, z_pred, z_gt, p, alpha_conf),
+        "rays": loss_rays_reference([v.rays for v in pred.views], [g.rays for g in gt.views], p),
+        "rot": loss_rot(
+            np.stack([v.pose.rotation for v in pred.views]), np.stack([g.pose.rotation for g in gt.views]), p
+        ),
+        "translation": loss_translation(
+            np.stack([v.pose.translation for v in pred.views]),
+            np.stack([g.pose.translation for g in gt.views]),
+            z_pred,
+            z_gt,
+            p,
+        ),
+        "depth": loss_depth_reference(
+            [v.depth for v in pred.views], [g.depth for g in gt.views], z_pred, z_gt, p, exclude_top
+        ),
+        "lpm": loss_local_pointmap_reference(pr_local, gt_local, z_pred, z_gt, p, exclude_top),
+        "scale": loss_scale(z_gt, pred.scale, z_pred, p),
+        "normal": 0.0,
+        "gm": 0.0,
+        "mask": 0.0,
+    }
+    if synthetic:
+        terms["normal"] = loss_normal_reference(pr_local, gt_local)
+        terms["gm"] = loss_gradient_matching_reference(
+            [pm.points[:, :, 2] for pm in pr_local],
+            [pm.points[:, :, 2] for pm in gt_local],
+            [g.depth.validity for g in gt.views],
+        )
+    if all(v.mask_prob is not None for v in pred.views):
+        terms["mask"] = loss_mask_reference(
+            [v.mask_prob for v in pred.views], [g.mask.astype(np.float64) for g in gt.views]
+        )
+    terms["total"] = (
+        10.0 * terms["pointmap"] + terms["rays"] + terms["rot"] + terms["translation"] + terms["depth"]
+        + terms["lpm"] + terms["scale"] + terms["normal"] + terms["gm"] + 0.1 * terms["mask"]
+    )
+    return {k: float(v) for k, v in terms.items()}
+
+
+def evaluate_scene_reference(pred, gt, align_points=False) -> dict:
+    """The benchmark metrics as a dict, with the points of every view composed
+    through per-view PointMaps."""
+    if pred.n_views != len(gt.views):
+        raise ShapeError("view counts differ")
+    for i, (pv, gv) in enumerate(zip(pred.views, gt.views)):
+        if (pv.rays.height, pv.rays.width) != (gv.rays.height, gv.rays.width):
+            raise ShapeError(f"view {i} resolution mismatch")
+    m_pred, m_gt = pred.scale.value, gt.scale.value
+    d_pred = np.concatenate([m_pred * v.depth.values[g.depth.validity] for v, g in zip(pred.views, gt.views)])
+    d_gt = np.concatenate([m_gt * g.depth.values[g.depth.validity] for g in gt.views])
+    ones = np.ones_like(d_gt, dtype=bool)
+    out = {"depth_rel": abs_rel(d_pred, d_gt, ones), "depth_tau": inlier_ratio_tau(d_pred, d_gt, ones)}
+
+    def world(views, scale):
+        return [_metric_upgrade(_world_pointmap(_local_pointmap(v.rays, v.depth), v.pose), scale) for v in views]
+
+    pred_world, gt_world = world(pred.views, m_pred), world(gt.views, m_gt)
+    pw = np.concatenate([w.points[g.depth.validity] for w, g in zip(pred_world, gt.views)])
+    gw = np.concatenate([w.points[g.depth.validity] for w, g in zip(gt_world, gt.views)])
+    if align_points:
+        denom = float(np.sum(pw * pw))
+        if denom <= 0.0:
+            raise DegenerateError("cannot scale-align all-zero predictions")
+        pw = pw * (float(np.sum(pw * gw)) / denom)
+    gn = np.linalg.norm(gw, axis=1)
+    keep = gn > 0.0
+    rel_dist = np.linalg.norm(pw[keep] - gw[keep], axis=1) / gn[keep]
+    out["points_rel"] = float(np.mean(rel_dist))
+    out["points_tau"] = float(np.mean(rel_dist < (TAU_DEFAULT - 1.0)))
+    n = pred.n_views
+    out["ate_rmse"] = ate_rmse([v.pose for v in pred.views], [g.pose for g in gt.views]) if n >= 3 else float("nan")
+    if n >= 2:
+        rra, rta = pose_angular_errors([v.pose for v in pred.views], [g.pose for g in gt.views])
+        out["pose_auc5"] = auc_at_threshold(np.where(np.isnan(rta), rra, np.fmax(rra, rta)))
+        out["pose_rra_deg"] = float(np.mean(rra))
+        out["pose_rta_deg"] = float(np.nanmean(rta))
+    else:
+        out["pose_auc5"] = out["pose_rra_deg"] = out["pose_rta_deg"] = float("nan")
+    out["ray_err_deg"] = float(np.mean([ray_angular_error(v.rays, g.rays) for v, g in zip(pred.views, gt.views)]))
+    out["scale_rel"] = scale_rel(pred.scale, gt.scale)
+    return out

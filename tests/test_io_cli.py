@@ -314,6 +314,37 @@ class TestCliErrorContract:
         code = main(["forward", "--scene", str(scene_dir), "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "p")])
         self._single_error(capsys, code, "format")
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"dim": "64"}, "dim must be of type int"),
+            ({"dim": True}, "dim must be of type int"),
+            ({"scale_token_in_frame": 1}, "scale_token_in_frame must be of type bool"),
+            ({"heads": 0}, "heads must be >= 1"),
+        ],
+    )
+    def test_forward_config_value_types(self, scene_dir, tmp_path, capsys, config, message):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code = main(["forward", "--scene", str(scene_dir), "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "p")])
+        assert message in self._single_error(capsys, code, "invalid-value")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["views"][1].update(intrinsics=[50.0, 50.0]), "view 1 'intrinsics' must be 4 numbers"),
+            (lambda m: m["views"][1]["pose"].__setitem__(4, "x"), "view 1 'pose' must be 7 numbers"),
+            (lambda m: m["views"][0].update(files=None), "view 0 'files' must map"),
+            (lambda m: m.update(metric_scale="a"), "'metric_scale' must be a number"),
+            (lambda m: m.update(views=None), "'views' must be a list"),
+        ],
+    )
+    def test_covis_manifest_value_types(self, scene_dir, capsys, edit, message):
+        manifest = json.loads((scene_dir / "scene.json").read_text())
+        edit(manifest)
+        (scene_dir / "scene.json").write_text(json.dumps(manifest))
+        code = main(["covis", "--scene", str(scene_dir)])
+        assert message in self._single_error(capsys, code, "format")
+
     def test_eval_manifest_view_missing_pose(self, scene_dir, tmp_path, capsys):
         manifest = json.loads((scene_dir / "scene.json").read_text())
         del manifest["views"][0]["pose"]

@@ -3,8 +3,10 @@ import pytest
 
 from mapt.errors import InvalidValueError
 from mapt.geometry import (
+    DepthAlongRay,
     Intrinsics,
     Pose,
+    RayMap,
     local_pointmap,
     metric_upgrade,
     quat_to_rot,
@@ -158,3 +160,18 @@ class TestShadeView:
         assert a.min() >= 0.0 and a.max() <= 1.0
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, v.image)
+
+    def test_maps_thinner_than_two_pixels(self):
+        """A map one pixel high or wide has no forward-difference normals, so
+        it shades like the same pixels beside an invalid row or column."""
+        _, s = gen_scene(n_views=1, width=20, height=14, n_spheres=3, seed=8)
+        dirs, depth, valid = s.views[0].rays.directions, s.views[0].depth.values, s.views[0].depth.validity
+        row_beside = np.stack([valid[0], np.zeros(20, dtype=bool)])
+        col_beside = np.stack([valid[:, 0], np.zeros(14, dtype=bool)], axis=1)
+        for one, two, beside in (
+            ((slice(0, 1), slice(None)), (slice(0, 2), slice(None)), row_beside),
+            ((slice(None), slice(0, 1)), (slice(None), slice(0, 2)), col_beside),
+        ):
+            a = shade_view(RayMap(dirs[one]), DepthAlongRay(depth[one], valid[one]))
+            b = shade_view(RayMap(dirs[two]), DepthAlongRay(depth[two], beside))
+            np.testing.assert_array_equal(a, b[one])
