@@ -113,25 +113,26 @@ def f_log_jacobian(x: np.ndarray) -> np.ndarray:
 
 def norm_scale(pointmaps: list[PointMap]) -> NormScale:
     """Mean norm of all valid points pooled over the given views."""
-    masks = [pm.validity for pm in pointmaps]
-    return _norm_scale(*_pool("norm scale", masks, [pm.points for pm in pointmaps]), masks)
+    offsets, points = _pool("norm scale", [pm.validity for pm in pointmaps], [pm.points for pm in pointmaps])
+    return _norm_scale(points, offsets)
 
 
-def _norm_scale(points: np.ndarray, masks: list) -> NormScale:
-    """norm_scale of (N, 3) points pooled over ``masks`` (see geometry._pool).
+def _norm_scale(points: np.ndarray, offsets: np.ndarray, keep: np.ndarray | None = None) -> NormScale:
+    """norm_scale of (N, 3) points pooled at view ``offsets`` (see
+    geometry._pool), over the points where ``keep`` is set if it is given.
 
     The per-view partial sums are added in view order: one np.sum over all N
     norms would round differently.
     """
     norms = np.linalg.norm(points, axis=1)
-    total, start = 0.0, 0
-    for m in masks:
-        stop = start + int(np.count_nonzero(m))
-        total += float(np.sum(norms[start:stop]))
-        start = stop
-    if start == 0:
+    total, count = 0.0, 0
+    for a, b in zip(offsets, offsets[1:]):
+        x = norms[a:b] if keep is None else norms[a:b][keep[a:b]]
+        total += float(np.sum(x))
+        count += x.size
+    if count == 0:
         raise EmptyDepthError("norm scale requires at least one valid point")
-    return NormScale(total / start)
+    return NormScale(total / count)
 
 
 def metric_norm_scale(m: MetricScale, z_pred: NormScale) -> NormScale:

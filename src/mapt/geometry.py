@@ -310,17 +310,18 @@ def _check(what: str, shapes: list, *grids: list) -> None:
                 raise ShapeError(f"{what}: view {i} resolution mismatch ({g[i].shape[: len(shape)]} vs {shape})")
 
 
-def _pool(what: str, masks: list, *grids: list) -> list[np.ndarray]:
-    """The pixels selected by ``masks[i]`` of view i of each per-view grid
-    list, concatenated in view order.
+def _pool(what: str, masks: list, *grids: list) -> tuple[np.ndarray, ...]:
+    """The view offsets, then the pixels selected by ``masks[i]`` of view i of
+    each per-view grid list, concatenated in view order.
 
-    Every grid list needs one (H, W, ...) array per (H, W) mask, at that
-    mask's resolution (see _check).
+    View i's pixels are rows ``offsets[i]:offsets[i + 1]`` of every pooled
+    array. Every grid list needs one (H, W, ...) array per (H, W) mask, at
+    that mask's resolution (see _check).
     """
     _check(what, [m.shape for m in masks], *grids)
     idx = [np.flatnonzero(m) for m in masks]
     offsets = np.cumsum([0] + [i.size for i in idx])
-    pooled = []
+    pooled = [offsets]
     for g in grids:
         out = np.empty((offsets[-1], *g[0].shape[masks[0].ndim :]), dtype=np.result_type(*g))
         for x, m, i, a, b in zip(g, masks, idx, offsets, offsets[1:]):
@@ -328,7 +329,7 @@ def _pool(what: str, masks: list, *grids: list) -> list[np.ndarray]:
             # concatenate; mode="clip" skips the bounds check of valid indices
             np.take(x.reshape(m.size, *x.shape[m.ndim :]), i, axis=0, out=out[a:b], mode="clip")
         pooled.append(out)
-    return pooled
+    return tuple(pooled)
 
 
 def _forward_normals(points: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

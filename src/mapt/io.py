@@ -180,21 +180,23 @@ def _load_manifest(path: Path) -> dict:
     return manifest
 
 
-def _read_view_arrays(path: Path, entry: dict):
+def _read_view_arrays(path: Path, i: int, entry: dict):
     files = entry["files"]
     for key in ("rays", "depth", "validity", "mask"):
         if key not in files or not (path / files[key]).is_file():
             raise FormatError(f"{path}: missing tensor file for {key!r}")
-    rays = RayMap(read_tensor(path / files["rays"]).astype(np.float64))
-    validity = read_tensor(path / files["validity"]) != 0
-    depth = DepthAlongRay(read_tensor(path / files["depth"]).astype(np.float64), validity)
-    mask = read_tensor(path / files["mask"])
-    conf = None
-    if "confidence" in files:
-        conf = read_tensor(path / files["confidence"]).astype(np.float64)
-    if (rays.height, rays.width) != (entry["height"], entry["width"]):
-        raise FormatError(f"{path}: tensor resolution disagrees with manifest")
-    return rays, depth, mask, conf
+    hw = (entry["height"], entry["width"])
+    arrays = {}
+    for key in ("rays", "depth", "validity", "mask", "confidence"):
+        if key in files:
+            arrays[key] = read_tensor(path / files[key])
+            want = (*hw, 3) if key == "rays" else hw
+            if arrays[key].shape != want:
+                raise FormatError(f"{path}: view {i} {key!r} tensor is {arrays[key].shape}, manifest gives {want}")
+    rays = RayMap(arrays["rays"].astype(np.float64))
+    depth = DepthAlongRay(arrays["depth"].astype(np.float64), arrays["validity"] != 0)
+    conf = arrays["confidence"].astype(np.float64) if "confidence" in arrays else None
+    return rays, depth, arrays["mask"], conf
 
 
 def read_scene(path) -> SceneSample:
@@ -205,7 +207,7 @@ def read_scene(path) -> SceneSample:
     for i, entry in enumerate(manifest["views"]):
         if "intrinsics" not in entry:
             raise FormatError(f"{path}: view {i} lacks intrinsics (not a ground-truth scene)")
-        rays, depth, mask, _ = _read_view_arrays(path, entry)
+        rays, depth, mask, _ = _read_view_arrays(path, i, entry)
         pose = _pose_from_list(entry["pose"])
         if i == 0:
             ident = np.array([1.0, 0.0, 0.0, 0.0])
@@ -229,8 +231,8 @@ def read_factored(path) -> FactoredScene:
     path = Path(path)
     manifest = _load_manifest(path)
     views = []
-    for entry in manifest["views"]:
-        rays, depth, mask, conf = _read_view_arrays(path, entry)
+    for i, entry in enumerate(manifest["views"]):
+        rays, depth, mask, conf = _read_view_arrays(path, i, entry)
         mask_prob = (mask != 0).astype(np.float64) if mask.dtype == np.uint8 else np.clip(
             mask.astype(np.float64), 0.0, 1.0
         )

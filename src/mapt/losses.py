@@ -195,7 +195,7 @@ def loss_depth(
     Pixels are selected by the ground-truth validity masks and pooled across
     views before the exclusion quantile is applied.
     """
-    dp, dg = _pool("depth loss", [d.validity for d in gt], [d.values for d in pred], [d.values for d in gt])
+    _, dp, dg = _pool("depth loss", [d.validity for d in gt], [d.values for d in pred], [d.values for d in gt])
     return _depth_term(dp, dg, z_pred, z_gt, p, exclude_top)
 
 
@@ -214,7 +214,7 @@ def loss_local_pointmap(
 ) -> float:
     """As the depth loss but on 3D points: kernel of the f_log residual norm."""
     masks = [pm.validity for pm in gt]
-    pp, pg = _pool("local pointmap loss", masks, [pm.points for pm in pred], [pm.points for pm in gt])
+    _, pp, pg = _pool("local pointmap loss", masks, [pm.points for pm in pred], [pm.points for pm in gt])
     return _lpm_term(pp, pg, z_pred, z_gt, p, exclude_top)
 
 
@@ -234,7 +234,7 @@ def loss_pointmap_conf(
     """Confidence-weighted world pointmap loss: mean of C * rho(res) - a * log C."""
     conf = [np.asarray(c, dtype=np.float64) for c in conf]
     masks = [pm.validity for pm in gt]
-    pp, pg, c = _pool("pointmap loss", masks, [pm.points for pm in pred], [pm.points for pm in gt], conf)
+    _, pp, pg, c = _pool("pointmap loss", masks, [pm.points for pm in pred], [pm.points for pm in gt], conf)
     if any(np.min(x) < 1.0 for x in conf):
         raise InvalidValueError("confidence must be >= 1")
     return _pointmap_term(pp, pg, c, z_pred, z_gt, p, alpha_conf)
@@ -289,7 +289,7 @@ def _normal_term(pred_pts: list, pred_valid: list, gt_pts: list, gt_valid: list)
         (npred, okp), (ngt, okg) = _forward_normals(pts_p, valid_p), _forward_normals(pts_g, valid_g)
         cos.append(np.sum(npred * ngt, axis=2))
         ok.append(okp & okg)
-    (cos,) = _pool("normal loss", ok, cos)
+    _, cos = _pool("normal loss", ok, cos)
     return float(np.mean(1.0 - cos)) if cos.size else 0.0
 
 
@@ -320,7 +320,7 @@ def loss_gradient_matching(
     masks = [np.asarray(m, dtype=bool) for m in validity]
     zp = [np.asarray(z, dtype=np.float64) for z in pred_z]
     zg = [np.asarray(z, dtype=np.float64) for z in gt_z]
-    if any(np.any(z <= 0.0) for z in _pool("gradient matching loss", masks, zp, zg)):
+    if any(np.any(z <= 0.0) for z in _pool("gradient matching loss", masks, zp, zg)[1:]):
         raise InvalidValueError("gradient matching loss requires positive depths")
     per_view = [(np.log(np.where(m, a, 1.0)) - np.log(np.where(m, b, 1.0)), m) for a, b, m in zip(zp, zg, masks)]
 
@@ -328,7 +328,7 @@ def loss_gradient_matching(
     for _ in range(n_scales):
         for ahead, behind in ((np.s_[:, 1:], np.s_[:, :-1]), (np.s_[1:, :], np.s_[:-1, :])):  # x, then y
             pairs = [m[ahead] & m[behind] for _, m in per_view]
-            (grad,) = _pool("gradient matching loss", pairs, [np.abs(d[ahead] - d[behind]) for d, _ in per_view])
+            _, grad = _pool("gradient matching loss", pairs, [np.abs(d[ahead] - d[behind]) for d, _ in per_view])
             if grad.size:
                 total += float(np.mean(grad))
         per_view = [_pool_half(d, m) for d, m in per_view]
@@ -370,24 +370,24 @@ def total_loss(
     masks = [g.depth.validity for g in gt.views]
     pr_valid = [v.depth.validity for v in pred.views]
     confs = [v.confidence if v.confidence is not None else np.ones(v.depth.values.shape) for v in pred.views]
-    dp, dg, c, pv = _pool(
+    offsets, dp, dg, c, pv = _pool(
         what, masks, [v.depth.values for v in pred.views], [g.depth.values for g in gt.views], confs, pr_valid
     )
     pr_local = [_compose(v.rays.directions, v.depth.validity, v.depth.values) for v in pred.views]
     gt_local = [_compose(g.rays.directions, g.depth.validity, g.depth.values) for g in gt.views]
     # Each pooled point array is about as large as the grids it comes from,
     # so the world grids and every pooled copy are dropped once used.
-    pw, gw = _pool(
+    _, pw, gw = _pool(
         what,
         masks,
         [_compose(x, v.depth.validity, pose=v.pose) for x, v in zip(pr_local, pred.views)],
         [_compose(x, g.depth.validity, pose=g.pose) for x, g in zip(gt_local, gt.views)],
     )
-    z_gt = _norm_scale(gw, masks)
-    z_pred = _norm_scale(pw[pv], [m & v for m, v in zip(masks, pr_valid)])
+    z_gt = _norm_scale(gw, offsets)
+    z_pred = _norm_scale(pw, offsets, pv)
     pointmap = _pointmap_term(pw, gw, c, z_pred, z_gt, p, alpha_conf)
     del pw, gw
-    pl, gl = _pool(what, masks, pr_local, gt_local)
+    _, pl, gl = _pool(what, masks, pr_local, gt_local)
     lpm = _lpm_term(pl, gl, z_pred, z_gt, p, exclude_top)
     del pl, gl
     terms = {

@@ -79,7 +79,10 @@ def _masked(pred, gt, validity) -> tuple[np.ndarray, np.ndarray]:
 
 def abs_rel(pred, gt, validity) -> float:
     """Mean |pred - gt| / gt over valid pixels."""
-    p, g = _masked(pred, gt, validity)
+    return _abs_rel(*_masked(pred, gt, validity))
+
+
+def _abs_rel(p: np.ndarray, g: np.ndarray) -> float:
     if np.any(g <= 0.0):
         raise InvalidValueError("abs_rel requires positive ground-truth values")
     return float(np.mean(np.abs(p - g) / g))
@@ -87,7 +90,10 @@ def abs_rel(pred, gt, validity) -> float:
 
 def inlier_ratio_tau(pred, gt, validity, ratio_threshold: float = TAU_DEFAULT) -> float:
     """Fraction of valid pixels with max(pred/gt, gt/pred) < ratio_threshold."""
-    p, g = _masked(pred, gt, validity)
+    return _inlier_ratio_tau(*_masked(pred, gt, validity), ratio_threshold)
+
+
+def _inlier_ratio_tau(p: np.ndarray, g: np.ndarray, ratio_threshold: float = TAU_DEFAULT) -> float:
     if np.any(p <= 0.0) or np.any(g <= 0.0):
         raise InvalidValueError("inlier ratio requires positive values")
     ratio = np.maximum(p / g, g / p)
@@ -227,14 +233,15 @@ def evaluate_scene(pred: FactoredScene, gt: SceneSample, align_points: bool = Fa
     m_pred = pred.scale.value
     m_gt = gt.scale.value
 
-    dp, dg = _pool("evaluate scene", masks, [v.depth.values for v in pred.views], [g.depth.values for g in gt.views])
+    _, dp, dg = _pool("evaluate scene", masks, [v.depth.values for v in pred.views], [g.depth.values for g in gt.views])
+    if not dg.size:
+        raise EmptyDepthError("no valid pixels")
     d_pred = m_pred * dp
     d_gt = m_gt * dg
-    ones = np.ones_like(d_gt, dtype=bool)
-    depth_rel = abs_rel(d_pred, d_gt, ones)
-    depth_tau = inlier_ratio_tau(d_pred, d_gt, ones)
+    depth_rel = _abs_rel(d_pred, d_gt)
+    depth_tau = _inlier_ratio_tau(d_pred, d_gt)
 
-    pw, gw = _pool(
+    _, pw, gw = _pool(
         "evaluate scene",
         masks,
         [_compose(v.rays.directions, v.depth.validity, v.depth.values, v.pose, m_pred) for v in pred.views],

@@ -55,6 +55,14 @@ class ModelConfig:
                 raise InvalidValueError(f"model config {f.name} must be of type {f.type}, got {v!r}")
         if self.heads < 1:
             raise InvalidValueError("heads must be >= 1")
+        if self.dim < 1:
+            raise InvalidValueError("dim must be >= 1")
+        try:
+            hidden = int(self.dim * self.mlp_ratio)
+        except (OverflowError, ValueError):  # an infinite or NaN product
+            hidden = 0
+        if hidden < 1:
+            raise InvalidValueError(f"mlp_ratio must be finite with int(dim * mlp_ratio) >= 1, got {self.mlp_ratio!r}")
         if self.dim % self.heads != 0:
             raise InvalidValueError("dim must be divisible by heads")
         if self.depth < 2 or self.depth % 2 != 0:

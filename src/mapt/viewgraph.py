@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientComponentError, InvalidValueError, ShapeError
-from .geometry import DepthAlongRay, quat_to_rot
+from .geometry import DepthAlongRay, _pool, quat_to_rot
 from .synth import SceneSample
 
 # Training-time conditioning probabilities.
@@ -117,132 +117,89 @@ class InputConfig:
 # covisibility
 
 
-def _view_tables(scene: SceneSample):
-    tables = []
-    for v in scene.views:
-        rot = quat_to_rot(v.pose.rotation)
-        d = v.rays.directions
-        m = v.depth.validity
-        tables.append(
-            {
-                "dx": d[:, :, 0][m],
-                "dy": d[:, :, 1][m],
-                "dz": d[:, :, 2][m],
-                "depth": v.depth.values[m],
-                "rot": rot,
-                "t": v.pose.translation,
-                "validity": m,
-                "values": v.depth.values,
-                "k": v.intrinsics,
-                "w": v.rays.width,
-                "h": v.rays.height,
-            }
-        )
-    # group target views by resolution so one source row is evaluated against
-    # a whole stack of targets in a few vectorized passes
-    groups = {}
-    for j, t in enumerate(tables):
-        groups.setdefault((t["h"], t["w"]), []).append(j)
-    stacks = []
-    for (h, w), idxs in groups.items():
-        stacks.append(
-            {
-                "idxs": np.array(idxs, dtype=np.int64),
-                "h": h,
-                "w": w,
-                "rot": np.stack([tables[j]["rot"] for j in idxs]),
-                "t": np.stack([tables[j]["t"] for j in idxs]),
-                "fx": np.array([tables[j]["k"].fx for j in idxs]),
-                "fy": np.array([tables[j]["k"].fy for j in idxs]),
-                "cx": np.array([tables[j]["k"].cx for j in idxs]),
-                "cy": np.array([tables[j]["k"].cy for j in idxs]),
-                "validity": np.stack([tables[j]["validity"] for j in idxs]),
-                "values": np.stack([tables[j]["values"] for j in idxs]),
-            }
-        )
-    return tables, stacks
-
-
-def _covis_row(i: int, tables: list, stacks: list, tol: float) -> np.ndarray:
-    """Covisible fractions of view i's valid pixels into every other view.
-
-    Arithmetic is written out component-wise (broadcast over a stack of target
-    views) so a naive per-pixel reference computes bit-identical values.
-    """
-    n = len(tables)
-    src = tables[i]
-    row = np.zeros(n)
-    row[i] = 1.0
-    n_valid = src["depth"].shape[0]
-    if n_valid == 0:
-        return row
-    lx = src["dx"] * src["depth"]
-    ly = src["dy"] * src["depth"]
-    lz = src["dz"] * src["depth"]
-    ri, ti = src["rot"], src["t"]
-    wx = ri[0, 0] * lx + ri[0, 1] * ly + ri[0, 2] * lz + ti[0]
-    wy = ri[1, 0] * lx + ri[1, 1] * ly + ri[1, 2] * lz + ti[1]
-    wz = ri[2, 0] * lx + ri[2, 1] * ly + ri[2, 2] * lz + ti[2]
-    for st in stacks:
-        keep = st["idxs"] != i
-        if not np.any(keep):
-            continue
-        idxs = st["idxs"][keep]
-        rot = st["rot"][keep]  # (V, 3, 3)
-        t = st["t"][keep]
-        ax = wx[None, :] - t[:, 0, None]
-        ay = wy[None, :] - t[:, 1, None]
-        az = wz[None, :] - t[:, 2, None]
-        cx = rot[:, 0, 0, None] * ax + rot[:, 1, 0, None] * ay + rot[:, 2, 0, None] * az
-        cy = rot[:, 0, 1, None] * ax + rot[:, 1, 1, None] * ay + rot[:, 2, 1, None] * az
-        cz = rot[:, 0, 2, None] * ax + rot[:, 1, 2, None] * ay + rot[:, 2, 2, None] * az
-        front = cz > 0.0
-        safe_z = np.where(front, cz, 1.0)
-        u = st["fx"][keep][:, None] * (cx / safe_z) + st["cx"][keep][:, None]
-        v = st["fy"][keep][:, None] * (cy / safe_z) + st["cy"][keep][:, None]
-        inb = front & (u >= 0.0) & (u < st["w"]) & (v >= 0.0) & (v < st["h"])
-        if not np.any(inb):
-            continue
-        rows = np.broadcast_to(np.arange(idxs.size)[:, None], u.shape)[inb]
-        px = np.floor(u[inb]).astype(np.int64)
-        py = np.floor(v[inb]).astype(np.int64)
-        ok = st["validity"][keep][rows, py, px]
-        if not np.any(ok):
-            continue
-        dj = st["values"][keep][rows, py, px][ok]
-        sel = inb.copy()
-        sel[inb] = ok
-        cxs, cys, czs = cx[sel], cy[sel], cz[sel]
-        rd = np.sqrt(cxs * cxs + cys * cys + czs * czs)
-        cov = np.abs(rd - dj) / dj <= tol
-        counts = np.bincount(rows[ok][cov], minlength=idxs.size)
-        for slot, j in enumerate(idxs):
-            row[j] = counts[slot] / n_valid
-    return row
-
-
 def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TOL, jobs: int | None = None) -> CovisGraph:
     """Pairwise covisibility via lift-and-reproject with a relative depth check.
 
     A valid pixel of view i is covisible in view j when its world point lands
     in front of j, projects inside j's image, the nearest pixel is valid, and
     the reprojected ray depth matches the sampled one within rel_depth_tol.
-    Rows (source views) are evaluated in parallel.
+    Rows (source views) run on ``jobs`` threads (None: the executor default).
     """
-    if any(v.intrinsics is None for v in scene.views):
+    if jobs is not None and jobs < 1:
+        raise InvalidValueError("jobs must be >= 1")
+    views = scene.views
+    if any(v.intrinsics is None for v in views):
         raise InvalidValueError("covisibility requires ground-truth intrinsics")
-    tables, stacks = _view_tables(scene)
-    n = len(tables)
-    out = np.zeros((n, n))
-    if jobs is None or jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = pool.map(lambda i: _covis_row(i, tables, stacks, rel_depth_tol), range(n))
-            for i, row in enumerate(rows):
-                out[i] = row
-    else:
-        for i in range(n):
-            out[i] = _covis_row(i, tables, stacks, rel_depth_tol)
-    return CovisGraph(out)
+    offsets, rays, depth = _pool(
+        "covisibility", [v.depth.validity for v in views], [v.rays.directions for v in views], [v.depth.values for v in views]
+    )
+    rots = quat_to_rot(np.array([v.pose.rotation for v in views]))
+    trans = np.array([v.pose.translation for v in views])
+    k = np.array([[v.intrinsics.fx, v.intrinsics.fy, v.intrinsics.cx, v.intrinsics.cy] for v in views])
+    # group target views by resolution so one source row is evaluated against
+    # a whole stack of targets in a few vectorized passes
+    groups = {}
+    for j, v in enumerate(views):
+        groups.setdefault(v.depth.validity.shape, []).append(j)
+    stacks = [
+        (
+            idxs,
+            rots[idxs],
+            trans[idxs],
+            k[idxs].T,
+            np.stack([views[j].depth.validity for j in idxs]),
+            np.stack([views[j].depth.values for j in idxs]),
+        )
+        for idxs in map(np.array, groups.values())
+    ]
+
+    def covis_row(i: int) -> np.ndarray:
+        """Covisible fractions of view i's valid pixels into every view.
+
+        Each stack is evaluated whole, view i included, and entry i is set to
+        1 at the end. Arithmetic is written out component-wise (broadcast
+        over a stack of target views) so a naive per-pixel reference computes
+        bit-identical values.
+        """
+        d, dep = rays[offsets[i] : offsets[i + 1]], depth[offsets[i] : offsets[i + 1]]
+        ri, ti = rots[i], trans[i]
+        lx = d[:, 0] * dep
+        ly = d[:, 1] * dep
+        lz = d[:, 2] * dep
+        wx = ri[0, 0] * lx + ri[0, 1] * ly + ri[0, 2] * lz + ti[0]
+        wy = ri[1, 0] * lx + ri[1, 1] * ly + ri[1, 2] * lz + ti[1]
+        wz = ri[2, 0] * lx + ri[2, 1] * ly + ri[2, 2] * lz + ti[2]
+        row = np.zeros(len(views))
+        for idxs, rot, t, (fx, fy, px0, py0), validity, values in stacks:
+            h, w = validity.shape[1:]
+            ax = wx[None, :] - t[:, 0, None]
+            ay = wy[None, :] - t[:, 1, None]
+            az = wz[None, :] - t[:, 2, None]
+            cx = rot[:, 0, 0, None] * ax + rot[:, 1, 0, None] * ay + rot[:, 2, 0, None] * az
+            cy = rot[:, 0, 1, None] * ax + rot[:, 1, 1, None] * ay + rot[:, 2, 1, None] * az
+            cz = rot[:, 0, 2, None] * ax + rot[:, 1, 2, None] * ay + rot[:, 2, 2, None] * az
+            front = cz > 0.0
+            safe_z = np.where(front, cz, 1.0)
+            u = fx[:, None] * (cx / safe_z) + px0[:, None]
+            v = fy[:, None] * (cy / safe_z) + py0[:, None]
+            inb = front & (u >= 0.0) & (u < w) & (v >= 0.0) & (v < h)
+            rows = np.broadcast_to(np.arange(idxs.size)[:, None], u.shape)[inb]
+            px = np.floor(u[inb]).astype(np.int64)
+            py = np.floor(v[inb]).astype(np.int64)
+            ok = validity[rows, py, px]
+            dj = values[rows, py, px][ok]
+            sel = inb.copy()
+            sel[inb] = ok
+            cxs, cys, czs = cx[sel], cy[sel], cz[sel]
+            rd = np.sqrt(cxs * cxs + cys * cys + czs * czs)
+            cov = np.abs(rd - dj) / dj <= rel_depth_tol
+            # a view without valid pixels has all counts 0 and a row of 0s
+            row[idxs] = np.bincount(rows[ok][cov], minlength=idxs.size) / max(dep.size, 1)
+        row[i] = 1.0
+        return row
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return CovisGraph(np.array(list(pool.map(covis_row, range(len(views))))))
 
 
 def build_adjacency(g: CovisGraph, threshold: float = DEFAULT_COVIS_THRESHOLD) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,11 @@ class TestCliErrorContract:
             ({"dim": True}, "dim must be of type int"),
             ({"scale_token_in_frame": 1}, "scale_token_in_frame must be of type bool"),
             ({"heads": 0}, "heads must be >= 1"),
+            ({"dim": 0}, "dim must be >= 1"),
+            ({"mlp_ratio": -1.0}, "mlp_ratio must be finite"),
+            ({"mlp_ratio": float("nan")}, "mlp_ratio must be finite"),
+            ({"mlp_ratio": 0.001}, "mlp_ratio must be finite"),
+            ({"mlp_ratio": 1e308}, "mlp_ratio must be finite"),
         ],
     )
     def test_forward_config_value_types(self, scene_dir, tmp_path, capsys, config, message):
@@ -352,6 +358,23 @@ class TestCliErrorContract:
         code = main(["eval", "--gt", str(scene_dir), "--pred", str(scene_dir)])
         line = self._single_error(capsys, code, "format")
         assert "'pose'" in line
+
+    @pytest.mark.parametrize("command", ["covis", "forward"])
+    def test_tensor_resolution_differs_from_manifest(self, scene_dir, tmp_path, capsys, command):
+        big = tmp_path / "big"
+        assert main(["synth", "--seed", "14", "--views", "2", "--size", "56x56", "--spheres", "3", "--out", str(big)]) == 0
+        for key in ("depth", "validity"):
+            shutil.copy(scene_dir / f"view_001_{key}.mapt", big / f"view_001_{key}.mapt")
+        argv = {
+            "covis": ["covis", "--scene", str(big)],
+            "forward": ["forward", "--scene", str(big), "--inputs", "rays,pose", "--out", str(tmp_path / "p")],
+        }[command]
+        line = self._single_error(capsys, main(argv), "format")
+        assert "view 1 'depth' tensor is (28, 28), manifest gives (56, 56)" in line
+
+    def test_covis_jobs_below_one(self, scene_dir, capsys):
+        code = main(["covis", "--scene", str(scene_dir), "--jobs", "0"])
+        assert "jobs must be >= 1" in self._single_error(capsys, code, "invalid-value")
 
     def test_covis_truncated_tensor(self, scene_dir, capsys):
         (scene_dir / "view_000_rays.mapt").write_bytes(b"MAPT\x01\x01\x03\x1c\x00")

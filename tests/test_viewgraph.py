@@ -66,11 +66,20 @@ class TestCovisibility:
         b = covisibility(permuted).fraction
         np.testing.assert_array_equal(b, a[np.ix_(perm, perm)])
 
+    def test_matches_brute_force_across_resolutions(self):
+        _, a = gen_scene(3, 32, 24, 4, seed=21, plane=True)
+        _, b = gen_scene(3, 20, 30, 4, seed=21, plane=True)
+        views = [a.views[0], b.views[1], a.views[1], b.views[2], a.views[2]]
+        scene = SceneSample(views=views, scale=a.scale)
+        got = covisibility(scene).fraction
+        np.testing.assert_array_equal(got, brute_force_covisibility(scene))
+        assert np.all(got[~np.eye(5, dtype=bool)] > 0.0)
+
     def test_serial_equals_parallel(self):
         _, scene = gen_scene(n_views=4, width=24, height=18, n_spheres=4, seed=14)
-        np.testing.assert_array_equal(
-            covisibility(scene, jobs=1).fraction, covisibility(scene, jobs=4).fraction
-        )
+        serial = covisibility(scene, jobs=1).fraction
+        for jobs in (2, 4, None):
+            np.testing.assert_array_equal(covisibility(scene, jobs=jobs).fraction, serial)
 
     def test_diagonal_exactly_one(self, small_scene):
         g = covisibility(small_scene)
