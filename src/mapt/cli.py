@@ -13,7 +13,7 @@ import numpy as np
 
 from . import io as mio
 from .errors import FormatError, InvalidModalityError, InvalidValueError, MaptError
-from .geometry import compose_scene_points
+from .geometry import _pool, compose_scene_points
 from .losses import (
     DEFAULT_ALPHA_CONF,
     DEFAULT_EXCLUDE_TOP,
@@ -213,15 +213,11 @@ def cmd_forward(args) -> int:
 def cmd_export_ply(args) -> int:
     scene = mio.read_factored(args.scene)
     pointmaps = compose_scene_points(scene)
-    pts, cols = [], []
-    for view, pm in zip(scene.views, pointmaps):
-        img = shade_view(view.rays, view.depth)
-        m = pm.validity
-        pts.append(pm.points[m])
-        cols.append(np.round(img[m] * 255.0).astype(np.uint8))
-    points = np.concatenate(pts) if pts else np.zeros((0, 3))
-    colors = np.concatenate(cols) if cols else np.zeros((0, 3), dtype=np.uint8)
-    mio.write_ply(args.out, points, colors)
+    points = colors = np.zeros((0, 3))
+    if pointmaps:  # _pool rejects a scene without views; its PLY is empty
+        images = [shade_view(v.rays, v.depth) for v in scene.views]
+        _, points, colors = _pool("export-ply", [pm.validity for pm in pointmaps], [pm.points for pm in pointmaps], images)
+    mio.write_ply(args.out, points, np.round(colors * 255.0).astype(np.uint8))
     print(f"wrote {points.shape[0]} points to {args.out}")
     return 0
 
@@ -293,6 +289,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as e:
         print(f"error: io: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out-of-memory: {e}", file=sys.stderr)
         return 1
 
 

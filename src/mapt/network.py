@@ -34,6 +34,7 @@ from .geometry import (
 from .viewgraph import InputConfig
 
 EXP_CLIP = 30.0
+_QUERY_BLOCK = 256  # query rows per exact-softmax attention block: heads * B * T doubles of scores
 # Accepted value types of each ModelConfig field type; bool is an int in
 # Python, so __post_init__ also rejects bools for the numeric fields.
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": (bool, np.bool_)}
@@ -231,21 +232,23 @@ def _mlp4(x: np.ndarray, w: Weights, name: str) -> np.ndarray:
 
 
 def _attention(x: np.ndarray, w: Weights, block: str, heads: int, audit: list | None) -> np.ndarray:
-    """Multi-head self-attention over (batch, tokens, dim) sequences."""
+    """Multi-head self-attention over (batch, tokens, dim) sequences, in blocks of query rows."""
     bsz, t, dim = x.shape
     dh = dim // heads
-    qkv = _linear(x, w, f"{block}.attn.qkv").reshape(bsz, t, 3, heads, dh)
-    q = qkv[:, :, 0].transpose(0, 2, 1, 3)
-    k = qkv[:, :, 1].transpose(0, 2, 1, 3)
-    v = qkv[:, :, 2].transpose(0, 2, 1, 3)
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    q, k, v = _linear(x, w, f"{block}.attn.qkv").reshape(bsz, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    buf, out, err = np.empty((bsz, heads, min(t, _QUERY_BLOCK), t)), np.empty((bsz, heads, t, dh)), 0.0
+    for a in range(0, t, _QUERY_BLOCK):
+        probs = np.matmul(q[:, :, a : a + _QUERY_BLOCK], k.transpose(0, 1, 3, 2), out=buf[:, :, : t - a])
+        probs /= np.sqrt(dh)
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        if audit is not None:
+            err = max(err, float(np.max(np.abs(probs.sum(axis=-1) - 1.0))))
+        np.matmul(probs, v, out=out[:, :, a : a + _QUERY_BLOCK])
     if audit is not None:
-        audit.append(float(np.max(np.abs(probs.sum(axis=-1) - 1.0))))
-    out = (probs @ v).transpose(0, 2, 1, 3).reshape(bsz, t, dim)
-    return _linear(out, w, f"{block}.attn.out")
+        audit.append(err)
+    return _linear(out.transpose(0, 2, 1, 3).reshape(bsz, t, dim), w, f"{block}.attn.out")
 
 
 def _block(x: np.ndarray, w: Weights, i: int, heads: int, audit: list | None) -> np.ndarray:

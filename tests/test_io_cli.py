@@ -372,6 +372,12 @@ class TestCliErrorContract:
         line = self._single_error(capsys, main(argv), "format")
         assert "view 1 'depth' tensor is (28, 28), manifest gives (56, 56)" in line
 
+    def test_forward_config_dim_too_large_to_allocate(self, scene_dir, tmp_path, capsys):
+        # the first weight matrix alone needs petabytes, so numpy refuses at once
+        (tmp_path / "cfg.json").write_text(json.dumps({"dim": 1000000000000}))
+        code = main(["forward", "--scene", str(scene_dir), "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "p")])
+        assert "Unable to allocate" in self._single_error(capsys, code, "out-of-memory")
+
     def test_covis_jobs_below_one(self, scene_dir, capsys):
         code = main(["covis", "--scene", str(scene_dir), "--jobs", "0"])
         assert "jobs must be >= 1" in self._single_error(capsys, code, "invalid-value")
@@ -404,6 +410,15 @@ class TestPlyExport:
         assert pts.shape[0] == sum(int(v.depth.validity.sum()) for v in scene.views)
         np.testing.assert_array_equal(pts, expect_pts)
         np.testing.assert_array_equal(cols, expect_cols)
+
+    def test_export_zero_view_scene_writes_empty_ply(self, tmp_path):
+        assert main(["synth", "--seed", "10", "--views", "2", "--size", "24x18", "--spheres", "4", "--out", str(tmp_path / "s")]) == 0
+        manifest = json.loads((tmp_path / "s" / "scene.json").read_text())
+        manifest.update(n_views=0, views=[])
+        (tmp_path / "s" / "scene.json").write_text(json.dumps(manifest))
+        assert main(["export-ply", "--scene", str(tmp_path / "s"), "--out", str(tmp_path / "s.ply")]) == 0
+        pts, cols = parse_ply(tmp_path / "s.ply")
+        assert pts.shape == (0, 3) and cols.shape == (0, 3)
 
     def test_write_ply_counts(self, tmp_path):
         pts = np.arange(9, dtype=np.float32).reshape(3, 3)

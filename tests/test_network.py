@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -5,6 +7,7 @@ from scipy.special import erf
 from mapt.errors import InvalidValueError, ShapeError
 from mapt.geometry import Pose
 from mapt.network import (
+    _QUERY_BLOCK,
     ModelConfig,
     FULL_SCALE_CONFIG,
     TokenSet,
@@ -140,6 +143,42 @@ class TestAlternatingAttention:
         got = alternating_attention(tokens, w, layer_types=("frame", "frame"))
         ref = _reference_encoder(tokens.tokens[0].copy(), w, [0, 1], heads=4)
         np.testing.assert_allclose(got.tokens[0], ref, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["frame", "global"])
+    @pytest.mark.parametrize("t", [_QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1, 2 * _QUERY_BLOCK + 1])
+    def test_query_blocks_equal_reference_encoder(self, kind, t):
+        # t tokens per attention call: two views of t patches in frame layers,
+        # one view of t - 1 patches plus the scale token in global layers
+        w = init_weights(ModelConfig(depth=2, dim=32, heads=4), 9)
+        rng = np.random.default_rng(t)
+        v, p = (2, t) if kind == "frame" else (1, t - 1)
+        tokens = TokenSet(tokens=rng.normal(size=(v, p, 32)), scale_token=rng.normal(size=32), patch_grid=(1, p))
+        audit = []
+        got = alternating_attention(tokens, w, layer_types=(kind, kind), attention_audit=audit)
+        if kind == "frame":
+            for i in range(v):
+                np.testing.assert_allclose(got.tokens[i], _reference_encoder(tokens.tokens[i].copy(), w, [0, 1], heads=4), atol=1e-12)
+        else:
+            ref = _reference_encoder(np.concatenate([tokens.tokens[0], tokens.scale_token[None]]), w, [0, 1], heads=4)
+            np.testing.assert_allclose(got.tokens[0], ref[:p], atol=1e-12)
+            np.testing.assert_allclose(got.scale_token, ref[p], atol=1e-12)
+        assert len(audit) == 2  # one entry per attention call, however many blocks it ran
+        assert max(audit) < 1e-6
+
+    def test_global_attention_peak_memory_below_one_dense_score_array(self):
+        cfg = ModelConfig(depth=2)
+        w = init_weights(cfg, 10)
+        rng = np.random.default_rng(11)
+        v, p = 24, 144
+        tokens = TokenSet(tokens=rng.normal(size=(v, p, cfg.dim)), scale_token=rng.normal(size=cfg.dim), patch_grid=(12, 12))
+        t = v * p + 1
+        tracemalloc.start()
+        try:
+            alternating_attention(tokens, w, layer_types=("global", "global"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.heads * t * t * 8
 
     def test_attention_rows_sum_to_one(self):
         s = _scene()

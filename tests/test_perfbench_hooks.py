@@ -1,10 +1,11 @@
-"""The cli-small benchmark workload against the current mapt.cli.
+"""Benchmark workloads run against the current mapt, as perfbench/run.py runs them.
 
 perfbench/workloads.py spans the CLI by swapping names that mapt.cli imports
 (``CliSmall.SPANNED``, ``mio`` and ``Path``); its ``mio`` stand-in has only
 the ``SPANNED_IO`` functions. A change to mapt.cli that drops one of those
-imports, or calls another mapt.io function, breaks that workload. This test
-runs the workload's warm-up scene the way ``perfbench/run.py --trace 1`` does.
+imports, or calls another mapt.io function, breaks that workload. The
+cli-small test runs its warm-up scene the way ``perfbench/run.py --trace 1``
+does; the wide24 test runs the network path through several query blocks.
 """
 
 import importlib.util
@@ -36,3 +37,17 @@ def test_cli_small_warmup_scene_instrumented(tmp_path):
     spanned = {s["name"] for s in tracer.spans}
     assert {f"io.{fn}" for fn in workload.SPANNED_IO} <= spanned
     assert {"viewgraph.covisibility", "io.write_json", "io.read_json"} <= spanned
+
+
+def test_wide24_warmup_scene_matches_reference(tmp_path):
+    # 24 views of 144 patches: the global layers attend over 3457 tokens in
+    # several query blocks, and the outputs must stay within the reference gate
+    wl = _load("workloads")
+    ops = wl.Ops(_load("tracer").Tracer())
+    workload = wl.WORKLOADS["wide24"]()
+    workload.setup(ops)
+    summary, _ = ops.scene(workload, wl.WARMUP_SEED, tmp_path)
+    assert ops.failed == 0, ops.categories
+    assert ops.problems == []
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["wide24"]
+    assert wl.compare_reference(summary, reference) == []
