@@ -5,6 +5,10 @@ a camera pose expressed in the frame of view 0, and one global metric scale.
 Composition is ``metric = scale * (R @ (rays * depth) + t)``.
 
 All functions are pure and treat their inputs as immutable.
+
+Each container invariant is checked once, where data enters: in mapt.io, the
+public constructors and the network heads, NaN, +-inf and empty arrays included.
+Containers built from checked data plus a local check skip it via ``_trusted``.
 """
 
 from __future__ import annotations
@@ -35,12 +39,9 @@ class RayMap:
         d = np.asarray(self.directions, dtype=np.float64)
         if d.ndim != 3 or d.shape[2] != 3:
             raise ShapeError(f"ray map must be (H, W, 3), got {d.shape}")
-        norms = np.linalg.norm(d, axis=2)
-        if not np.all(np.isfinite(d)):
-            raise InvalidValueError("ray map contains non-finite directions")
-        if np.max(np.abs(norms - 1.0)) > RAY_UNIT_TOL:
-            raise InvalidValueError("ray directions must be unit length within 1e-6")
-        if np.min(d[:, :, 2]) <= 0.0:
+        if not np.all(np.abs(np.linalg.norm(d, axis=2) - 1.0) <= RAY_UNIT_TOL):
+            raise InvalidValueError("ray directions must be finite and unit length within 1e-6")
+        if not np.all(d[:, :, 2] > 0.0):
             raise InvalidValueError("ray directions must be front-facing (z > 0)")
         self.directions = d
 
@@ -68,11 +69,9 @@ class DepthAlongRay:
         if m.shape != v.shape:
             raise ShapeError("depth values and validity shapes differ")
         good = v[m]
-        if good.size and (not np.all(np.isfinite(good)) or np.min(good) <= 0.0):
+        if not np.all((good > 0.0) & (good < np.inf)):
             raise InvalidValueError("valid depths must be finite and > 0")
-        v = v.copy()
-        v[~m] = 0.0
-        self.values = v
+        self.values = np.where(m, v, 0.0)
         self.validity = m
 
     @property
@@ -153,9 +152,7 @@ class PointMap:
             raise ShapeError("pointmap points and validity shapes differ")
         if not np.all(np.isfinite(p[m])):
             raise InvalidValueError("valid points must be finite")
-        p = p.copy()
-        p[~m] = 0.0
-        self.points = p
+        self.points = np.where(m[:, :, None], p, 0.0)
         self.validity = m
 
     @property
@@ -197,14 +194,14 @@ class FactoredView:
             c = np.asarray(self.confidence, dtype=np.float64)
             if c.shape != self.depth.values.shape:
                 raise ShapeError("confidence resolution differs from depth")
-            if np.min(c) < 1.0:
-                raise InvalidValueError("confidence values must be >= 1")
+            if not np.all((c >= 1.0) & (c < np.inf)):
+                raise InvalidValueError("confidence values must be finite and >= 1")
             self.confidence = c
         if self.mask_prob is not None:
             m = np.asarray(self.mask_prob, dtype=np.float64)
             if m.shape != self.depth.values.shape:
                 raise ShapeError("mask resolution differs from depth")
-            if np.min(m) < 0.0 or np.max(m) > 1.0:
+            if not np.all((m >= 0.0) & (m <= 1.0)):
                 raise InvalidValueError("mask probabilities must lie in [0, 1]")
             self.mask_prob = m
 
@@ -223,6 +220,13 @@ class FactoredScene:
     @property
     def n_views(self) -> int:
         return len(self.views)
+
+
+def _trusted(cls, **fields):
+    """A ``cls`` holding all its ``fields`` as given, skipping ``__post_init__``: for fields valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +259,7 @@ def intrinsics_from_rays(r: RayMap) -> tuple[Intrinsics, float]:
 
     def fit_axis(a, p):
         # p ~ f * a + c; degenerate when the slopes carry no spread
-        if np.ptp(a) < 1e-12:
+        if a.size == 0 or np.ptp(a) < 1e-12:
             raise RankDeficientError("ray map is degenerate along one axis")
         m = np.stack([a, np.ones_like(a)], axis=1)
         sol, _, rank, _ = np.linalg.lstsq(m, p, rcond=None)
@@ -349,26 +353,24 @@ def local_pointmap(r: RayMap, d: DepthAlongRay) -> PointMap:
     """Lift depths along rays into the camera frame: point = direction * depth."""
     if (r.height, r.width) != (d.height, d.width):
         raise ShapeError("ray map and depth resolutions differ")
-    return PointMap(_compose(r.directions, d.validity, d.values), d.validity.copy())
+    return _trusted(PointMap, points=_compose(r.directions, d.validity, d.values), validity=d.validity.copy())
 
 
 def world_pointmap(l: PointMap, p: Pose) -> PointMap:
     """Rotate/translate valid points of a local pointmap into the reference frame."""
-    return PointMap(_compose(l.points, l.validity, pose=p), l.validity.copy())
+    return _trusted(PointMap, points=_compose(l.points, l.validity, pose=p), validity=l.validity.copy())
 
 
 def metric_upgrade(x: PointMap, m: MetricScale) -> PointMap:
     """Scale every valid point by the metric factor."""
-    return PointMap(_compose(x.points, x.validity, scale=m.value), x.validity.copy())
+    return _trusted(PointMap, points=_compose(x.points, x.validity, scale=m.value), validity=x.validity.copy())
 
 
 def compose_scene_points(scene: FactoredScene) -> list[PointMap]:
     """Metric world pointmaps for every view of a factored scene."""
     s = scene.scale.value
-    return [
-        PointMap(_compose(v.rays.directions, v.depth.validity, v.depth.values, v.pose, s), v.depth.validity.copy())
-        for v in scene.views
-    ]
+    points = [_compose(v.rays.directions, v.depth.validity, v.depth.values, v.pose, s) for v in scene.views]
+    return [_trusted(PointMap, points=p, validity=v.depth.validity.copy()) for p, v in zip(points, scene.views)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +433,7 @@ def rot_to_quat(rot: np.ndarray) -> np.ndarray:
     rot = np.asarray(rot, dtype=np.float64)
     if rot.shape != (3, 3):
         raise ShapeError("rotation must be 3x3")
-    if np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-6 or np.linalg.det(rot) < 0.0:
+    if not (np.all(np.abs(rot @ rot.T - np.eye(3)) <= 1e-6) and np.linalg.det(rot) > 0.0):
         raise InvalidRotationError("matrix is not a rotation")
     # Shepperd's method: pick the numerically largest component first.
     m00, m11, m22 = rot[0, 0], rot[1, 1], rot[2, 2]

@@ -170,6 +170,8 @@ def _load_manifest(path: Path) -> dict:
         for key in ("pose", "files", "width", "height"):
             if key not in entry:
                 raise FormatError(f"{path}: view {i} lacks {key!r}")
+        if not all(type(entry[k]) is int and entry[k] > 0 for k in ("width", "height")):
+            raise FormatError(f"{path}: view {i} 'width' and 'height' must be positive integers")
         if not _numbers(entry["pose"], 7):
             raise FormatError(f"{path}: view {i} 'pose' must be 7 numbers (qw qx qy qz tx ty tz)")
         if "intrinsics" in entry and not _numbers(entry["intrinsics"], 4):

@@ -164,7 +164,7 @@ def loss_rot(pred_quats, gt_quats, p: RobustKernelParams = DEFAULT_KERNEL) -> fl
     if qp.shape != qg.shape:
         raise ShapeError("rot loss: quaternion counts differ")
     for q in (qp, qg):
-        if np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0)) > 1e-6:
+        if not np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= 1e-6):
             raise InvalidValueError("rot loss requires unit quaternions")
     res = np.minimum(np.linalg.norm(qg - qp, axis=1), np.linalg.norm(qg + qp, axis=1))
     return float(np.mean(robust_kernel(res, p)))
@@ -235,8 +235,8 @@ def loss_pointmap_conf(
     conf = [np.asarray(c, dtype=np.float64) for c in conf]
     masks = [pm.validity for pm in gt]
     _, pp, pg, c = _pool("pointmap loss", masks, [pm.points for pm in pred], [pm.points for pm in gt], conf)
-    if any(np.min(x) < 1.0 for x in conf):
-        raise InvalidValueError("confidence must be >= 1")
+    if not all(np.all((x >= 1.0) & (x < np.inf)) for x in conf):
+        raise InvalidValueError("confidence must be finite and >= 1")
     return _pointmap_term(pp, pg, c, z_pred, z_gt, p, alpha_conf)
 
 
@@ -320,8 +320,8 @@ def loss_gradient_matching(
     masks = [np.asarray(m, dtype=bool) for m in validity]
     zp = [np.asarray(z, dtype=np.float64) for z in pred_z]
     zg = [np.asarray(z, dtype=np.float64) for z in gt_z]
-    if any(np.any(z <= 0.0) for z in _pool("gradient matching loss", masks, zp, zg)[1:]):
-        raise InvalidValueError("gradient matching loss requires positive depths")
+    if not all(np.all((z > 0.0) & (z < np.inf)) for z in _pool("gradient matching loss", masks, zp, zg)[1:]):
+        raise InvalidValueError("gradient matching loss requires finite positive depths")
     per_view = [(np.log(np.where(m, a, 1.0)) - np.log(np.where(m, b, 1.0)), m) for a, b, m in zip(zp, zg, masks)]
 
     total = 0.0
@@ -338,9 +338,9 @@ def loss_gradient_matching(
 def loss_mask(pred_prob: list[np.ndarray], gt: list[np.ndarray]) -> float:
     """Mean binary cross entropy over all pixels of all views."""
     pred_prob = [np.asarray(x, dtype=np.float64) for x in pred_prob]
-    if any(np.min(x) < 0.0 or np.max(x) > 1.0 for x in pred_prob):
-        raise InvalidValueError("mask probabilities must lie in [0, 1]")
     gt = [np.asarray(g, dtype=np.float64) for g in gt]
+    if not all(np.all((x >= 0.0) & (x <= 1.0)) for x in [*pred_prob, *gt]):
+        raise InvalidValueError("mask probabilities must lie in [0, 1]")
     _check("mask loss", [g.shape for g in gt], pred_prob)
     pc = np.clip(np.concatenate([x.ravel() for x in pred_prob]), BCE_CLAMP, 1.0 - BCE_CLAMP)
     g = np.concatenate([x.ravel() for x in gt])

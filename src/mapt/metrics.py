@@ -83,18 +83,18 @@ def abs_rel(pred, gt, validity) -> float:
 
 
 def _abs_rel(p: np.ndarray, g: np.ndarray) -> float:
-    if np.any(g <= 0.0):
-        raise InvalidValueError("abs_rel requires positive ground-truth values")
+    if not np.all((g > 0.0) & (g < np.inf)) or np.isnan(p).any():
+        raise InvalidValueError("abs_rel requires finite positive ground-truth values and no NaN prediction")
     return float(np.mean(np.abs(p - g) / g))
 
 
 def inlier_ratio_tau(pred, gt, validity, ratio_threshold: float = TAU_DEFAULT) -> float:
-    """Fraction of valid pixels with max(pred/gt, gt/pred) < ratio_threshold."""
+    """Fraction of valid pixels with max(pred/gt, gt/pred) < ratio_threshold; +inf is an outlier."""
     return _inlier_ratio_tau(*_masked(pred, gt, validity), ratio_threshold)
 
 
 def _inlier_ratio_tau(p: np.ndarray, g: np.ndarray, ratio_threshold: float = TAU_DEFAULT) -> float:
-    if np.any(p <= 0.0) or np.any(g <= 0.0):
+    if not (np.all(p > 0.0) and np.all(g > 0.0)):
         raise InvalidValueError("inlier ratio requires positive values")
     ratio = np.maximum(p / g, g / p)
     return float(np.mean(ratio < ratio_threshold))
@@ -103,8 +103,8 @@ def _inlier_ratio_tau(p: np.ndarray, g: np.ndarray, ratio_threshold: float = TAU
 def median_align(pred, gt, validity) -> tuple[float, np.ndarray]:
     """Median-ratio scale alignment: returns (scale, scale * pred)."""
     p, g = _masked(pred, gt, validity)
-    if np.any(p <= 0.0) or np.any(g <= 0.0):
-        raise InvalidValueError("median alignment requires positive values")
+    if not np.all((p > 0.0) & (p < np.inf) & (g > 0.0) & (g < np.inf)):
+        raise InvalidValueError("median alignment requires finite positive values")
     scale = float(np.median(g / p))
     return scale, np.asarray(pred, dtype=np.float64) * scale
 
@@ -211,7 +211,7 @@ def auc_at_threshold(errors_deg, max_threshold: float = AUC_DEFAULT_DEG) -> floa
     e = np.asarray(errors_deg, dtype=np.float64).ravel()
     if e.size == 0:
         raise InvalidValueError("auc requires at least one error value")
-    if np.any(e < 0.0):
+    if not np.all(e >= 0.0):
         raise InvalidValueError("errors must be non-negative")
     return float(np.sum(np.maximum(0.0, max_threshold - e)) / (e.size * max_threshold))
 

@@ -22,15 +22,7 @@ from scipy.special import erf
 
 from .errors import InvalidValueError, NumericOverflowError, ShapeError
 from .factorization import encode_log_scale, factor_depth, factor_pose_scale
-from .geometry import (
-    DepthAlongRay,
-    FactoredScene,
-    FactoredView,
-    MetricScale,
-    Pose,
-    RayMap,
-    canonical_quat,
-)
+from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, Pose, RayMap, _trusted
 from .viewgraph import InputConfig
 
 EXP_CLIP = 30.0
@@ -426,37 +418,35 @@ def decode_heads(tokens: TokenSet, weights: Weights) -> ModelOutput:
 
     dense = _linear(tokens.tokens, weights, "head_dense")
     dense = dense.reshape(v, ph, pw, cfg.patch, cfg.patch, 6)
-    dense = dense.transpose(0, 1, 3, 2, 4, 5).reshape(v, h, w, 6)
+    dense = dense.transpose(5, 0, 1, 3, 2, 4).reshape(6, v, h, w)
 
-    rays_out, depths, confs, masks = [], [], [], []
-    all_valid = np.ones((h, w), dtype=bool)
-    for i in range(v):
-        d = np.stack(
-            [dense[i, :, :, 0], dense[i, :, :, 1], _bounded_exp(dense[i, :, :, 2])], axis=2
-        )
-        d /= np.linalg.norm(d, axis=2, keepdims=True)
-        rays_out.append(RayMap(d))
-        depths.append(DepthAlongRay(_bounded_exp(dense[i, :, :, 3]), all_valid.copy()))
-        confs.append(1.0 + _bounded_exp(dense[i, :, :, 4]))
-        masks.append(_sigmoid(dense[i, :, :, 5]))
+    rays = np.stack([dense[0], dense[1], _bounded_exp(dense[2])], axis=-1)
+    norms = np.linalg.norm(rays, axis=-1, keepdims=True)
+    # The one check needed: with finite outputs and norms (no square overflowed), the
+    # constructions in the docstring give unit front-facing rays and finite depths > 0.
+    if not (np.all(np.isfinite(dense)) and np.all(np.isfinite(norms))):
+        raise NumericOverflowError("non-finite dense head outputs")
+    rays /= norms
 
     pooled = tokens.tokens.mean(axis=1)
     hdn = _gelu(_linear(pooled, weights, "head_pose.0"))
     hdn = _gelu(_linear(hdn, weights, "head_pose.1"))
     pose_raw = _linear(hdn, weights, "head_pose.2")
     poses = []
-    for i in range(v):
-        q = pose_raw[i, :4]
+    for q, t in zip(pose_raw[:, :4], pose_raw[:, 4:7]):
         nq = np.linalg.norm(q)
-        q = np.array([1.0, 0.0, 0.0, 0.0]) if nq < 1e-12 else canonical_quat(q / nq)
-        poses.append(Pose(q, pose_raw[i, 4:7]))
+        poses.append(Pose(np.array([1.0, 0.0, 0.0, 0.0]) if nq < 1e-12 else q / nq, t))
 
     sc = np.maximum(_linear(tokens.scale_token, weights, "head_scale.0"), 0.0)
     sc = _linear(sc, weights, "head_scale.1")
-    scale = MetricScale(float(_bounded_exp(sc[0])))
 
     return ModelOutput(
-        rays=rays_out, depths=depths, confidences=confs, mask_probs=masks, poses=poses, scale=scale
+        rays=[_trusted(RayMap, directions=r) for r in rays],
+        depths=[_trusted(DepthAlongRay, values=d, validity=np.ones((h, w), bool)) for d in _bounded_exp(dense[3])],
+        confidences=list(1.0 + _bounded_exp(dense[4])),
+        mask_probs=list(_sigmoid(dense[5])),
+        poses=poses,
+        scale=MetricScale(float(_bounded_exp(sc[0]))),
     )
 
 

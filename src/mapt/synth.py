@@ -25,6 +25,7 @@ from .geometry import (
     RayMap,
     _compose,
     _forward_normals,
+    _trusted,
     quat_to_rot,
     rays_from_intrinsics,
     rot_to_quat,
@@ -131,7 +132,7 @@ def _raycast_arrays(scene: AnalyticScene, origin: np.ndarray, dirs: np.ndarray) 
 def raycast(scene: AnalyticScene, origin, direction) -> float | None:
     """Nearest positive intersection along a unit ray, None on miss."""
     direction = np.asarray(direction, dtype=np.float64).reshape(3)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-6:
+    if not abs(np.linalg.norm(direction) - 1.0) <= 1e-6:
         raise InvalidValueError("raycast requires a unit direction")
     t = float(_raycast_arrays(scene, origin, direction[None, :])[0])
     return None if not np.isfinite(t) else t
@@ -159,7 +160,8 @@ def render_view(
     world_dirs = rays.directions @ rot.T
     t = _raycast_arrays(scene, pose.translation, world_dirs)
     validity = np.isfinite(t) & (t <= max_depth)
-    depth = DepthAlongRay(np.where(validity, t, 0.0), validity)
+    # valid hits are finite and beyond RAY_HIT_EPS > 0: see _raycast_arrays
+    depth = _trusted(DepthAlongRay, values=np.where(validity, t, 0.0), validity=validity)
     return rays, depth, validity, validity.copy()
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientComponentError, InvalidValueError, ShapeError
-from .geometry import DepthAlongRay, _pool, quat_to_rot
+from .geometry import DepthAlongRay, _pool, _trusted, quat_to_rot
 from .synth import SceneSample
 
 # Training-time conditioning probabilities.
@@ -35,7 +35,7 @@ class CovisGraph:
         f = np.asarray(self.fraction, dtype=np.float64)
         if f.ndim != 2 or f.shape[0] != f.shape[1]:
             raise ShapeError("covisibility matrix must be square")
-        if np.min(f) < 0.0 or np.max(f) > 1.0:
+        if not np.all((f >= 0.0) & (f <= 1.0)):
             raise InvalidValueError("covisibility fractions must lie in [0, 1]")
         if not np.all(np.diag(f) == 1.0):
             raise InvalidValueError("covisibility diagonal must be exactly 1")
@@ -127,6 +127,8 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
     """
     if jobs is not None and jobs < 1:
         raise InvalidValueError("jobs must be >= 1")
+    if not 0.0 <= rel_depth_tol < np.inf:
+        raise InvalidValueError(f"rel_depth_tol must be finite and >= 0, got {rel_depth_tol}")
     views = scene.views
     if any(v.intrinsics is None for v in views):
         raise InvalidValueError("covisibility requires ground-truth intrinsics")
@@ -204,6 +206,8 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
 
 def build_adjacency(g: CovisGraph, threshold: float = DEFAULT_COVIS_THRESHOLD) -> np.ndarray:
     """Undirected adjacency: edge when either directed fraction reaches the threshold."""
+    if not np.isfinite(threshold):
+        raise InvalidValueError(f"threshold must be finite, got {threshold}")
     sym = np.maximum(g.fraction, g.fraction.T)
     adj = sym >= threshold
     np.fill_diagonal(adj, False)
@@ -339,4 +343,4 @@ def sparsify_depth(d: DepthAlongRay, keep_fraction: float = SPARSE_KEEP_FRACTION
     validity = np.zeros_like(d.validity).ravel()
     validity[chosen] = True
     validity = validity.reshape(d.validity.shape)
-    return DepthAlongRay(np.where(validity, d.values, 0.0), validity)
+    return _trusted(DepthAlongRay, values=np.where(validity, d.values, 0.0), validity=validity)

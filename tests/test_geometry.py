@@ -10,6 +10,7 @@ from mapt.errors import (
 )
 from mapt.geometry import (
     DepthAlongRay,
+    FactoredView,
     Intrinsics,
     MetricScale,
     PointMap,
@@ -226,6 +227,13 @@ class TestQuatRot:
         with pytest.raises(InvalidRotationError):
             quat_to_rot([0.5, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rot_to_quat_rejects_non_finite(self, bad):
+        rot = np.eye(3)
+        rot[1, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidRotationError):
+            rot_to_quat(rot)
+
     @staticmethod
     def _unit_stack(rng, shape):
         q = rng.normal(size=(*shape, 4))
@@ -326,3 +334,46 @@ class TestTypeInvariants:
             MetricScale(0.0)
         with pytest.raises(InvalidValueError):
             MetricScale(float("inf"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_raymap_rejects_non_finite(self, bad):
+        d = np.tile(np.array([0.0, 0.0, 1.0]), (2, 2, 1))
+        d[1, 0, 0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidValueError):
+            RayMap(d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_depth_rejects_non_finite_valid(self, bad):
+        with pytest.raises(InvalidValueError):
+            DepthAlongRay(np.array([[2.0, bad]]), np.array([[True, True]]))
+
+    @staticmethod
+    def _view(confidence=None, mask_prob=None):
+        rays = RayMap(np.tile(np.array([0.0, 0.0, 1.0]), (1, 2, 1)))
+        depth = DepthAlongRay(np.ones((1, 2)), np.ones((1, 2), bool))
+        return FactoredView(rays, depth, Pose.identity(), confidence, mask_prob)
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, -np.inf])
+    def test_view_rejects_bad_confidence(self, bad):
+        with pytest.raises(InvalidValueError, match="confidence"):
+            self._view(confidence=np.array([[1.0, bad]]))
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan, np.inf, -np.inf])
+    def test_view_rejects_bad_mask(self, bad):
+        with pytest.raises(InvalidValueError, match="mask"):
+            self._view(mask_prob=np.array([[0.5, bad]]))
+
+    def test_view_accepts_edge_values(self):
+        v = self._view(confidence=np.array([[1.0, 1e300]]), mask_prob=np.array([[0.0, 1.0]]))
+        assert v.confidence[0, 1] == 1e300
+
+    @pytest.mark.parametrize("h, w", [(0, 0), (0, 3), (2, 0)])
+    def test_empty_containers_are_well_defined(self, h, w):
+        rays = RayMap(np.zeros((h, w, 3)))
+        depth = DepthAlongRay(np.zeros((h, w)), np.zeros((h, w), bool))
+        view = FactoredView(rays, depth, Pose.identity(), np.ones((h, w)), np.zeros((h, w)))
+        assert (rays.height, rays.width) == (h, w) and view.confidence.shape == (h, w)
+        pm = local_pointmap(rays, depth)
+        assert pm.points.shape == (h, w, 3) and not pm.validity.any()
+        with pytest.raises(RankDeficientError):
+            intrinsics_from_rays(rays)

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mapt import errors
 from mapt.cli import main
 from mapt.errors import FormatError
 from mapt.geometry import quat_to_rot
-from mapt.io import read_factored, read_scene, read_tensor, write_ply, write_scene, write_tensor
+from mapt.io import read_factored, read_scene, read_tensor, write_factored, write_ply, write_scene, write_tensor
 from mapt.synth import AnalyticScene, gen_scene
 from mapt.viewgraph import covisibility
 
@@ -386,6 +392,107 @@ class TestCliErrorContract:
         (scene_dir / "view_000_rays.mapt").write_bytes(b"MAPT\x01\x01\x03\x1c\x00")
         code = main(["covis", "--scene", str(scene_dir)])
         self._single_error(capsys, code, "format")
+
+    @pytest.mark.parametrize("tensor", ["confidence", "mask"])
+    def test_loss_non_finite_prediction_inside_mask(self, scene_dir, tmp_path, capsys, tensor):
+        write_factored(tmp_path / "p", read_scene(scene_dir).as_factored_scene())
+        path = tmp_path / "p" / f"view_001_{tensor}.mapt"
+        arr = read_tensor(path)
+        arr[tuple(np.argwhere(read_tensor(scene_dir / "view_001_mask.mapt"))[0])] = np.nan
+        write_tensor(path, arr)
+        code = main(["loss", "--gt", str(scene_dir), "--pred", str(tmp_path / "p")])
+        assert tensor in self._single_error(capsys, code, "invalid-value")
+
+    @pytest.mark.parametrize("size", [(0, 0), (0, 28), (28.0, 28), (True, 28)])
+    def test_covis_view_size_not_a_positive_integer(self, scene_dir, capsys, size):
+        manifest = json.loads((scene_dir / "scene.json").read_text())
+        manifest["views"][1].update(width=size[0], height=size[1])
+        (scene_dir / "scene.json").write_text(json.dumps(manifest))
+        if size == (0, 0):  # a consistent empty view: tensors of matching shape
+            write_tensor(scene_dir / "view_001_rays.mapt", np.zeros((0, 0, 3), np.float32))
+            for key in ("depth", "validity", "mask"):
+                write_tensor(scene_dir / f"view_001_{key}.mapt", np.zeros((0, 0), np.uint8 if key != "depth" else np.float32))
+        code = main(["covis", "--scene", str(scene_dir)])
+        assert "view 1 'width' and 'height' must be positive integers" in self._single_error(capsys, code, "format")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_covis_bad_tolerance(self, scene_dir, tmp_path, capsys, tol):
+        code = main(["covis", "--scene", str(scene_dir), "--tol", tol, "--out", str(tmp_path / "c.json")])
+        assert "rel_depth_tol must be finite and >= 0" in self._single_error(capsys, code, "invalid-value")
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_sample_non_finite_threshold(self, scene_dir, tmp_path, capsys, threshold):
+        assert main(["covis", "--scene", str(scene_dir), "--out", str(tmp_path / "c.json")]) == 0
+        code = main(["sample", "--covis", str(tmp_path / "c.json"), f"--threshold={threshold}", "--n", "2"])
+        assert "threshold must be finite" in self._single_error(capsys, code, "invalid-value")
+
+    def test_sample_null_fraction(self, tmp_path, capsys):
+        (tmp_path / "c.json").write_text(json.dumps({"fraction": [[1.0, None], [0.5, 1.0]]}))
+        code = main(["sample", "--covis", str(tmp_path / "c.json"), "--n", "2"])
+        assert "fractions must lie in [0, 1]" in self._single_error(capsys, code, "invalid-value")
+
+
+class TestCliFuzz:
+    """One NaN or +-inf written into one float32 tensor payload, and drawn
+    --tol/--threshold values: every run either exits 0 without a null in a
+    loss or covisibility report, or prints exactly one `error: <known
+    category>:` line."""
+
+    KNOWN = {c.category for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.MaptError)}
+    KNOWN |= {"io", "out-of-memory"}  # cli.main's categories for OSError and MemoryError
+    FLAGS = ["nan", "inf", "-1", "0", "0.05"]
+
+    @pytest.fixture(scope="class")
+    def dirs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        assert main(["synth", "--seed", "3", "--views", "2", "--size", "28x28", "--spheres", "3", "--out", str(root / "gt")]) == 0
+        assert main(["forward", "--scene", str(root / "gt"), "--seed", "1", "--out", str(root / "pred")]) == 0
+        return root
+
+    def _run(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        if code != 0:
+            assert code == 1 and len(lines) == 1, lines
+            m = re.fullmatch(r"error: ([a-z-]+): \S.*", lines[0])
+            assert m and m.group(1) in self.KNOWN, lines
+        return code
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["loss", "loss-synthetic", "eval", "eval-align", "covis", "export-ply"]),
+        target=st.sampled_from(["gt/view_000_rays", "gt/view_001_depth", "pred/view_000_rays", "pred/view_001_depth",
+                                "pred/view_000_mask", "pred/view_001_confidence"]),
+        index=st.integers(0, 28 * 28 * 3 - 1),
+        value=st.sampled_from([np.nan, np.inf, -np.inf]),
+        tol=st.sampled_from(FLAGS),
+        threshold=st.sampled_from(FLAGS),
+    )
+    def test_cli_exits_cleanly(self, dirs, command, target, index, value, tol, threshold):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name in ("gt", "pred"):
+                shutil.copytree(dirs / name, tmp / name)
+            path = tmp / f"{target}.mapt"
+            arr = read_tensor(path)
+            arr.flat[index % arr.size] = value
+            write_tensor(path, arr)
+            gt, pred, report = str(tmp / "gt"), str(tmp / "pred"), tmp / "report.json"
+            if command.startswith("loss"):
+                argv = ["loss", "--gt", gt, "--pred", pred, "--out", str(report)] + ["--synthetic"] * command.endswith("synthetic")
+                if self._run(argv) == 0:
+                    assert "null" not in report.read_text()
+            elif command.startswith("eval"):
+                self._run(["eval", "--gt", gt, "--pred", pred, "--out", str(report)] + ["--align-points"] * command.endswith("align"))
+            elif command == "covis":
+                if self._run(["covis", "--scene", gt, f"--tol={tol}", "--out", str(report)]) == 0:
+                    assert "null" not in report.read_text()
+                    self._run(["sample", "--covis", str(report), f"--threshold={threshold}", "--n", "2"])
+            else:
+                self._run(["export-ply", "--scene", gt if target.startswith("gt") else pred, "--out", str(tmp / "x.ply")])
 
 
 class TestPlyExport:

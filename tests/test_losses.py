@@ -145,6 +145,12 @@ class TestLossRot:
         with pytest.raises(InvalidValueError):
             loss_rot(np.array([[2.0, 0, 0, 0]]), np.array([[1.0, 0, 0, 0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        q = np.array([[1.0, 0, 0, 0], [bad, 0, 0, 0]])
+        with pytest.raises(InvalidValueError):
+            loss_rot(q, np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]]))
+
 
 class TestLossTranslation:
     def test_scale_invariant_zero(self):
@@ -276,6 +282,12 @@ class TestLossPointmapConf:
         with pytest.raises(InvalidValueError):
             loss_pointmap_conf([pm], [pm], [np.full((2, 2), 0.5)], ONE, ONE)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_confidence(self, bad):
+        pm = _pm(np.ones((2, 2, 3)))
+        with pytest.raises(InvalidValueError):
+            loss_pointmap_conf([pm], [pm], [np.array([[1.0, 2.0], [bad, 1.0]])], ONE, ONE)
+
 
 class TestLossScale:
     def test_zero_when_matched(self):
@@ -356,6 +368,16 @@ class TestLossGradientMatching:
         v[0, 0] = False
         assert loss_gradient_matching([np.where(v, pr, 0.0) + ~v * 1.0], [z], [v]) == 0.0
 
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_valid_depth(self, side, bad):
+        z = np.ones((4, 4))
+        bent = z.copy()
+        bent[1, 2] = bad
+        pred, gt = (bent, z) if side == "pred" else (z, bent)
+        with pytest.raises(InvalidValueError):
+            loss_gradient_matching([pred], [gt], [np.ones((4, 4), dtype=bool)])
+
 
 class TestLossMask:
     def test_exact_prediction_tiny(self):
@@ -374,6 +396,15 @@ class TestLossMask:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidValueError):
             loss_mask([np.array([[1.5]])], [np.array([[1.0]])])
+
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, side, bad):
+        ok = np.array([[1.0, 0.0]])
+        bent = np.array([[1.0, bad]])
+        pred, gt = (bent, ok) if side == "pred" else (ok, bent)
+        with pytest.raises(InvalidValueError):
+            loss_mask([pred], [gt])
 
 
 class TestTotalLoss:

@@ -54,6 +54,16 @@ class TestAbsRel:
         with pytest.raises(EmptyDepthError):
             abs_rel(np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2), dtype=bool))
 
+    @pytest.mark.parametrize("side, bad", [("gt", np.nan), ("gt", np.inf), ("gt", 0.0), ("pred", np.nan)])
+    def test_rejects_bad_values(self, side, bad):
+        ok, bent = np.full((1, 2), 2.0), np.array([[2.0, bad]])
+        pred, gt = (bent, ok) if side == "pred" else (ok, bent)
+        with np.errstate(all="ignore"), pytest.raises(InvalidValueError):
+            abs_rel(pred, gt, _ones((1, 2)))
+
+    def test_infinite_prediction_is_infinite_error(self):
+        assert abs_rel(np.array([[2.0, np.inf]]), np.full((1, 2), 2.0), _ones((1, 2))) == np.inf
+
 
 class TestInlierRatioTau:
     def test_boundaries(self):
@@ -70,6 +80,19 @@ class TestInlierRatioTau:
         p = g * rng.uniform(0.9, 1.1, (6, 6))
         v = _ones((6, 6))
         assert inlier_ratio_tau(p, g, v) == inlier_ratio_tau(g, p, v)
+
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, 0.0])
+    def test_rejects_bad_values(self, side, bad):
+        ok, bent = np.full((1, 2), 2.0), np.array([[2.0, bad]])
+        pred, gt = (bent, ok) if side == "pred" else (ok, bent)
+        with pytest.raises(InvalidValueError):
+            inlier_ratio_tau(pred, gt, _ones((1, 2)))
+
+    def test_infinite_value_is_outlier(self):
+        g = np.full((1, 2), 2.0)
+        assert inlier_ratio_tau(np.array([[2.0, np.inf]]), g, _ones((1, 2))) == 0.5
+        assert inlier_ratio_tau(g, np.array([[2.0, np.inf]]), _ones((1, 2))) == 0.5
 
 
 class TestMedianAlign:
@@ -96,6 +119,14 @@ class TestMedianAlign:
         p = np.array([[2.0, 1.0, 0.5]])  # ratios 0.5, 1, 2
         s, _ = median_align(p, g, _ones((1, 3)))
         assert s == 1.0
+
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_rejects_bad_values(self, side, bad):
+        ok, bent = np.full((1, 3), 2.0), np.array([[2.0, bad, 2.0]])
+        pred, gt = (bent, ok) if side == "pred" else (ok, bent)
+        with pytest.raises(InvalidValueError):
+            median_align(pred, gt, _ones((1, 3)))
 
 
 class TestUmeyama:
@@ -286,6 +317,14 @@ class TestAuc:
     def test_empty_raises(self):
         with pytest.raises(InvalidValueError):
             auc_at_threshold([])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -1.0])
+    def test_rejects_bad_errors(self, bad):
+        with pytest.raises(InvalidValueError):
+            auc_at_threshold([bad, 1.0])
+
+    def test_infinite_error_counts_as_miss(self):
+        assert auc_at_threshold([np.inf, 0.0]) == 0.5
 
 
 class TestScaleRel:

@@ -42,6 +42,10 @@ class TestRaycast:
         with pytest.raises(InvalidValueError):
             raycast(_single_sphere(), [0.0, 0.0, 0.0], [0.0, 0.0, 2.0])
 
+    def test_rejects_nan_direction(self):
+        with pytest.raises(InvalidValueError):
+            raycast(_single_sphere(), [0.0, 0.0, 0.0], [np.nan, 0.0, 1.0])
+
     def test_inside_origin_epsilon(self):
         # origin on the sphere surface: the near root is at t=0, filtered by epsilon
         t = raycast(_single_sphere(center=(0.0, 0.0, 1.0), radius=1.0), [0.0, 0.0, 0.0], [0.0, 0.0, 1.0])

@@ -85,6 +85,15 @@ class TestCovisibility:
         g = covisibility(small_scene)
         np.testing.assert_array_equal(np.diag(g.fraction), 1.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, -1e-300])
+    def test_rejects_bad_tolerance(self, small_scene, tol):
+        with pytest.raises(InvalidValueError, match="rel_depth_tol"):
+            covisibility(small_scene, rel_depth_tol=tol)
+
+    def test_zero_tolerance_is_valid(self, small_scene):
+        g = covisibility(small_scene, rel_depth_tol=0.0)
+        assert np.all(g.fraction <= covisibility(small_scene).fraction)
+
 
 class TestAdjacency:
     def _graph(self, f01, f10):
@@ -108,6 +117,21 @@ class TestAdjacency:
         adj = build_adjacency(CovisGraph(f), threshold=0.0)
         assert adj.sum() == 20  # complete minus self loops
         assert not adj.diagonal().any()
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_threshold(self, threshold):
+        with pytest.raises(InvalidValueError, match="threshold"):
+            build_adjacency(self._graph(0.3, 0.1), threshold=threshold)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
+    def test_graph_rejects_fraction_out_of_range(self, bad):
+        f = np.eye(3)
+        f[2, 0] = bad
+        with pytest.raises(InvalidValueError, match="fractions"):
+            CovisGraph(f)
+
+    def test_empty_graph(self):
+        assert CovisGraph(np.zeros((0, 0))).n == 0
 
 
 class TestRandomWalk:
