@@ -6,9 +6,8 @@ Composition is ``metric = scale * (R @ (rays * depth) + t)``.
 
 All functions are pure and treat their inputs as immutable.
 
-Each container invariant is checked once, where data enters: in mapt.io, the
+Each container invariant is checked where data enters: in mapt.io, the
 public constructors and the network heads, NaN, +-inf and empty arrays included.
-Containers built from checked data plus a local check skip it via ``_trusted``.
 """
 
 from __future__ import annotations
@@ -222,13 +221,6 @@ class FactoredScene:
         return len(self.views)
 
 
-def _trusted(cls, **fields):
-    """A ``cls`` holding all its ``fields`` as given, skipping ``__post_init__``: for fields valid by construction."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # ray maps and intrinsics
 
@@ -353,24 +345,26 @@ def local_pointmap(r: RayMap, d: DepthAlongRay) -> PointMap:
     """Lift depths along rays into the camera frame: point = direction * depth."""
     if (r.height, r.width) != (d.height, d.width):
         raise ShapeError("ray map and depth resolutions differ")
-    return _trusted(PointMap, points=_compose(r.directions, d.validity, d.values), validity=d.validity.copy())
+    return PointMap(_compose(r.directions, d.validity, d.values), d.validity.copy())
 
 
 def world_pointmap(l: PointMap, p: Pose) -> PointMap:
     """Rotate/translate valid points of a local pointmap into the reference frame."""
-    return _trusted(PointMap, points=_compose(l.points, l.validity, pose=p), validity=l.validity.copy())
+    return PointMap(_compose(l.points, l.validity, pose=p), l.validity.copy())
 
 
 def metric_upgrade(x: PointMap, m: MetricScale) -> PointMap:
     """Scale every valid point by the metric factor."""
-    return _trusted(PointMap, points=_compose(x.points, x.validity, scale=m.value), validity=x.validity.copy())
+    return PointMap(_compose(x.points, x.validity, scale=m.value), x.validity.copy())
 
 
 def compose_scene_points(scene: FactoredScene) -> list[PointMap]:
     """Metric world pointmaps for every view of a factored scene."""
     s = scene.scale.value
-    points = [_compose(v.rays.directions, v.depth.validity, v.depth.values, v.pose, s) for v in scene.views]
-    return [_trusted(PointMap, points=p, validity=v.depth.validity.copy()) for p, v in zip(points, scene.views)]
+    return [
+        PointMap(_compose(v.rays.directions, v.depth.validity, v.depth.values, v.pose, s), v.depth.validity.copy())
+        for v in scene.views
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,8 @@ def _write_dir(path, scene, masks: list, confidences: list, entries: list) -> No
     """Write the tensors and the manifest of a scene directory: per view its
     mask tensor, its confidence tensor or None, and the manifest entries that
     go between its height and its pose."""
+    if any(v.depth.values.size == 0 for v in scene.views):
+        raise FormatError(f"{path}: a view on disk needs a positive width and height")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     views = []

@@ -22,7 +22,7 @@ from scipy.special import erf
 
 from .errors import InvalidValueError, NumericOverflowError, ShapeError
 from .factorization import encode_log_scale, factor_depth, factor_pose_scale
-from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, Pose, RayMap, _trusted
+from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, Pose, RayMap
 from .viewgraph import InputConfig
 
 EXP_CLIP = 30.0
@@ -87,7 +87,12 @@ class TokenSet:
 
 @dataclass
 class ModelOutput:
-    """Factored predictions with the output parameterizations already applied."""
+    """Factored predictions with the output parameterizations already applied.
+
+    From ``decode_heads``, each view's ray directions, confidence and mask are
+    slices of one (v, h, w, ...) stack: the views share those buffers, so
+    holding any one view keeps the whole stack alive.
+    """
 
     rays: list[RayMap]
     depths: list[DepthAlongRay]
@@ -422,8 +427,8 @@ def decode_heads(tokens: TokenSet, weights: Weights) -> ModelOutput:
 
     rays = np.stack([dense[0], dense[1], _bounded_exp(dense[2])], axis=-1)
     norms = np.linalg.norm(rays, axis=-1, keepdims=True)
-    # The one check needed: with finite outputs and norms (no square overflowed), the
-    # constructions in the docstring give unit front-facing rays and finite depths > 0.
+    # Overflowing head weights are a numeric overflow, not an invalid container:
+    # catch them here, before the constructors below check the ranges.
     if not (np.all(np.isfinite(dense)) and np.all(np.isfinite(norms))):
         raise NumericOverflowError("non-finite dense head outputs")
     rays /= norms
@@ -441,8 +446,8 @@ def decode_heads(tokens: TokenSet, weights: Weights) -> ModelOutput:
     sc = _linear(sc, weights, "head_scale.1")
 
     return ModelOutput(
-        rays=[_trusted(RayMap, directions=r) for r in rays],
-        depths=[_trusted(DepthAlongRay, values=d, validity=np.ones((h, w), bool)) for d in _bounded_exp(dense[3])],
+        rays=[RayMap(r) for r in rays],
+        depths=[DepthAlongRay(d, np.ones((h, w), bool)) for d in _bounded_exp(dense[3])],
         confidences=list(1.0 + _bounded_exp(dense[4])),
         mask_probs=list(_sigmoid(dense[5])),
         poses=poses,

@@ -25,7 +25,6 @@ from .geometry import (
     RayMap,
     _compose,
     _forward_normals,
-    _trusted,
     quat_to_rot,
     rays_from_intrinsics,
     rot_to_quat,
@@ -160,8 +159,7 @@ def render_view(
     world_dirs = rays.directions @ rot.T
     t = _raycast_arrays(scene, pose.translation, world_dirs)
     validity = np.isfinite(t) & (t <= max_depth)
-    # valid hits are finite and beyond RAY_HIT_EPS > 0: see _raycast_arrays
-    depth = _trusted(DepthAlongRay, values=np.where(validity, t, 0.0), validity=validity)
+    depth = DepthAlongRay(np.where(validity, t, 0.0), validity)
     return rays, depth, validity, validity.copy()
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientComponentError, InvalidValueError, ShapeError
-from .geometry import DepthAlongRay, _pool, _trusted, quat_to_rot
+from .geometry import DepthAlongRay, _pool, quat_to_rot
 from .synth import SceneSample
 
 # Training-time conditioning probabilities.
@@ -343,4 +343,4 @@ def sparsify_depth(d: DepthAlongRay, keep_fraction: float = SPARSE_KEEP_FRACTION
     validity = np.zeros_like(d.validity).ravel()
     validity[chosen] = True
     validity = validity.reshape(d.validity.shape)
-    return _trusted(DepthAlongRay, values=np.where(validity, d.values, 0.0), validity=validity)
+    return DepthAlongRay(np.where(validity, d.values, 0.0), validity)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mapt import errors
 from mapt.cli import main
 from mapt.errors import FormatError
-from mapt.geometry import quat_to_rot
+from mapt.geometry import DepthAlongRay, FactoredScene, FactoredView, Pose, RayMap, quat_to_rot
 from mapt.io import read_factored, read_scene, read_tensor, write_factored, write_ply, write_scene, write_tensor
 from mapt.synth import AnalyticScene, gen_scene
 from mapt.viewgraph import covisibility
@@ -95,6 +95,13 @@ class TestSceneRoundTrip:
         assert fs.n_views == 2
         assert fs.views[0].confidence is None
         np.testing.assert_array_equal(fs.views[0].mask_prob, sample.views[0].mask.astype(np.float64))
+
+    def test_empty_view_is_not_written(self, tmp_path):
+        # the reader rejects a 0-size view, so the writer must not produce one
+        empty = FactoredView(RayMap(np.zeros((0, 0, 3))), DepthAlongRay(np.zeros((0, 0)), np.zeros((0, 0), bool)), Pose.identity())
+        with pytest.raises(FormatError, match="positive width and height"):
+            write_factored(tmp_path / "s", FactoredScene(views=[empty]))
+        assert not (tmp_path / "s").exists()
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FormatError):
@@ -436,7 +443,7 @@ class TestCliErrorContract:
 class TestCliFuzz:
     """One NaN or +-inf written into one float32 tensor payload, and drawn
     --tol/--threshold values: every run either exits 0 without a null in a
-    loss or covisibility report, or prints exactly one `error: <known
+    loss, eval or covisibility report, or prints exactly one `error: <known
     category>:` line."""
 
     KNOWN = {c.category for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.MaptError)}
@@ -446,7 +453,7 @@ class TestCliFuzz:
     @pytest.fixture(scope="class")
     def dirs(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("fuzz")
-        assert main(["synth", "--seed", "3", "--views", "2", "--size", "28x28", "--spheres", "3", "--out", str(root / "gt")]) == 0
+        assert main(["synth", "--seed", "3", "--views", "3", "--size", "28x28", "--spheres", "3", "--out", str(root / "gt")]) == 0
         assert main(["forward", "--scene", str(root / "gt"), "--seed", "1", "--out", str(root / "pred")]) == 0
         return root
 
@@ -486,7 +493,8 @@ class TestCliFuzz:
                 if self._run(argv) == 0:
                     assert "null" not in report.read_text()
             elif command.startswith("eval"):
-                self._run(["eval", "--gt", gt, "--pred", pred, "--out", str(report)] + ["--align-points"] * command.endswith("align"))
+                if self._run(["eval", "--gt", gt, "--pred", pred, "--out", str(report)] + ["--align-points"] * command.endswith("align")) == 0:
+                    assert "null" not in report.read_text()
             elif command == "covis":
                 if self._run(["covis", "--scene", gt, f"--tol={tol}", "--out", str(report)]) == 0:
                     assert "null" not in report.read_text()

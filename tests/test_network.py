@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from mapt.errors import InvalidValueError, ShapeError
+from mapt.errors import InvalidValueError, NumericOverflowError, ShapeError
 from mapt.geometry import Pose
 from mapt.network import (
     _QUERY_BLOCK,
@@ -238,6 +238,17 @@ class TestDecodeHeads:
             assert r.directions.shape == (56, 56, 3)
             assert d.values.shape == (56, 56)
             assert c.shape == (56, 56) and m.shape == (56, 56)
+
+    @pytest.mark.parametrize("factor", [1e200, np.inf])
+    def test_overflowing_head_weights_raise_numeric_overflow(self, factor):
+        s = _scene(n_views=2)
+        w = init_weights(TOY, 4)
+        tokens = alternating_attention(encode_inputs(_images(s), InputConfig.images_only(2), w), w)
+        for name in w.params:
+            if name.startswith("head_"):
+                w.params[name] = w.params[name] * factor
+        with np.errstate(all="ignore"), pytest.raises(NumericOverflowError, match="dense head"):
+            decode_heads(tokens, w)
 
 
 class TestForward:
