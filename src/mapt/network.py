@@ -89,9 +89,9 @@ class TokenSet:
 class ModelOutput:
     """Factored predictions with the output parameterizations already applied.
 
-    From ``decode_heads``, each view's ray directions, confidence and mask are
-    slices of one (v, h, w, ...) stack: the views share those buffers, so
-    holding any one view keeps the whole stack alive.
+    From ``decode_heads``, each view's ray directions are a slice of one
+    (v, h, w, 3) stack: the views share that buffer, so holding any one
+    view's rays keeps the whole stack alive.
     """
 
     rays: list[RayMap]
@@ -447,9 +447,9 @@ def decode_heads(tokens: TokenSet, weights: Weights) -> ModelOutput:
 
     return ModelOutput(
         rays=[RayMap(r) for r in rays],
-        depths=[DepthAlongRay(d, np.ones((h, w), bool)) for d in _bounded_exp(dense[3])],
-        confidences=list(1.0 + _bounded_exp(dense[4])),
-        mask_probs=list(_sigmoid(dense[5])),
+        depths=[DepthAlongRay(_bounded_exp(d), np.ones((h, w), bool)) for d in dense[3]],
+        confidences=[1.0 + _bounded_exp(c) for c in dense[4]],
+        mask_probs=[_sigmoid(m) for m in dense[5]],
         poses=poses,
         scale=MetricScale(float(_bounded_exp(sc[0]))),
     )
