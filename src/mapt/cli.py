@@ -120,7 +120,11 @@ def cmd_sample(args) -> int:
     data = _read_json(args.covis)
     if not isinstance(data, dict) or "fraction" not in data:
         raise FormatError(f"{args.covis}: covisibility file lacks 'fraction'")
-    graph = CovisGraph(np.array(data["fraction"], dtype=np.float64))
+    try:
+        fraction = np.array(data["fraction"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{args.covis}: 'fraction' is not a numeric matrix ({exc})") from exc
+    graph = CovisGraph(fraction)
     adj = build_adjacency(graph, threshold=args.threshold)
     views = random_walk_sample(adj, args.n, args.seed)
     _emit(

@@ -62,6 +62,8 @@ def factor_pose_scale(translations: np.ndarray) -> PoseScaleFactors:
     t = np.asarray(translations, dtype=np.float64).reshape(-1, 3)
     if t.shape[0] == 0:
         raise InvalidValueError("pose scale requires at least one translation")
+    if not np.all(np.isfinite(t)):
+        raise InvalidValueError("pose scale requires finite translations")
     z_p = float(np.mean(np.linalg.norm(t, axis=1)))
     if z_p <= POSE_SCALE_EPS:
         return PoseScaleFactors(z_p=0.0, normalized_translations=t.copy(), degenerate=True)

@@ -163,6 +163,8 @@ def loss_rot(pred_quats, gt_quats, p: RobustKernelParams = DEFAULT_KERNEL) -> fl
     qg = np.asarray(gt_quats, dtype=np.float64).reshape(-1, 4)
     if qp.shape != qg.shape:
         raise ShapeError("rot loss: quaternion counts differ")
+    if qp.shape[0] == 0:
+        raise InvalidValueError("rot loss requires at least one view")
     for q in (qp, qg):
         if not np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= 1e-6):
             raise InvalidValueError("rot loss requires unit quaternions")
@@ -178,6 +180,8 @@ def loss_translation(
     tg = np.asarray(gt_t, dtype=np.float64).reshape(-1, 3)
     if tp.shape != tg.shape:
         raise ShapeError("translation loss: counts differ")
+    if tp.shape[0] == 0:
+        raise InvalidValueError("translation loss requires at least one view")
     res = np.linalg.norm(tg / z_gt.value - tp / z_pred.value, axis=1)
     return float(np.mean(robust_kernel(res, p)))
 

@@ -127,6 +127,8 @@ def umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
     dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
     if src.shape != dst.shape:
         raise ShapeError("point lists must have equal shapes")
+    if not (np.all(np.isfinite(src)) and np.all(np.isfinite(dst))):
+        raise InvalidValueError("similarity alignment requires finite points")
     n = src.shape[0]
     if n < 3:
         raise DegenerateError("similarity alignment needs at least 3 points")

@@ -22,6 +22,7 @@ SPARSE_KEEP_FRACTION = 0.1
 
 DEFAULT_COVIS_THRESHOLD = 0.25
 DEFAULT_REL_DEPTH_TOL = 0.05
+_COVIS_BLOCK = 1 << 16  # (target, pixel) pairs per covisibility row block: 7 float64 buffers of this size per thread
 
 
 @dataclass
@@ -139,18 +140,21 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
     trans = np.array([v.pose.translation for v in views])
     k = np.array([[v.intrinsics.fx, v.intrinsics.fy, v.intrinsics.cx, v.intrinsics.cy] for v in views])
     # group target views by resolution so one source row is evaluated against
-    # a whole stack of targets in a few vectorized passes
+    # a whole stack of targets in a few vectorized passes; cols[r][k] is the
+    # (targets, 1) column of rotation entries (k, r), and the depth maps are
+    # raveled so one linear index gathers from a stack
     groups = {}
     for j, v in enumerate(views):
         groups.setdefault(v.depth.validity.shape, []).append(j)
     stacks = [
         (
             idxs,
-            rots[idxs],
-            trans[idxs],
-            k[idxs].T,
-            np.stack([views[j].depth.validity for j in idxs]),
-            np.stack([views[j].depth.values for j in idxs]),
+            rots[idxs].transpose(2, 1, 0)[..., None],
+            trans[idxs].T[..., None],
+            k[idxs].T[..., None],
+            views[idxs[0]].depth.validity.shape,
+            np.stack([views[j].depth.validity for j in idxs]).ravel(),
+            np.stack([views[j].depth.values for j in idxs]).ravel(),
         )
         for idxs in map(np.array, groups.values())
     ]
@@ -159,9 +163,11 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         """Covisible fractions of view i's valid pixels into every view.
 
         Each stack is evaluated whole, view i included, and entry i is set to
-        1 at the end. Arithmetic is written out component-wise (broadcast
+        1 at the end. View i's pixels run in blocks of about _COVIS_BLOCK
+        (target, pixel) pairs through reused buffers, and integer counts add
+        up across blocks. Arithmetic is written out component-wise (broadcast
         over a stack of target views) so a naive per-pixel reference computes
-        bit-identical values.
+        bit-identical values, whatever the block size.
         """
         d, dep = rays[offsets[i] : offsets[i + 1]], depth[offsets[i] : offsets[i + 1]]
         ri, ti = rots[i], trans[i]
@@ -172,31 +178,52 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         wy = ri[1, 0] * lx + ri[1, 1] * ly + ri[1, 2] * lz + ti[1]
         wz = ri[2, 0] * lx + ri[2, 1] * ly + ri[2, 2] * lz + ti[2]
         row = np.zeros(len(views))
-        for idxs, rot, t, (fx, fy, px0, py0), validity, values in stacks:
-            h, w = validity.shape[1:]
-            ax = wx[None, :] - t[:, 0, None]
-            ay = wy[None, :] - t[:, 1, None]
-            az = wz[None, :] - t[:, 2, None]
-            cx = rot[:, 0, 0, None] * ax + rot[:, 1, 0, None] * ay + rot[:, 2, 0, None] * az
-            cy = rot[:, 0, 1, None] * ax + rot[:, 1, 1, None] * ay + rot[:, 2, 1, None] * az
-            cz = rot[:, 0, 2, None] * ax + rot[:, 1, 2, None] * ay + rot[:, 2, 2, None] * az
-            front = cz > 0.0
-            safe_z = np.where(front, cz, 1.0)
-            u = fx[:, None] * (cx / safe_z) + px0[:, None]
-            v = fy[:, None] * (cy / safe_z) + py0[:, None]
-            inb = front & (u >= 0.0) & (u < w) & (v >= 0.0) & (v < h)
-            rows = np.broadcast_to(np.arange(idxs.size)[:, None], u.shape)[inb]
-            px = np.floor(u[inb]).astype(np.int64)
-            py = np.floor(v[inb]).astype(np.int64)
-            ok = validity[rows, py, px]
-            dj = values[rows, py, px][ok]
-            sel = inb.copy()
-            sel[inb] = ok
-            cxs, cys, czs = cx[sel], cy[sel], cz[sel]
-            rd = np.sqrt(cxs * cxs + cys * cys + czs * czs)
-            cov = np.abs(rd - dj) / dj <= rel_depth_tol
+        for idxs, cols, t, (fx, fy, px0, py0), (h, w), validity, values in stacks:
+            block = max(1, _COVIS_BLOCK // idxs.size)
+            buf = np.empty((7, idxs.size * min(block, dep.size)))
+            masks = np.empty((2, buf.shape[1]), dtype=bool)
+            counts = np.zeros(idxs.size, dtype=np.int64)
+            for a in range(0, dep.size, block):
+                m = min(block, dep.size - a)
+                ax, ay, az, cx, cy, cz, tmp = buf[:, : idxs.size * m].reshape(7, idxs.size, m)
+                front, inb = masks[:, : idxs.size * m].reshape(2, idxs.size, m)
+                np.subtract(wx[a : a + m], t[0], out=ax)
+                np.subtract(wy[a : a + m], t[1], out=ay)
+                np.subtract(wz[a : a + m], t[2], out=az)
+                for c, (r0, r1, r2) in zip((cx, cy, cz), cols):
+                    np.multiply(r0, ax, out=c)
+                    c += np.multiply(r1, ay, out=tmp)
+                    c += np.multiply(r2, az, out=tmp)
+                # u and v reuse the buffers of ax and ay; pairs behind the
+                # target divide by cz <= 0, and inb masks their u, v out
+                u, v = ax, ay
+                np.greater(cz, 0.0, out=front)
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    np.divide(cx, cz, out=u)
+                    u *= fx
+                    u += px0
+                    np.divide(cy, cz, out=v)
+                    v *= fy
+                    v += py0
+                np.greater_equal(u, 0.0, out=inb)
+                inb &= front
+                inb &= np.less(u, w, out=front)
+                inb &= np.greater_equal(v, 0.0, out=front)
+                inb &= np.less(v, h, out=front)
+                idx = np.flatnonzero(inb)
+                rows = idx // m
+                # in-bounds u and v are >= 0, where truncation is floor
+                px = u.take(idx).astype(np.int64)
+                py = v.take(idx).astype(np.int64)
+                lin = (rows * h + py) * w + px
+                ok = np.flatnonzero(validity.take(lin))
+                idx, rows, dj = idx.take(ok), rows.take(ok), values.take(lin.take(ok))
+                cxs, cys, czs = cx.take(idx), cy.take(idx), cz.take(idx)
+                rd = np.sqrt(cxs * cxs + cys * cys + czs * czs)
+                cov = np.abs(rd - dj) / dj <= rel_depth_tol
+                counts += np.bincount(rows[cov], minlength=idxs.size)
             # a view without valid pixels has all counts 0 and a row of 0s
-            row[idxs] = np.bincount(rows[ok][cov], minlength=idxs.size) / max(dep.size, 1)
+            row[idxs] = counts / max(dep.size, 1)
         row[i] = 1.0
         return row
 

@@ -67,6 +67,11 @@ class TestFactorPoseScale:
         with pytest.raises(InvalidValueError):
             factor_pose_scale(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_translation(self, bad):
+        with pytest.raises(InvalidValueError, match="finite translations"):
+            factor_pose_scale([[1.0, 0.0, 0.0], [0.0, bad, 2.0]])
+
     def test_unit_mean_norm(self):
         rng = np.random.default_rng(1)
         t = rng.normal(size=(7, 3)) * 4.0

@@ -439,6 +439,12 @@ class TestCliErrorContract:
         code = main(["sample", "--covis", str(tmp_path / "c.json"), "--n", "2"])
         assert "fractions must lie in [0, 1]" in self._single_error(capsys, code, "invalid-value")
 
+    @pytest.mark.parametrize("fraction", [[[1.0, "a"], [0.5, 1.0]], [[1.0, 0.5], [0.5]], {"a": 1.0}])
+    def test_sample_fraction_not_a_numeric_matrix(self, tmp_path, capsys, fraction):
+        (tmp_path / "c.json").write_text(json.dumps({"fraction": fraction}))
+        code = main(["sample", "--covis", str(tmp_path / "c.json"), "--n", "2"])
+        assert "'fraction' is not a numeric matrix" in self._single_error(capsys, code, "format")
+
 
 class TestCliFuzz:
     """One NaN or +-inf written into one float32 tensor payload, and drawn

@@ -151,6 +151,10 @@ class TestLossRot:
         with pytest.raises(InvalidValueError):
             loss_rot(q, np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]]))
 
+    def test_rejects_zero_views(self):
+        with pytest.raises(InvalidValueError, match="at least one view"):
+            loss_rot(np.zeros((0, 4)), np.zeros((0, 4)))
+
 
 class TestLossTranslation:
     def test_scale_invariant_zero(self):
@@ -170,6 +174,10 @@ class TestLossTranslation:
         pr = rng.normal(size=(5, 3))
         perm = rng.permutation(5)
         assert loss_translation(pr, gt, ONE, ONE) == loss_translation(pr[perm], gt[perm], ONE, ONE)
+
+    def test_rejects_zero_views(self):
+        with pytest.raises(InvalidValueError, match="at least one view"):
+            loss_translation(np.zeros((0, 3)), np.zeros((0, 3)), ONE, ONE)
 
 
 class TestLossDepth:

@@ -176,6 +176,16 @@ class TestUmeyama:
         t = umeyama(src, dst, with_scale=False)
         assert t.scale == 1.0
 
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_point(self, side, bad):
+        pts = np.random.default_rng(9).normal(size=(6, 3))
+        other = pts.copy()
+        other[2, 1] = bad
+        args = (other, pts) if side == "src" else (pts, other)
+        with pytest.raises(InvalidValueError, match="finite points"):
+            umeyama(*args)
+
 
 class TestAteRmse:
     def _traj(self, rng, n=5):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,6 +7,7 @@ from scipy import stats
 from mapt.errors import InsufficientComponentError, InvalidValueError
 from mapt.geometry import DepthAlongRay, Intrinsics, MetricScale, Pose
 from mapt.synth import AnalyticScene, SceneSample, ViewSample, gen_scene, render_view
+from mapt import viewgraph
 from mapt.viewgraph import (
     CovisGraph,
     InputConfig,
@@ -32,6 +35,19 @@ def _scene_from_poses(poses, width=24, height=18, plane=False):
     return SceneSample(views=views, scale=MetricScale(1.0))
 
 
+def _opposite_facing_scene():
+    """Two cameras back to back: view 1 sees nothing, view 0 nothing of view 1."""
+    back = Pose(np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(3))  # 180 deg about y
+    return _scene_from_poses([Pose.identity(), back])
+
+
+def _mixed_resolution_scene():
+    """Five views at two resolutions, interleaved so each row meets both stacks."""
+    _, a = gen_scene(3, 32, 24, 4, seed=21, plane=True)
+    _, b = gen_scene(3, 20, 30, 4, seed=21, plane=True)
+    return SceneSample(views=[a.views[0], b.views[1], a.views[1], b.views[2], a.views[2]], scale=a.scale)
+
+
 class TestCovisibility:
     def test_identical_cameras_full_overlap(self):
         scene = _scene_from_poses([Pose.identity(), Pose.identity()])
@@ -39,8 +55,7 @@ class TestCovisibility:
         np.testing.assert_array_equal(g.fraction, np.ones((2, 2)))
 
     def test_opposite_facing_zero(self):
-        back = Pose(np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(3))  # 180 deg about y
-        scene = _scene_from_poses([Pose.identity(), back])
+        scene = _opposite_facing_scene()
         g = covisibility(scene)
         assert g.fraction[0, 1] == 0.0
         assert not np.any(scene.views[1].depth.validity)
@@ -67,10 +82,7 @@ class TestCovisibility:
         np.testing.assert_array_equal(b, a[np.ix_(perm, perm)])
 
     def test_matches_brute_force_across_resolutions(self):
-        _, a = gen_scene(3, 32, 24, 4, seed=21, plane=True)
-        _, b = gen_scene(3, 20, 30, 4, seed=21, plane=True)
-        views = [a.views[0], b.views[1], a.views[1], b.views[2], a.views[2]]
-        scene = SceneSample(views=views, scale=a.scale)
+        scene = _mixed_resolution_scene()
         got = covisibility(scene).fraction
         np.testing.assert_array_equal(got, brute_force_covisibility(scene))
         assert np.all(got[~np.eye(5, dtype=bool)] > 0.0)
@@ -93,6 +105,45 @@ class TestCovisibility:
     def test_zero_tolerance_is_valid(self, small_scene):
         g = covisibility(small_scene, rel_depth_tol=0.0)
         assert np.all(g.fraction <= covisibility(small_scene).fraction)
+
+
+class TestCovisBlocks:
+    """Each row runs its (target, pixel) pairs in blocks of at most
+    viewgraph._COVIS_BLOCK; the block size never changes a bit of the result."""
+
+    SCENES = {
+        "eight_view_64": lambda: gen_scene(n_views=8, width=64, height=64, n_spheres=5, seed=12, plane=True)[1],
+        "mixed_resolution": _mixed_resolution_scene,
+        "opposite_facing": _opposite_facing_scene,
+    }
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        scenes = {name: make() for name, make in self.SCENES.items()}
+        return {name: (s, brute_force_covisibility(s), covisibility(s).fraction) for name, s in scenes.items()}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("block", [1, 7, 100, viewgraph._COVIS_BLOCK])
+    @pytest.mark.parametrize("name", list(SCENES))
+    def test_block_size_never_changes_result(self, cases, monkeypatch, name, block, jobs):
+        scene, brute, default = cases[name]
+        monkeypatch.setattr(viewgraph, "_COVIS_BLOCK", block)
+        got = covisibility(scene, jobs=jobs).fraction
+        np.testing.assert_array_equal(got, brute)
+        np.testing.assert_array_equal(got, default)
+
+    def test_peak_memory_below_a_few_dense_pair_arrays(self):
+        _, scene = gen_scene(n_views=24, width=168, height=168, n_spheres=5, seed=3, plane=True)
+        dense = 24 * max(int(v.depth.validity.sum()) for v in scene.views) * 8
+        tracemalloc.start()
+        try:
+            covisibility(scene, jobs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the pooled rays and depths and the stacked target depths take about
+        # 5 of these, and the row blocks less than 2
+        assert peak < 8 * dense
 
 
 class TestAdjacency:
