@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDepthError, InvalidValueError
-from .geometry import DepthAlongRay, MetricScale, PointMap, _pool
+from .geometry import DepthAlongRay, MetricScale, PointMap, _norm3, _pool
 
 POSE_SCALE_EPS = 1e-9
 LOG_SCALE_MIN = 1e-6
@@ -64,7 +64,7 @@ def factor_pose_scale(translations: np.ndarray) -> PoseScaleFactors:
         raise InvalidValueError("pose scale requires at least one translation")
     if not np.all(np.isfinite(t)):
         raise InvalidValueError("pose scale requires finite translations")
-    z_p = float(np.mean(np.linalg.norm(t, axis=1)))
+    z_p = float(np.mean(_norm3(t)))
     if z_p <= POSE_SCALE_EPS:
         return PoseScaleFactors(z_p=0.0, normalized_translations=t.copy(), degenerate=True)
     return PoseScaleFactors(z_p=z_p, normalized_translations=t / z_p)
@@ -95,11 +95,11 @@ def f_log(x, axis: int | None = None):
     x = np.asarray(x, dtype=np.float64)
     if axis is None:
         return np.sign(x) * np.log1p(np.abs(x))
-    n = np.linalg.norm(x, axis=axis, keepdims=True)
-    factor = np.ones_like(n)
-    nz = n > 0.0
-    factor[nz] = np.log1p(n[nz]) / n[nz]
-    return x * factor
+    if x.shape[axis] == 3:
+        n = np.expand_dims(_norm3(np.moveaxis(x, axis, -1)), axis)
+    else:
+        n = np.linalg.norm(x, axis=axis, keepdims=True)
+    return x * np.divide(np.log1p(n), n, out=np.ones_like(n), where=n > 0.0)
 
 
 def f_log_jacobian(x: np.ndarray) -> np.ndarray:
@@ -126,7 +126,7 @@ def _norm_scale(points: np.ndarray, offsets: np.ndarray, keep: np.ndarray | None
     The per-view partial sums are added in view order: one np.sum over all N
     norms would round differently.
     """
-    norms = np.linalg.norm(points, axis=1)
+    norms = _norm3(points)
     total, count = 0.0, 0
     for a, b in zip(offsets, offsets[1:]):
         x = norms[a:b] if keep is None else norms[a:b][keep[a:b]]

@@ -38,7 +38,7 @@ class RayMap:
         d = np.asarray(self.directions, dtype=np.float64)
         if d.ndim != 3 or d.shape[2] != 3:
             raise ShapeError(f"ray map must be (H, W, 3), got {d.shape}")
-        if not np.all(np.abs(np.linalg.norm(d, axis=2) - 1.0) <= RAY_UNIT_TOL):
+        if not np.all(np.abs(_norm3(d) - 1.0) <= RAY_UNIT_TOL):
             raise InvalidValueError("ray directions must be finite and unit length within 1e-6")
         if not np.all(d[:, :, 2] > 0.0):
             raise InvalidValueError("ray directions must be front-facing (z > 0)")
@@ -225,13 +225,25 @@ class FactoredScene:
 # ray maps and intrinsics
 
 
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.sum(a * b, axis=-1) of (..., 3) vectors: the same products added in
+    the same order, without numpy's slow strided reduce. Bit for bit, except
+    that -0.0 products add up to -0.0 where np.sum gives +0.0."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _norm3(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1) of (..., 3) vectors, bit for bit (see _dot3)."""
+    return np.sqrt(_dot3(x, x))
+
+
 def rays_from_intrinsics(k: Intrinsics, width: int, height: int) -> RayMap:
     """Pinhole ray map: pixel (u, v) uses the pixel center (u + 0.5, v + 0.5)."""
     u = (np.arange(width, dtype=np.float64) + 0.5 - k.cx) / k.fx
     v = (np.arange(height, dtype=np.float64) + 0.5 - k.cy) / k.fy
     x, y = np.meshgrid(u, v)
     d = np.stack([x, y, np.ones_like(x)], axis=2)
-    d /= np.linalg.norm(d, axis=2, keepdims=True)
+    d /= _norm3(d)[:, :, None]
     return RayMap(d)
 
 
@@ -280,10 +292,17 @@ def _compose(points, validity, depth=None, pose=None, scale=None) -> np.ndarray:
     always a new (H, W, 3) array. Finite inputs can overflow, so a non-finite
     result raises InvalidValueError.
     """
-    pts = points if depth is None else points * depth[:, :, None]
+    pts = points if depth is None else np.multiply(points, depth[:, :, None], order="C")
     if pose is not None:
-        pts = pts @ quat_to_rot(pose.rotation).T + pose.translation
-    pts = np.where(validity[:, :, None], pts, 0.0)
+        # one matmul over the (H, W, 3) grid: numpy computes (H, 1, 3) @ (3, 3)
+        # by another route than (H, 3) @ (3, 3), and the last bit can differ
+        pts = np.matmul(pts, quat_to_rot(pose.rotation).T, order="C")
+        for k in range(3):  # twice as fast as one add broadcast over the last axis
+            pts[:, :, k] += pose.translation[k]
+    elif depth is None:
+        pts = points.copy()  # the stages below write in place
+    # pts is a new C-ordered array, so its (H * W, 3) rows are a view of it
+    pts.reshape(-1, 3)[np.flatnonzero(~validity)] = 0.0
     if scale is not None:
         pts *= scale
     if not np.isfinite(pts).all():
@@ -332,13 +351,16 @@ def _forward_normals(points: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.
     """Unit normals of a (H, W, 3) point grid with validity ``v`` from forward
     differences, as a (H-1, W-1, 3) grid, and where they exist: the 2x2 patch
     is valid and the cross product nonzero. Normals elsewhere are 0."""
-    dx = points[:-1, 1:, :] - points[:-1, :-1, :]
-    dy = points[1:, :-1, :] - points[:-1, :-1, :]
-    n = np.cross(dx, dy)
-    norms = np.linalg.norm(n, axis=2)
-    ok = (v[:-1, :-1] & v[:-1, 1:] & v[1:, :-1] & v[1:, 1:]) & (norms > 1e-12)
-    n = np.where(ok[:, :, None], n / np.where(norms[:, :, None] > 1e-12, norms[:, :, None], 1.0), 0.0)
-    return n, ok
+    a = np.moveaxis(points[:-1, 1:] - points[:-1, :-1], 2, 0)
+    b = np.moveaxis(points[1:, :-1] - points[:-1, :-1], 2, 0)
+    # np.cross(a, b), component by component in its own order
+    n = np.empty(a.shape[1:] + (3,))
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(a[i], b[j], out=n[:, :, k])
+        n[:, :, k] -= a[j] * b[i]
+    norms = _norm3(n)
+    ok = v[:-1, :-1] & v[:-1, 1:] & v[1:, :-1] & v[1:, 1:] & (norms > 1e-12)
+    return np.divide(n, norms[:, :, None], out=np.zeros_like(n), where=ok[:, :, None]), ok
 
 
 def local_pointmap(r: RayMap, d: DepthAlongRay) -> PointMap:
@@ -485,6 +507,6 @@ def ray_angular_error(pred: RayMap, gt: RayMap) -> float:
     """
     if pred.directions.shape != gt.directions.shape:
         raise ShapeError("ray map resolutions differ")
-    dots = np.sum(pred.directions * gt.directions, axis=2)
-    dots /= np.linalg.norm(pred.directions, axis=2) * np.linalg.norm(gt.directions, axis=2)
+    dots = _dot3(pred.directions, gt.directions)
+    dots /= _norm3(pred.directions) * _norm3(gt.directions)
     return float(np.degrees(np.mean(np.arccos(np.clip(dots, -1.0, 1.0)))))

@@ -30,7 +30,9 @@ from .geometry import (
     RayMap,
     _check,
     _compose,
+    _dot3,
     _forward_normals,
+    _norm3,
     _pool,
 )
 
@@ -143,7 +145,7 @@ def _point_residual(pp: np.ndarray, pg: np.ndarray, z_pred: NormScale, z_gt: Nor
     """Norm of the f_log residual of (N, 3) points, each side over its normalizer."""
     res = f_log(pg / z_gt.value, axis=1)
     res -= f_log(pp / z_pred.value, axis=1)  # in place: the pooled arrays are large
-    return np.linalg.norm(res, axis=1)
+    return _norm3(res)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +155,7 @@ def _point_residual(pp: np.ndarray, pg: np.ndarray, z_pred: NormScale, z_gt: Nor
 def loss_rays(pred: list[RayMap], gt: list[RayMap], p: RobustKernelParams = DEFAULT_KERNEL) -> float:
     """Kernel of the per-pixel direction residual norm, mean over all pixels."""
     _check("rays loss", [r.directions.shape[:2] for r in gt], [r.directions for r in pred])
-    res = np.concatenate([np.linalg.norm(a.directions - b.directions, axis=2).ravel() for a, b in zip(pred, gt)])
+    res = np.concatenate([_norm3(a.directions - b.directions).ravel() for a, b in zip(pred, gt)])
     return float(np.mean(robust_kernel(res, p)))
 
 
@@ -182,7 +184,7 @@ def loss_translation(
         raise ShapeError("translation loss: counts differ")
     if tp.shape[0] == 0:
         raise InvalidValueError("translation loss requires at least one view")
-    res = np.linalg.norm(tg / z_gt.value - tp / z_pred.value, axis=1)
+    res = _norm3(tg / z_gt.value - tp / z_pred.value)
     return float(np.mean(robust_kernel(res, p)))
 
 
@@ -291,7 +293,7 @@ def _normal_term(pred_pts: list, pred_valid: list, gt_pts: list, gt_valid: list)
     cos, ok = [], []
     for pts_p, valid_p, pts_g, valid_g in zip(pred_pts, pred_valid, gt_pts, gt_valid):
         (npred, okp), (ngt, okg) = _forward_normals(pts_p, valid_p), _forward_normals(pts_g, valid_g)
-        cos.append(np.sum(npred * ngt, axis=2))
+        cos.append(_dot3(npred, ngt))
         ok.append(okp & okg)
     _, cos = _pool("normal loss", ok, cos)
     return float(np.mean(1.0 - cos)) if cos.size else 0.0

@@ -14,6 +14,7 @@ from .geometry import (
     MetricScale,
     Pose,
     _compose,
+    _norm3,
     _pool,
     quat_mul,
     quat_to_rot,
@@ -194,7 +195,7 @@ def pose_angular_errors(pred: list[Pose], gt: list[Pose]) -> tuple[np.ndarray, n
     qg, tg = _pair_relative_poses(gt, i, j)
     dq = quat_mul(qg * _CONJ, qp)
     rra = 2.0 * np.degrees(np.arccos(np.clip(np.abs(dq[:, 0]), -1.0, 1.0)))
-    np_, ng = np.linalg.norm(tp, axis=1), np.linalg.norm(tg, axis=1)
+    np_, ng = _norm3(tp), _norm3(tg)
     ok = (np_ >= BASELINE_EPS) & (ng >= BASELINE_EPS)
     if not np.any(ok):
         raise DegenerateError("all pose pairs have degenerate baselines")
@@ -254,9 +255,9 @@ def evaluate_scene(pred: FactoredScene, gt: SceneSample, align_points: bool = Fa
         if denom <= 0.0:
             raise DegenerateError("cannot scale-align all-zero predictions")
         pw = pw * (float(np.sum(pw * gw)) / denom)
-    gn = np.linalg.norm(gw, axis=1)
+    gn = _norm3(gw)
     keep = gn > 0.0
-    rel_dist = np.linalg.norm(pw[keep] - gw[keep], axis=1) / gn[keep]
+    rel_dist = _norm3(pw[keep] - gw[keep]) / gn[keep]
     points_rel = float(np.mean(rel_dist))
     points_tau = float(np.mean(rel_dist < (TAU_DEFAULT - 1.0)))
 

@@ -22,7 +22,7 @@ from scipy.special import erf
 
 from .errors import InvalidValueError, NumericOverflowError, ShapeError
 from .factorization import encode_log_scale, factor_depth, factor_pose_scale
-from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, Pose, RayMap
+from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, Pose, RayMap, _norm3
 from .viewgraph import InputConfig
 
 EXP_CLIP = 30.0
@@ -426,7 +426,7 @@ def decode_heads(tokens: TokenSet, weights: Weights) -> ModelOutput:
     dense = dense.transpose(5, 0, 1, 3, 2, 4).reshape(6, v, h, w)
 
     rays = np.stack([dense[0], dense[1], _bounded_exp(dense[2])], axis=-1)
-    norms = np.linalg.norm(rays, axis=-1, keepdims=True)
+    norms = _norm3(rays)[..., None]
     # Overflowing head weights are a numeric overflow, not an invalid container:
     # catch them here, before the constructors below check the ranges.
     if not (np.all(np.isfinite(dense)) and np.all(np.isfinite(norms))):

@@ -24,7 +24,9 @@ from .geometry import (
     Pose,
     RayMap,
     _compose,
+    _dot3,
     _forward_normals,
+    _norm3,
     quat_to_rot,
     rays_from_intrinsics,
     rot_to_quat,
@@ -176,14 +178,13 @@ def shade_view(rays: RayMap, depth: DepthAlongRay) -> np.ndarray:
     normals = np.zeros((h, w, 3))
     normals[:-1, :-1] = _forward_normals(_compose(dirs, v, depth.values), v)[0]
     # fall back to facing the camera where no neighborhood normal exists
-    missing = np.linalg.norm(normals, axis=2) < 0.5
-    normals[missing] = -dirs[missing]
-    flip = np.sum(normals * dirs, axis=2) > 0.0
-    normals[flip] *= -1.0
+    np.negative(dirs, out=normals, where=(_norm3(normals) < 0.5)[:, :, None])
+    flip = _dot3(normals, dirs) > 0.0
+    np.negative(normals, out=normals, where=flip[:, :, None])
 
     light = np.array([0.4, -0.6, -0.7])
     light /= np.linalg.norm(light)
-    lam = np.clip(np.sum(normals * -light[None, None, :], axis=2), 0.0, 1.0)
+    lam = np.clip(_dot3(normals, -light), 0.0, 1.0)
     bright = 0.25 + 0.75 * lam
     img = np.empty((h, w, 3))
     img[:, :, 0] = bright * 0.9

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientComponentError, InvalidValueError, ShapeError
-from .geometry import DepthAlongRay, _pool, quat_to_rot
+from .geometry import DepthAlongRay, _check, quat_to_rot
 from .synth import SceneSample
 
 # Training-time conditioning probabilities.
@@ -133,9 +133,7 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
     views = scene.views
     if any(v.intrinsics is None for v in views):
         raise InvalidValueError("covisibility requires ground-truth intrinsics")
-    offsets, rays, depth = _pool(
-        "covisibility", [v.depth.validity for v in views], [v.rays.directions for v in views], [v.depth.values for v in views]
-    )
+    _check("covisibility", [v.depth.validity.shape for v in views], [v.rays.directions for v in views])
     rots = quat_to_rot(np.array([v.pose.rotation for v in views]))
     trans = np.array([v.pose.translation for v in views])
     k = np.array([[v.intrinsics.fx, v.intrinsics.fy, v.intrinsics.cx, v.intrinsics.cy] for v in views])
@@ -163,13 +161,14 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         """Covisible fractions of view i's valid pixels into every view.
 
         Each stack is evaluated whole, view i included, and entry i is set to
-        1 at the end. View i's pixels run in blocks of about _COVIS_BLOCK
-        (target, pixel) pairs through reused buffers, and integer counts add
-        up across blocks. Arithmetic is written out component-wise (broadcast
-        over a stack of target views) so a naive per-pixel reference computes
-        bit-identical values, whatever the block size.
+        1 at the end. The row gathers view i's valid pixels and runs them in
+        blocks of about _COVIS_BLOCK (target, pixel) pairs through reused
+        buffers; integer counts add up across blocks. Arithmetic is written out
+        component-wise (broadcast over a stack of target views) so a naive
+        per-pixel reference computes bit-identical values, whatever the block size.
         """
-        d, dep = rays[offsets[i] : offsets[i + 1]], depth[offsets[i] : offsets[i + 1]]
+        idx = np.flatnonzero(views[i].depth.validity)
+        d, dep = views[i].rays.directions.reshape(-1, 3).take(idx, axis=0), views[i].depth.values.take(idx)
         ri, ti = rots[i], trans[i]
         lx = d[:, 0] * dep
         ly = d[:, 1] * dep
