@@ -40,6 +40,7 @@ from oracles import (
     ray_angular_error_reference,
     shade_view_reference,
 )
+from test_pooled_paths import _outcome, _quat, _rays
 
 # +-0, subnormals, values whose squares underflow (1e-200) or overflow (1e200,
 # 1.7e308), NaN and +-inf
@@ -78,24 +79,6 @@ def _same_bits(got, ref):
     assert got.tobytes() == ref.tobytes()
 
 
-def _outcome(f, *args, **kwargs):
-    with np.errstate(all="ignore"):
-        try:
-            return f(*args, **kwargs)
-        except Exception as e:  # compared by class with the reference's
-            return type(e)
-
-
-def _unit_rays(rng, h, w) -> np.ndarray:
-    d = np.concatenate([rng.uniform(-0.8, 0.8, (h, w, 2)), np.ones((h, w, 1))], axis=2)
-    return d / np.linalg.norm(d, axis=2, keepdims=True)
-
-
-def _pose(rng, t) -> Pose:
-    q = rng.normal(size=4)
-    return Pose(q / np.linalg.norm(q), t)
-
-
 class TestKernelsMatchOracles:
     @settings(max_examples=300, deadline=None)
     @given(x=_vector_shapes().flatmap(lambda s: arrays(np.float64, s, elements=values)))
@@ -132,18 +115,17 @@ class TestKernelsMatchOracles:
     @settings(max_examples=100, deadline=None)
     @given(shape=_grid_shapes(), seed=st.integers(0, 2**32 - 1), flip=st.booleans())
     def test_ray_angular_error(self, shape, seed, flip):
-        """Unit rays, near each other or (``flip``) with x and y mirrored,
-        which makes some pairs orthogonal (a zero dot product)."""
+        """Unit rays near each other, or (``flip``) mirrored in x and y."""
         rng = np.random.default_rng(seed)
-        a = _unit_rays(rng, *shape[:2])
-        b = a * [-1.0, -1.0, 1.0] if flip else _unit_rays(rng, *shape[:2])
+        a = _rays(rng, *shape[:2])
+        b = a * [-1.0, -1.0, 1.0] if flip else _rays(rng, *shape[:2])
         _same_bits(ray_angular_error(RayMap(a), RayMap(b)), ray_angular_error_reference(RayMap(a), RayMap(b)))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_shade_view(self, data, seed):
         h, w, _ = data.draw(_grid_shapes())
-        rays = RayMap(_unit_rays(np.random.default_rng(seed), h, w))
+        rays = RayMap(_rays(np.random.default_rng(seed), h, w))
         valid = data.draw(arrays(bool, (h, w)))
         depth = DepthAlongRay(np.where(valid, data.draw(arrays(np.float64, (h, w), elements=positive)), 0.0), valid)
         _same_bits(_outcome(shade_view, rays, depth), _outcome(shade_view_reference, rays, depth))
@@ -164,7 +146,7 @@ class TestKernelsMatchOracles:
         validity = data.draw(arrays(bool, (h, w)))
         depth = data.draw(arrays(np.float64, (h, w), elements=values)) if stages[0] else None
         t = data.draw(arrays(np.float64, 3, elements=st.one_of(st.sampled_from(FINITE_SPECIAL), st.floats(-5.0, 5.0))))
-        pose = _pose(np.random.default_rng(seed), t) if stages[1] else None
+        pose = Pose(_quat(np.random.default_rng(seed)), t) if stages[1] else None
         scale = data.draw(st.sampled_from([0.5, 2.0, 1e200, 1e-200, 5e-324])) if stages[2] else None
         inputs = [x for x in (points, validity, depth) if x is not None]
         before = [x.tobytes() for x in inputs]
@@ -199,7 +181,7 @@ def _perturbed(gt, rng) -> FactoredScene:
             FactoredView(
                 rays=RayMap(d / np.linalg.norm(d, axis=2, keepdims=True)),
                 depth=DepthAlongRay(depth, v.depth.validity),
-                pose=_pose(rng, v.pose.translation + 0.01) if views else v.pose,
+                pose=Pose(_quat(rng), v.pose.translation + 0.01) if views else v.pose,
                 confidence=np.full(v.depth.values.shape, 1.5),
                 mask_prob=np.full(v.depth.values.shape, 0.5),
             )
