@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDepthError, InvalidValueError
-from .geometry import DepthAlongRay, MetricScale, PointMap, _norm3, _pool
+from .geometry import DepthAlongRay, MetricScale, PointMap, _norm3, _pool, _rowwise
 
 POSE_SCALE_EPS = 1e-9
 LOG_SCALE_MIN = 1e-6
@@ -126,7 +126,7 @@ def _norm_scale(points: np.ndarray, offsets: np.ndarray, keep: np.ndarray | None
     The per-view partial sums are added in view order: one np.sum over all N
     norms would round differently.
     """
-    norms = _norm3(points)
+    norms = _rowwise(_norm3, points)
     total, count = 0.0, 0
     for a, b in zip(offsets, offsets[1:]):
         x = norms[a:b] if keep is None else norms[a:b][keep[a:b]]

@@ -26,6 +26,10 @@ from .errors import (
 )
 
 RAY_UNIT_TOL = 1e-6
+# Pixels (grid rows times width, or pooled rows) per block of the dense chains
+# of the losses, metrics and shading, sized so a block's buffers stay in L2.
+# Reductions run once over whole arrays: any block size gives the same bits.
+_PIXEL_BLOCK = 1 << 14
 
 
 @dataclass
@@ -237,6 +241,22 @@ def _norm3(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot3(x, x))
 
 
+def _blocks(n: int, width: int = 1) -> list[slice]:
+    """Slices covering range(n) of _PIXEL_BLOCK // width rows (at least one):
+    row blocks of an (n, ...) array, or row bands of an (n, width) grid."""
+    step = max(1, _PIXEL_BLOCK // max(width, 1))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _rowwise(f, *arrays, out=None) -> np.ndarray:
+    """f(*arrays) for an f that works row by row, run on row blocks and
+    written into ``out`` (by default a new float64 array): the same bits."""
+    out = np.empty(len(arrays[0])) if out is None else out
+    for s in _blocks(len(out)):
+        out[s] = f(*(a[s] for a in arrays))
+    return out
+
+
 def rays_from_intrinsics(k: Intrinsics, width: int, height: int) -> RayMap:
     """Pinhole ray map: pixel (u, v) uses the pixel center (u + 0.5, v + 0.5)."""
     u = (np.arange(width, dtype=np.float64) + 0.5 - k.cx) / k.fx
@@ -347,20 +367,38 @@ def _pool(what: str, masks: list, *grids: list) -> tuple[np.ndarray, ...]:
     return tuple(pooled)
 
 
+def _pool_composed(masks: list, views: list) -> np.ndarray:
+    """The rows _pool pools from [_compose(*v) for v in views] at ``masks``,
+    for the (points, validity, depth, pose, scale) ``views``, composed and
+    gathered in row bands, so that no composed grid exists whole."""
+    idx = [np.flatnonzero(m) for m in masks]
+    out, k = np.empty((sum(i.size for i in idx), 3)), 0
+    for m, i, (points, validity, depth, pose, scale) in zip(masks, idx, views):
+        w = m.shape[1]
+        for s in _blocks(m.shape[0], w):
+            band = _compose(points[s], validity[s], None if depth is None else depth[s], pose, scale)
+            j = i[np.searchsorted(i, s.start * w) : np.searchsorted(i, s.stop * w)] - s.start * w
+            np.take(band.reshape(-1, 3), j, axis=0, out=out[k : k + j.size], mode="clip")
+            k += j.size
+    return out
+
+
 def _forward_normals(points: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit normals of a (H, W, 3) point grid with validity ``v`` from forward
     differences, as a (H-1, W-1, 3) grid, and where they exist: the 2x2 patch
     is valid and the cross product nonzero. Normals elsewhere are 0."""
-    a = np.moveaxis(points[:-1, 1:] - points[:-1, :-1], 2, 0)
-    b = np.moveaxis(points[1:, :-1] - points[:-1, :-1], 2, 0)
+    # component-major (3, H-1, W-1) arrays, so that every step reads contiguous rows
+    p = np.moveaxis(points, 2, 0)
+    a = np.subtract(p[:, :-1, 1:], p[:, :-1, :-1], order="C")
+    b = np.subtract(p[:, 1:, :-1], p[:, :-1, :-1], order="C")
     # np.cross(a, b), component by component in its own order
-    n = np.empty(a.shape[1:] + (3,))
+    n = np.empty_like(a)
     for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(a[i], b[j], out=n[:, :, k])
-        n[:, :, k] -= a[j] * b[i]
-    norms = _norm3(n)
+        np.multiply(a[i], b[j], out=n[k])
+        n[k] -= a[j] * b[i]
+    norms = _norm3(np.moveaxis(n, 0, 2))
     ok = v[:-1, :-1] & v[:-1, 1:] & v[1:, :-1] & v[1:, 1:] & (norms > 1e-12)
-    return np.divide(n, norms[:, :, None], out=np.zeros_like(n), where=ok[:, :, None]), ok
+    return np.moveaxis(np.divide(n, norms, out=np.zeros_like(n), where=ok), 0, 2), ok
 
 
 def local_pointmap(r: RayMap, d: DepthAlongRay) -> PointMap:
@@ -507,6 +545,6 @@ def ray_angular_error(pred: RayMap, gt: RayMap) -> float:
     """
     if pred.directions.shape != gt.directions.shape:
         raise ShapeError("ray map resolutions differ")
-    dots = _dot3(pred.directions, gt.directions)
-    dots /= _norm3(pred.directions) * _norm3(gt.directions)
-    return float(np.degrees(np.mean(np.arccos(np.clip(dots, -1.0, 1.0)))))
+    a, b = pred.directions.reshape(-1, 3), gt.directions.reshape(-1, 3)
+    angles = _rowwise(lambda x, y: np.arccos(np.clip(_dot3(x, y) / (_norm3(x) * _norm3(y)), -1.0, 1.0)), a, b)
+    return float(np.degrees(np.mean(angles)))

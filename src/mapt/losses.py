@@ -28,12 +28,15 @@ from .geometry import (
     MetricScale,
     PointMap,
     RayMap,
+    _blocks,
     _check,
     _compose,
     _dot3,
     _forward_normals,
     _norm3,
     _pool,
+    _pool_composed,
+    _rowwise,
 )
 
 # Weight of each term in the total objective, in the order the total adds
@@ -129,23 +132,38 @@ def loss_weights() -> dict:
 # reduction helpers
 
 
+def _check_weights(exclude_top: float = DEFAULT_EXCLUDE_TOP, alpha_conf: float = DEFAULT_ALPHA_CONF) -> None:
+    """Raise unless 0 <= exclude_top < 1 and alpha_conf is finite and >= 0 (NaN fails both)."""
+    if not (0.0 <= exclude_top < 1.0 and 0.0 <= alpha_conf < np.inf):
+        raise InvalidValueError(f"need exclude_top in [0, 1) and alpha_conf finite >= 0, got {exclude_top}, {alpha_conf}")
+
+
 def _excluded_mean(values: np.ndarray, exclude_top: float) -> float:
-    """Mean after dropping the floor(exclude_top * n) largest entries."""
+    """Mean after dropping the floor(exclude_top * n) largest entries (sorts ``values`` in place)."""
     n = values.size
     if n == 0:
         raise EmptyDepthError("no valid pixels to reduce")
     n_drop = int(np.floor(exclude_top * n))
     if n_drop == 0:
         return float(np.mean(values))
-    kept = np.sort(values)[: n - n_drop]
-    return float(np.mean(kept))
+    values.sort()
+    return float(np.mean(values[: n - n_drop]))
 
 
 def _point_residual(pp: np.ndarray, pg: np.ndarray, z_pred: NormScale, z_gt: NormScale) -> np.ndarray:
-    """Norm of the f_log residual of (N, 3) points, each side over its normalizer."""
-    res = f_log(pg / z_gt.value, axis=1)
-    res -= f_log(pp / z_pred.value, axis=1)  # in place: the pooled arrays are large
-    return _norm3(res)
+    """Norm of f_log(pg / z_gt, axis=1) - f_log(pp / z_pred, axis=1) for (N, 3) points, bit
+    for bit, run in row blocks through reused component-major (3, block) buffers."""
+    out, blocks = np.empty(len(pp)), _blocks(len(pp))
+    buf = np.empty((2, 3, blocks[0].stop if blocks else 0))
+    for s in blocks:
+        g, q = buf[:, :, : s.stop - s.start]
+        for x, pts, z in ((g, pg, z_gt), (q, pp, z_pred)):
+            np.divide(pts[s].T, z.value, out=x)
+            n = _norm3(x.T)  # x.T views the block's points, so _norm3 reads whole rows of x
+            x *= np.divide(np.log1p(n), n, out=np.ones_like(n), where=n > 0.0)
+        g -= q
+        out[s] = _norm3(g.T)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +174,7 @@ def loss_rays(pred: list[RayMap], gt: list[RayMap], p: RobustKernelParams = DEFA
     """Kernel of the per-pixel direction residual norm, mean over all pixels."""
     _check("rays loss", [r.directions.shape[:2] for r in gt], [r.directions for r in pred])
     res = np.concatenate([_norm3(a.directions - b.directions).ravel() for a, b in zip(pred, gt)])
-    return float(np.mean(robust_kernel(res, p)))
+    return float(np.mean(_rowwise(lambda r: robust_kernel(r, p), res, out=res)))
 
 
 def loss_rot(pred_quats, gt_quats, p: RobustKernelParams = DEFAULT_KERNEL) -> float:
@@ -201,13 +219,14 @@ def loss_depth(
     Pixels are selected by the ground-truth validity masks and pooled across
     views before the exclusion quantile is applied.
     """
+    _check_weights(exclude_top)
     _, dp, dg = _pool("depth loss", [d.validity for d in gt], [d.values for d in pred], [d.values for d in gt])
     return _depth_term(dp, dg, z_pred, z_gt, p, exclude_top)
 
 
 def _depth_term(dp, dg, z_pred, z_gt, p, exclude_top) -> float:
-    res = np.abs(f_log(dg / z_gt.value) - f_log(dp / z_pred.value))
-    return _excluded_mean(robust_kernel(res, p), exclude_top)
+    res = _rowwise(lambda x, y: robust_kernel(np.abs(f_log(y / z_gt.value) - f_log(x / z_pred.value)), p), dp, dg)
+    return _excluded_mean(res, exclude_top)
 
 
 def loss_local_pointmap(
@@ -219,13 +238,15 @@ def loss_local_pointmap(
     exclude_top: float = DEFAULT_EXCLUDE_TOP,
 ) -> float:
     """As the depth loss but on 3D points: kernel of the f_log residual norm."""
+    _check_weights(exclude_top)
     masks = [pm.validity for pm in gt]
     _, pp, pg = _pool("local pointmap loss", masks, [pm.points for pm in pred], [pm.points for pm in gt])
     return _lpm_term(pp, pg, z_pred, z_gt, p, exclude_top)
 
 
 def _lpm_term(pp, pg, z_pred, z_gt, p, exclude_top) -> float:
-    return _excluded_mean(robust_kernel(_point_residual(pp, pg, z_pred, z_gt), p), exclude_top)
+    res = _point_residual(pp, pg, z_pred, z_gt)
+    return _excluded_mean(_rowwise(lambda r: robust_kernel(r, p), res, out=res), exclude_top)
 
 
 def loss_pointmap_conf(
@@ -238,6 +259,7 @@ def loss_pointmap_conf(
     alpha_conf: float = DEFAULT_ALPHA_CONF,
 ) -> float:
     """Confidence-weighted world pointmap loss: mean of C * rho(res) - a * log C."""
+    _check_weights(alpha_conf=alpha_conf)
     conf = [np.asarray(c, dtype=np.float64) for c in conf]
     masks = [pm.validity for pm in gt]
     _, pp, pg, c = _pool("pointmap loss", masks, [pm.points for pm in pred], [pm.points for pm in gt], conf)
@@ -249,7 +271,8 @@ def loss_pointmap_conf(
 def _pointmap_term(pp, pg, c, z_pred, z_gt, p, alpha_conf) -> float:
     if c.size == 0:
         raise EmptyDepthError("pointmap loss: no valid pixels")
-    return float(np.mean(c * robust_kernel(_point_residual(pp, pg, z_pred, z_gt), p) - alpha_conf * np.log(c)))
+    res = _point_residual(pp, pg, z_pred, z_gt)
+    return float(np.mean(_rowwise(lambda r, w: w * robust_kernel(r, p) - alpha_conf * np.log(w), res, c, out=res)))
 
 
 def loss_scale(
@@ -292,9 +315,13 @@ def _normal_term(pred_pts: list, pred_valid: list, gt_pts: list, gt_valid: list)
     _check("normal loss", [v.shape for v in gt_valid], pred_pts, pred_valid, gt_pts)
     cos, ok = [], []
     for pts_p, valid_p, pts_g, valid_g in zip(pred_pts, pred_valid, gt_pts, gt_valid):
-        (npred, okp), (ngt, okg) = _forward_normals(pts_p, valid_p), _forward_normals(pts_g, valid_g)
-        cos.append(_dot3(npred, ngt))
-        ok.append(okp & okg)
+        h, w = valid_g.shape
+        cos.append(np.empty((h - 1, w - 1)))
+        ok.append(np.empty((h - 1, w - 1), dtype=bool))
+        for s in _blocks(h - 1, w):
+            r = slice(s.start, s.stop + 1)  # one more row for the forward differences
+            (npred, okp), (ngt, okg) = _forward_normals(pts_p[r], valid_p[r]), _forward_normals(pts_g[r], valid_g[r])
+            cos[-1][s], ok[-1][s] = _dot3(npred, ngt), okp & okg
     _, cos = _pool("normal loss", ok, cos)
     return float(np.mean(1.0 - cos)) if cos.size else 0.0
 
@@ -350,7 +377,7 @@ def loss_mask(pred_prob: list[np.ndarray], gt: list[np.ndarray]) -> float:
     _check("mask loss", [g.shape for g in gt], pred_prob)
     pc = np.clip(np.concatenate([x.ravel() for x in pred_prob]), BCE_CLAMP, 1.0 - BCE_CLAMP)
     g = np.concatenate([x.ravel() for x in gt])
-    return float(np.mean(-(g * np.log(pc) + (1.0 - g) * np.log(1.0 - pc))))
+    return float(np.mean(_rowwise(lambda x, y: -(y * np.log(x) + (1.0 - y) * np.log(1.0 - x)), pc, g, out=pc)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +399,7 @@ def total_loss(
     is set. Pixels enter the dense losses through the ground-truth validity
     masks; the prediction normalizer z_pred uses the same masks.
     """
+    _check_weights(exclude_top, alpha_conf)
     what = "total loss"
     masks = [g.depth.validity for g in gt.views]
     pr_valid = [v.depth.validity for v in pred.views]
@@ -381,14 +409,10 @@ def total_loss(
     )
     pr_local = [_compose(v.rays.directions, v.depth.validity, v.depth.values) for v in pred.views]
     gt_local = [_compose(g.rays.directions, g.depth.validity, g.depth.values) for g in gt.views]
-    # Each pooled point array is about as large as the grids it comes from,
-    # so the world grids and every pooled copy are dropped once used.
-    _, pw, gw = _pool(
-        what,
-        masks,
-        [_compose(x, v.depth.validity, pose=v.pose) for x, v in zip(pr_local, pred.views)],
-        [_compose(x, g.depth.validity, pose=g.pose) for x, g in zip(gt_local, gt.views)],
-    )
+    # Each pooled point array is about as large as the grids it comes from, so
+    # world points are composed in row bands and pooled copies dropped once used.
+    pw = _pool_composed(masks, [(x, v.depth.validity, None, v.pose, None) for x, v in zip(pr_local, pred.views)])
+    gw = _pool_composed(masks, [(x, g.depth.validity, None, g.pose, None) for x, g in zip(gt_local, gt.views)])
     z_gt = _norm_scale(gw, offsets)
     z_pred = _norm_scale(pw, offsets, pv)
     pointmap = _pointmap_term(pw, gw, c, z_pred, z_gt, p, alpha_conf)

@@ -13,9 +13,10 @@ from .geometry import (
     FactoredScene,
     MetricScale,
     Pose,
-    _compose,
     _norm3,
     _pool,
+    _pool_composed,
+    _rowwise,
     quat_mul,
     quat_to_rot,
     ray_angular_error,
@@ -244,20 +245,16 @@ def evaluate_scene(pred: FactoredScene, gt: SceneSample, align_points: bool = Fa
     depth_rel = _abs_rel(d_pred, d_gt)
     depth_tau = _inlier_ratio_tau(d_pred, d_gt)
 
-    _, pw, gw = _pool(
-        "evaluate scene",
-        masks,
-        [_compose(v.rays.directions, v.depth.validity, v.depth.values, v.pose, m_pred) for v in pred.views],
-        [_compose(g.rays.directions, g.depth.validity, g.depth.values, g.pose, m_gt) for g in gt.views],
-    )
+    pw = _pool_composed(masks, [(v.rays.directions, v.depth.validity, v.depth.values, v.pose, m_pred) for v in pred.views])
+    gw = _pool_composed(masks, [(g.rays.directions, g.depth.validity, g.depth.values, g.pose, m_gt) for g in gt.views])
     if align_points:
         denom = float(np.sum(pw * pw))
         if denom <= 0.0:
             raise DegenerateError("cannot scale-align all-zero predictions")
-        pw = pw * (float(np.sum(pw * gw)) / denom)
-    gn = _norm3(gw)
+        pw *= float(np.sum(pw * gw)) / denom
+    gn = _rowwise(_norm3, gw)
     keep = gn > 0.0
-    rel_dist = _norm3(pw[keep] - gw[keep]) / gn[keep]
+    rel_dist = _rowwise(lambda x, y: _norm3(x - y), pw, gw)[keep] / gn[keep]
     points_rel = float(np.mean(rel_dist))
     points_tau = float(np.mean(rel_dist < (TAU_DEFAULT - 1.0)))
 

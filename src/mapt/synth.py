@@ -23,6 +23,7 @@ from .geometry import (
     MetricScale,
     Pose,
     RayMap,
+    _blocks,
     _compose,
     _dot3,
     _forward_normals,
@@ -172,29 +173,32 @@ def render_view(
 def shade_view(rays: RayMap, depth: DepthAlongRay) -> np.ndarray:
     """Procedural image from rendered geometry alone: Lambertian-ish shading of
     forward-difference normals, sky gradient on misses. Returns (H, W, 3) f32."""
-    dirs = rays.directions
-    v = depth.validity
-    h, w = v.shape
-    normals = np.zeros((h, w, 3))
-    normals[:-1, :-1] = _forward_normals(_compose(dirs, v, depth.values), v)[0]
-    # fall back to facing the camera where no neighborhood normal exists
-    np.negative(dirs, out=normals, where=(_norm3(normals) < 0.5)[:, :, None])
-    flip = _dot3(normals, dirs) > 0.0
-    np.negative(normals, out=normals, where=flip[:, :, None])
-
+    h, w = depth.validity.shape
     light = np.array([0.4, -0.6, -0.7])
     light /= np.linalg.norm(light)
-    lam = np.clip(_dot3(normals, -light), 0.0, 1.0)
-    bright = 0.25 + 0.75 * lam
-    img = np.empty((h, w, 3))
-    img[:, :, 0] = bright * 0.9
-    img[:, :, 1] = bright * (0.72 + 0.18 * np.sin(depth.values))
-    img[:, :, 2] = bright * 0.62
+    out = np.empty((h, w, 3), dtype=np.float32)
+    for s in _blocks(h, w):
+        rows = slice(s.start, s.stop + 1)  # one more row for the forward differences
+        dirs, v, d = rays.directions[s], depth.validity[s], depth.values[s]
+        normals = np.zeros(dirs.shape)
+        band = _forward_normals(_compose(rays.directions[rows], depth.validity[rows], depth.values[rows]), depth.validity[rows])[0]
+        normals[: len(band), :-1] = band
+        # fall back to facing the camera where no neighborhood normal exists
+        np.negative(dirs, out=normals, where=(_norm3(normals) < 0.5)[:, :, None])
+        flip = _dot3(normals, dirs) > 0.0
+        np.negative(normals, out=normals, where=flip[:, :, None])
 
-    dy_sky = dirs[:, :, 1]
-    sky = np.stack([0.45 + 0.25 * dy_sky, 0.55 + 0.2 * dy_sky, 0.85 + 0.1 * dy_sky], axis=2)
-    img = np.where(v[:, :, None], img, sky)
-    return np.clip(img, 0.0, 1.0).astype(np.float32)
+        lam = np.clip(_dot3(normals, -light), 0.0, 1.0)
+        bright = 0.25 + 0.75 * lam
+        img = np.empty(dirs.shape)
+        img[:, :, 0] = bright * 0.9
+        img[:, :, 1] = bright * (0.72 + 0.18 * np.sin(d))
+        img[:, :, 2] = bright * 0.62
+
+        dy_sky = dirs[:, :, 1]
+        sky = np.stack([0.45 + 0.25 * dy_sky, 0.55 + 0.2 * dy_sky, 0.85 + 0.1 * dy_sky], axis=2)
+        out[s] = np.clip(np.where(v[:, :, None], img, sky), 0.0, 1.0)
+    return out
 
 
 # ---------------------------------------------------------------------------

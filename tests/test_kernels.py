@@ -1,16 +1,19 @@
 """The dense per-pixel kernels against the bodies they replaced
 (tests/oracles.py): the same bits for every input, with +-0, subnormals,
-values whose squares overflow or underflow, NaN and +-inf; plus guards that
-keep numpy's slow strided norm out of the hot paths and bound the peak memory
-of total_loss."""
+values whose squares overflow or underflow, NaN and +-inf, and for every
+size of the row blocks they run in; plus guards that keep numpy's slow
+strided norm out of the hot paths and bound the peak memory of total_loss,
+evaluate_scene and shade_view."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mapt import geometry
 from mapt.factorization import f_log
 from mapt.geometry import (
     DepthAlongRay,
@@ -24,23 +27,29 @@ from mapt.geometry import (
     _dot3,
     _forward_normals,
     _norm3,
+    compose_scene_points,
+    local_pointmap,
     metric_upgrade,
     ray_angular_error,
 )
-from mapt.losses import total_loss
+from mapt.losses import DEFAULT_KERNEL, loss_normal, loss_rays, total_loss
 from mapt.metrics import evaluate_scene
 from mapt.network import ModelConfig, alternating_attention, decode_heads, encode_inputs, init_weights
-from mapt.synth import gen_scene, shade_view
+from mapt.synth import SceneSample, ViewSample, gen_scene, shade_view
 from mapt.viewgraph import InputConfig
 
 from oracles import (
     compose_reference,
+    evaluate_scene_reference,
     f_log_reference,
     forward_normals_reference,
+    loss_normal_reference,
+    loss_rays_reference,
     ray_angular_error_reference,
     shade_view_reference,
+    total_loss_reference,
 )
-from test_pooled_paths import _outcome, _quat, _rays
+from test_pooled_paths import K, _assert_same, _outcome, _quat, _rays
 
 # +-0, subnormals, values whose squares underflow (1e-200) or overflow (1e200,
 # 1.7e308), NaN and +-inf
@@ -217,18 +226,118 @@ class TestHotPathGuards:
         RayMap(directions)
         assert slow == []
 
-    def test_total_loss_peak_memory(self):
-        """The tracemalloc peak of total_loss on 4 views at 128x96, counted in
-        dense (H, W, 3) float64 grids. The per-view composition peaks near
-        31 grids; pooling local and world points first and keeping them alive
-        together peaks near 38."""
-        _, gt = gen_scene(n_views=4, width=128, height=96, n_spheres=5, seed=11, plane=True, with_images=False)
-        pred = _perturbed(gt, np.random.default_rng(0))
-        grid = 128 * 96 * 3 * 8
+    @staticmethod
+    def _peak(f) -> int:
         tracemalloc.start()
         try:
-            total_loss(pred, gt, synthetic=True)
-            peak = tracemalloc.get_traced_memory()[1]
+            f()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 34 * grid
+
+    def test_total_loss_peak_memory(self):
+        """The tracemalloc peak of total_loss on 4 views at 128x96, counted in
+        dense (H, W, 3) float64 grids. The row-blocked chains and the world
+        points composed in row bands peak near 23.5 grids; whole-array chains
+        with whole world grids peaked near 31, and pooling local and world
+        points first and keeping them alive together near 38."""
+        _, gt = gen_scene(n_views=4, width=128, height=96, n_spheres=5, seed=11, plane=True, with_images=False)
+        pred = _perturbed(gt, np.random.default_rng(0))
+        assert self._peak(lambda: total_loss(pred, gt, synthetic=True)) < 26 * (128 * 96 * 3 * 8)
+
+    def test_evaluate_scene_peak_memory(self):
+        """The same for evaluate_scene with point alignment: near 15.7 grids
+        with the points composed in row bands, near 20.4 with whole grids."""
+        _, gt = gen_scene(n_views=4, width=128, height=96, n_spheres=5, seed=11, plane=True, with_images=False)
+        pred = _perturbed(gt, np.random.default_rng(0))
+        assert self._peak(lambda: evaluate_scene(pred, gt, align_points=True)) < 17 * (128 * 96 * 3 * 8)
+
+    def test_shade_view_peak_memory(self):
+        """shade_view of one 256x192 view in row bands peaks near 3.9 of its
+        dense grids, the float32 image included; whole-grid shading near 6.4."""
+        _, gt = gen_scene(n_views=1, width=256, height=192, n_spheres=5, seed=11, plane=True, with_images=False)
+        v = gt.views[0]
+        assert self._peak(lambda: shade_view(v.rays, v.depth)) < 4.25 * (256 * 192 * 3 * 8)
+
+
+def _thin_scene(shapes, seed) -> tuple[FactoredScene, SceneSample]:
+    """(pred, gt) of random unit rays, depths and poses at the given (H, W)
+    view shapes; the prediction is valid where the ground truth is."""
+    rng = np.random.default_rng(seed)
+    gt_views, pred_views = [], []
+    for i, (h, w) in enumerate(shapes):
+        depth = rng.uniform(0.5, 5.0, (h, w))
+        valid = rng.random((h, w)) < 0.8
+        valid[0, 0] = True
+        pose = Pose.identity() if i == 0 else Pose(_quat(rng), rng.normal(size=3))
+        gt_views.append(ViewSample(K, RayMap(_rays(rng, h, w)), DepthAlongRay(depth, valid), valid, pose))
+        pred_views.append(
+            FactoredView(
+                rays=RayMap(_rays(rng, h, w)),
+                depth=DepthAlongRay(depth * rng.uniform(0.8, 1.2, (h, w)), valid),
+                pose=Pose(_quat(rng), rng.normal(size=3)),
+                confidence=rng.uniform(1.0, 3.0, (h, w)),
+                mask_prob=rng.random((h, w)),
+            )
+        )
+    return FactoredScene(views=pred_views, scale=MetricScale(0.9)), SceneSample(views=gt_views, scale=MetricScale(1.3))
+
+
+class TestPixelBlocks:
+    """The dense chains of the losses, metrics and shading run in blocks of
+    geometry._PIXEL_BLOCK pooled rows, or row bands of about as many pixels;
+    the block size never changes a bit of any result. Block sizes 1 and 7
+    split every view into one-row bands, 100 into bands of several rows."""
+
+    SCENES = {
+        "four_view_40x30": lambda: (lambda gt: (_perturbed(gt, np.random.default_rng(1)), gt))(
+            gen_scene(n_views=4, width=40, height=30, n_spheres=4, seed=5, plane=True, with_images=False)[1]
+        ),
+        "thin_views": lambda: _thin_scene([(23, 2), (2, 31), (17, 3), (3, 60)], seed=2),
+        "row_and_column_views": lambda: _thin_scene([(19, 1), (1, 23), (1, 1), (40, 1), (1, 130)], seed=3),
+    }
+    BLOCKS = [1, 7, 100, geometry._PIXEL_BLOCK]
+
+    @pytest.fixture(scope="class")
+    def scenes(self):
+        return {name: make() for name, make in self.SCENES.items()}
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("name", list(SCENES))
+    def test_total_loss(self, scenes, monkeypatch, name, block):
+        pred, gt = scenes[name]
+        monkeypatch.setattr(geometry, "_PIXEL_BLOCK", block)
+        for synthetic in (False, True):
+            ref = _outcome(total_loss_reference, pred, gt, synthetic)
+            # the 2x2 normal loss rejects one-row views; nothing else may raise
+            assert not isinstance(ref, type) or (synthetic and name == "row_and_column_views")
+            _assert_same(_outcome(total_loss, pred, gt, synthetic), ref)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("name", list(SCENES))
+    def test_evaluate_scene(self, scenes, monkeypatch, name, block):
+        pred, gt = scenes[name]
+        monkeypatch.setattr(geometry, "_PIXEL_BLOCK", block)
+        for align in (False, True):
+            ref = evaluate_scene_reference(pred, gt, align)
+            _assert_same(evaluate_scene(pred, gt, align), ref)
+        for v, g in zip(pred.views, gt.views):
+            _same_bits(ray_angular_error(v.rays, g.rays), ray_angular_error_reference(v.rays, g.rays))
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("name", list(SCENES))
+    def test_grid_chains(self, scenes, monkeypatch, name, block):
+        """loss_normal, loss_rays, shade_view and compose_scene_points."""
+        pred, gt = scenes[name]
+        monkeypatch.setattr(geometry, "_PIXEL_BLOCK", block)
+        pl = [local_pointmap(v.rays, v.depth) for v in pred.views]
+        gl = [local_pointmap(v.rays, v.depth) for v in gt.views]
+        if name != "row_and_column_views":
+            _same_bits(loss_normal(pl, gl), loss_normal_reference(pl, gl))
+        rays = [v.rays for v in pred.views], [g.rays for g in gt.views]
+        _same_bits(loss_rays(*rays, DEFAULT_KERNEL), loss_rays_reference(*rays, DEFAULT_KERNEL))
+        for v in [*pred.views, *gt.views]:
+            _same_bits(shade_view(v.rays, v.depth), shade_view_reference(v.rays, v.depth))
+        for v, pm in zip(pred.views, compose_scene_points(pred)):
+            ref = compose_reference(v.rays.directions, v.depth.validity, v.depth.values, v.pose, pred.scale.value)
+            _same_bits(pm.points, ref)

@@ -10,6 +10,7 @@ from mapt.geometry import (
     MetricScale,
     PointMap,
     RayMap,
+    local_pointmap,
 )
 from mapt.losses import (
     DEFAULT_KERNEL,
@@ -475,3 +476,44 @@ class TestTotalLoss:
         on = total_loss(pred, small_scene, synthetic=True)
         assert off.normal == 0.0 and off.gm == 0.0
         assert on.normal > 0.0 and on.gm > 0.0
+
+
+class TestWeightArguments:
+    """exclude_top must lie in [0, 1) and alpha_conf be finite and >= 0 at
+    every public entry that takes them; before the check exclude_top = 1
+    gave NaN, 1.5 a finite wrong value, -0.5 was read as 0 and NaN escaped as
+    a bare ValueError."""
+
+    @staticmethod
+    def _maps(small_scene):
+        pl = [local_pointmap(v.rays, v.depth) for v in small_scene.views]
+        return pl, [v.depth for v in small_scene.views]
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, -0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("entry", ["total_loss", "loss_depth", "loss_local_pointmap"])
+    def test_rejects_exclude_top(self, small_scene, entry, bad):
+        pl, depths = self._maps(small_scene)
+        call = {
+            "total_loss": lambda: total_loss(small_scene.as_factored_scene(), small_scene, exclude_top=bad),
+            "loss_depth": lambda: loss_depth(depths, depths, ONE, ONE, exclude_top=bad),
+            "loss_local_pointmap": lambda: loss_local_pointmap(pl, pl, ONE, ONE, exclude_top=bad),
+        }[entry]
+        with pytest.raises(InvalidValueError, match="exclude_top"):
+            call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    @pytest.mark.parametrize("entry", ["total_loss", "loss_pointmap_conf"])
+    def test_rejects_alpha_conf(self, small_scene, entry, bad):
+        pl, _ = self._maps(small_scene)
+        conf = [np.ones(pm.validity.shape) for pm in pl]
+        call = {
+            "total_loss": lambda: total_loss(small_scene.as_factored_scene(), small_scene, alpha_conf=bad),
+            "loss_pointmap_conf": lambda: loss_pointmap_conf(pl, pl, conf, ONE, ONE, alpha_conf=bad),
+        }[entry]
+        with pytest.raises(InvalidValueError, match="alpha_conf"):
+            call()
+
+    def test_accepts_the_range_ends(self, small_scene):
+        pred = small_scene.as_factored_scene()
+        for kwargs in ({"exclude_top": 0.0}, {"exclude_top": 0.99}, {"alpha_conf": 0.0}):
+            assert np.isfinite(total_loss(pred, small_scene, **kwargs).total)
