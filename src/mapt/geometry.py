@@ -26,6 +26,7 @@ from .errors import (
 )
 
 RAY_UNIT_TOL = 1e-6
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])  # conjugation mask: conj(w, x, y, z) = (w, -x, -y, -z)
 # Pixels (grid rows times width, or pooled rows) per block of the dense chains
 # of the losses, metrics and shading, sized so a block's buffers stay in L2.
 # Reductions run once over whole arrays: any block size gives the same bits.
@@ -71,8 +72,7 @@ class DepthAlongRay:
             raise ShapeError(f"depth grid must be (H, W), got {v.shape}")
         if m.shape != v.shape:
             raise ShapeError("depth values and validity shapes differ")
-        good = v[m]
-        if not np.all((good > 0.0) & (good < np.inf)):
+        if not np.all(((v > 0.0) & (v < np.inf)) | ~m):
             raise InvalidValueError("valid depths must be finite and > 0")
         self.values = np.where(m, v, 0.0)
         self.validity = m
@@ -153,9 +153,9 @@ class PointMap:
             raise ShapeError(f"pointmap must be (H, W, 3), got {p.shape}")
         if m.shape != p.shape[:2]:
             raise ShapeError("pointmap points and validity shapes differ")
-        if not np.all(np.isfinite(p[m])):
-            raise InvalidValueError("valid points must be finite")
         self.points = np.where(m[:, :, None], p, 0.0)
+        if not np.isfinite(self.points).all():
+            raise InvalidValueError("valid points must be finite")
         self.validity = m
 
     @property
@@ -489,30 +489,30 @@ def rot_to_quat(rot: np.ndarray) -> np.ndarray:
         raise ShapeError("rotation must be 3x3")
     if not (np.all(np.abs(rot @ rot.T - np.eye(3)) <= 1e-6) and np.linalg.det(rot) > 0.0):
         raise InvalidRotationError("matrix is not a rotation")
-    # Shepperd's method: pick the numerically largest component first.
-    m00, m11, m22 = rot[0, 0], rot[1, 1], rot[2, 2]
-    tr = m00 + m11 + m22
-    if tr > max(m00, m11, m22):
+    # Shepperd's method: the largest of |w|, |x|, |y|, |z| from the diagonal, the rest from a or rot + rot.T
+    a = np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]])
+    tr = rot[0, 0] + rot[1, 1] + rot[2, 2]
+    c = int(np.argmax(np.diag(rot)))  # the first largest diagonal entry
+    if tr > rot[c, c]:
         s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (rot[2, 1] - rot[1, 2]) / s, (rot[0, 2] - rot[2, 0]) / s, (rot[1, 0] - rot[0, 1]) / s]
-        )
-    elif m00 >= m11 and m00 >= m22:
-        s = np.sqrt(1.0 + m00 - m11 - m22) * 2.0
-        q = np.array(
-            [(rot[2, 1] - rot[1, 2]) / s, 0.25 * s, (rot[0, 1] + rot[1, 0]) / s, (rot[0, 2] + rot[2, 0]) / s]
-        )
-    elif m11 >= m22:
-        s = np.sqrt(1.0 + m11 - m00 - m22) * 2.0
-        q = np.array(
-            [(rot[0, 2] - rot[2, 0]) / s, (rot[0, 1] + rot[1, 0]) / s, 0.25 * s, (rot[1, 2] + rot[2, 1]) / s]
-        )
+        q = np.array([0.25 * s, *(a / s)])
     else:
-        s = np.sqrt(1.0 + m22 - m00 - m11) * 2.0
-        q = np.array(
-            [(rot[1, 0] - rot[0, 1]) / s, (rot[0, 2] + rot[2, 0]) / s, (rot[1, 2] + rot[2, 1]) / s, 0.25 * s]
-        )
+        o1, o2 = [k for k in range(3) if k != c]
+        s = np.sqrt(1.0 + rot[c, c] - rot[o1, o1] - rot[o2, o2]) * 2.0
+        q = np.array([a[c], *(rot[c] + rot[:, c])]) / s
+        q[c + 1] = 0.25 * s
     return canonical_quat(q / np.linalg.norm(q))
+
+
+def _pair_relative_poses(poses: list[Pose], i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pose of view j in the frame of view i for every index pair: renormalized
+    quaternions conj(q_i) * q_j (P, 4) and translations R_i^T (t_j - t_i) (P, 3)."""
+    q = np.stack([p.rotation for p in poses])
+    t = np.stack([p.translation for p in poses])
+    rel_q = quat_mul(q[i] * _CONJ, q[j])
+    rel_q /= np.linalg.norm(rel_q, axis=1, keepdims=True)
+    rel_t = np.einsum("pki,pk->pi", quat_to_rot(q)[i], t[j] - t[i])
+    return rel_q, rel_t
 
 
 def pose_compose(a: Pose, b: Pose) -> Pose:
@@ -523,7 +523,7 @@ def pose_compose(a: Pose, b: Pose) -> Pose:
 
 
 def pose_inverse(p: Pose) -> Pose:
-    q = p.rotation * np.array([1.0, -1.0, -1.0, -1.0])
+    q = p.rotation * _CONJ
     t = -(quat_to_rot(p.rotation).T @ p.translation)
     return Pose(q, t)
 

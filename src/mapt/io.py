@@ -31,21 +31,20 @@ MAGIC = b"MAPT"
 TENSOR_VERSION = 1
 DTYPE_F32 = 1
 DTYPE_U8 = 2
+# Payload dtype of each dtype code; write_tensor stores bool arrays as uint8.
+_DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_U8: np.dtype("u1")}
 MANIFEST_NAME = "scene.json"
 MANIFEST_VERSION = 1
+# The tensors of each view of a scene directory, stored as view_{i:03d}_{key}.mapt;
+# a "confidence" tensor may follow them.
+_VIEW_TENSORS = ("rays", "depth", "validity", "mask")
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
     arr = np.asarray(arr)
-    if arr.dtype == np.bool_:
-        arr = arr.astype(np.uint8)
-    if arr.dtype == np.uint8:
-        code, payload = DTYPE_U8, arr.tobytes(order="C")
-    else:
-        code, payload = DTYPE_F32, arr.astype("<f4").tobytes(order="C")
-    header = MAGIC + struct.pack("<BBB", TENSOR_VERSION, code, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    Path(path).write_bytes(header + payload)
+    code = DTYPE_U8 if arr.dtype in (np.bool_, np.uint8) else DTYPE_F32
+    header = MAGIC + struct.pack(f"<BBB{arr.ndim}I", TENSOR_VERSION, code, arr.ndim, *arr.shape)
+    Path(path).write_bytes(header + arr.astype(_DTYPES[code], copy=False).tobytes(order="C"))
 
 
 def read_tensor(path) -> np.ndarray:
@@ -57,18 +56,17 @@ def read_tensor(path) -> np.ndarray:
         raise FormatError(f"{path}: unsupported tensor version {version}")
     if len(data) < 7 + 4 * ndim:
         raise FormatError(f"{path}: truncated tensor header")
+    if code not in _DTYPES:
+        raise FormatError(f"{path}: unknown dtype code {code}")
     dims = struct.unpack(f"<{ndim}I", data[7 : 7 + 4 * ndim])
     payload = data[7 + 4 * ndim :]
-    count = int(np.prod(dims)) if ndim else 1
-    if code == DTYPE_F32:
-        if len(payload) != 4 * count:
-            raise FormatError(f"{path}: payload size mismatch")
-        return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-    if code == DTYPE_U8:
-        if len(payload) != count:
-            raise FormatError(f"{path}: payload size mismatch")
-        return np.frombuffer(payload, dtype=np.uint8).reshape(dims).copy()
-    raise FormatError(f"{path}: unknown dtype code {code}")
+    # the element count as an exact Python int: a uint64 product can wrap around
+    if len(payload) != _DTYPES[code].itemsize * np.prod(dims, dtype=object):
+        raise FormatError(f"{path}: payload size mismatch")
+    try:
+        return np.frombuffer(payload, dtype=_DTYPES[code]).reshape(dims).copy()
+    except ValueError as exc:  # dims numpy cannot hold: more than 64, or huge ones beside a 0
+        raise FormatError(f"{path}: unsupported tensor shape {dims}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +88,6 @@ def _pose_from_list(vals) -> Pose:
 def _numbers(vals, n: int) -> bool:
     """Whether a manifest value is a list of n JSON numbers."""
     return isinstance(vals, list) and len(vals) == n and all(type(v) in (int, float) for v in vals)
-
-
-def _view_files(i: int, with_conf: bool) -> dict:
-    base = f"view_{i:03d}"
-    files = {
-        "rays": f"{base}_rays.mapt",
-        "depth": f"{base}_depth.mapt",
-        "validity": f"{base}_validity.mapt",
-        "mask": f"{base}_mask.mapt",
-    }
-    if with_conf:
-        files["confidence"] = f"{base}_confidence.mapt"
-    return files
 
 
 def write_scene(path, scene: SceneSample) -> None:
@@ -127,13 +112,10 @@ def _write_dir(path, scene, masks: list, confidences: list, entries: list) -> No
     path.mkdir(parents=True, exist_ok=True)
     views = []
     for i, (v, mask, conf, extra) in enumerate(zip(scene.views, masks, confidences, entries)):
-        files = _view_files(i, with_conf=conf is not None)
-        write_tensor(path / files["rays"], v.rays.directions)
-        write_tensor(path / files["depth"], v.depth.values)
-        write_tensor(path / files["validity"], v.depth.validity)
-        write_tensor(path / files["mask"], mask)
-        if conf is not None:
-            write_tensor(path / files["confidence"], conf)
+        arrays = dict(zip(_VIEW_TENSORS, (v.rays.directions, v.depth.values, v.depth.validity, mask)), confidence=conf)
+        files = {key: f"view_{i:03d}_{key}.mapt" for key, arr in arrays.items() if arr is not None}
+        for key, name in files.items():
+            write_tensor(path / name, arrays[key])
         views.append(
             {"width": v.rays.width, "height": v.rays.height, **extra, "pose": _pose_list(v.pose), "files": files}
         )
@@ -186,12 +168,12 @@ def _load_manifest(path: Path) -> dict:
 
 def _read_view_arrays(path: Path, i: int, entry: dict):
     files = entry["files"]
-    for key in ("rays", "depth", "validity", "mask"):
+    for key in _VIEW_TENSORS:
         if key not in files or not (path / files[key]).is_file():
             raise FormatError(f"{path}: missing tensor file for {key!r}")
     hw = (entry["height"], entry["width"])
     arrays = {}
-    for key in ("rays", "depth", "validity", "mask", "confidence"):
+    for key in (*_VIEW_TENSORS, "confidence"):
         if key in files:
             arrays[key] = read_tensor(path / files[key])
             want = (*hw, 3) if key == "rays" else hw

@@ -13,7 +13,10 @@ from .geometry import (
     FactoredScene,
     MetricScale,
     Pose,
+    _CONJ,
+    _dot3,
     _norm3,
+    _pair_relative_poses,
     _pool,
     _pool_composed,
     _rowwise,
@@ -27,8 +30,6 @@ from .synth import SceneSample
 TAU_DEFAULT = 1.03
 AUC_DEFAULT_DEG = 5.0
 BASELINE_EPS = 1e-9
-# conjugation mask: conj(w, x, y, z) = (w, -x, -y, -z)
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass
@@ -147,7 +148,7 @@ def umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
         s_fix[2, 2] = -1.0
     rot = u @ s_fix @ vt
     if with_scale:
-        var_src = float(np.mean(np.sum(xs * xs, axis=1)))
+        var_src = float(np.mean(_dot3(xs, xs)))
         scale = float(np.trace(np.diag(d) @ s_fix) / var_src)
     else:
         scale = 1.0
@@ -165,18 +166,7 @@ def ate_rmse(pred_traj: list[Pose], gt_traj: list[Pose]) -> float:
     gt_c = np.stack([p.translation for p in gt_traj])
     sim = umeyama(pred_c, gt_c, with_scale=True)
     res = gt_c - sim.apply(pred_c)
-    return float(np.sqrt(np.mean(np.sum(res * res, axis=1))))
-
-
-def _pair_relative_poses(poses: list[Pose], i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pose of view j in the frame of view i for every index pair: renormalized
-    quaternions conj(q_i) * q_j (P, 4) and translations R_i^T (t_j - t_i) (P, 3)."""
-    q = np.stack([p.rotation for p in poses])
-    t = np.stack([p.translation for p in poses])
-    rel_q = quat_mul(q[i] * _CONJ, q[j])
-    rel_q /= np.linalg.norm(rel_q, axis=1, keepdims=True)
-    rel_t = np.einsum("pki,pk->pi", quat_to_rot(q)[i], t[j] - t[i])
-    return rel_q, rel_t
+    return float(np.sqrt(np.mean(_dot3(res, res))))
 
 
 def pose_angular_errors(pred: list[Pose], gt: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +190,7 @@ def pose_angular_errors(pred: list[Pose], gt: list[Pose]) -> tuple[np.ndarray, n
     ok = (np_ >= BASELINE_EPS) & (ng >= BASELINE_EPS)
     if not np.any(ok):
         raise DegenerateError("all pose pairs have degenerate baselines")
-    cosang = np.clip(np.sum(tp[ok] * tg[ok], axis=1) / (np_[ok] * ng[ok]), -1.0, 1.0)
+    cosang = np.clip(_dot3(tp[ok], tg[ok]) / (np_[ok] * ng[ok]), -1.0, 1.0)
     rta = np.full(i.size, np.nan)
     rta[ok] = np.degrees(np.arccos(cosang))
     return rra, rta

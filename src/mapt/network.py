@@ -64,11 +64,6 @@ class ModelConfig:
             raise InvalidValueError("patch size must be >= 1")
 
 
-# Constants of the full-scale model, recorded for reference only; this
-# artifact never instantiates them.
-FULL_SCALE_CONFIG = ModelConfig(depth=24, dim=768, heads=12, mlp_ratio=4.0, patch=14)
-
-
 @dataclass
 class TokenSet:
     """Per-view patch tokens plus the single scale token."""
@@ -210,10 +205,10 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+def _layer_norm(x: np.ndarray, w: Weights, name: str, eps: float = 1e-6) -> np.ndarray:
     mu = x.mean(axis=-1, keepdims=True)
     var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * g + b
+    return (x - mu) / np.sqrt(var + eps) * w[f"{name}.g"] + w[f"{name}.b"]
 
 
 def _linear(x: np.ndarray, w: Weights, name: str) -> np.ndarray:
@@ -251,9 +246,9 @@ def _attention(x: np.ndarray, w: Weights, block: str, heads: int, audit: list | 
 def _block(x: np.ndarray, w: Weights, i: int, heads: int, audit: list | None) -> np.ndarray:
     """Pre-norm residual transformer block."""
     blk = f"blocks.{i}"
-    h = _layer_norm(x, w[f"{blk}.ln1.g"], w[f"{blk}.ln1.b"])
+    h = _layer_norm(x, w, f"{blk}.ln1")
     x = x + _attention(h, w, blk, heads, audit)
-    h = _layer_norm(x, w[f"{blk}.ln2.g"], w[f"{blk}.ln2.b"])
+    h = _layer_norm(x, w, f"{blk}.ln2")
     h = _linear(_gelu(_linear(h, w, f"{blk}.mlp.0")), w, f"{blk}.mlp.1")
     return x + h
 
@@ -295,13 +290,11 @@ def encode_inputs(
     poses = poses if poses is not None else [None] * n
     if not (len(rays) == len(depths) == len(poses) == n):
         raise ShapeError("modality lists must match the view count")
+    checks = (("rays", config.rays_given, rays), ("depth", config.depth_given, depths), ("pose", config.pose_given, poses))
     for i in range(n):
-        if config.rays_given[i] != (rays[i] is not None):
-            raise InvalidValueError(f"view {i}: rays flag/input inconsistency")
-        if config.depth_given[i] != (depths[i] is not None):
-            raise InvalidValueError(f"view {i}: depth flag/input inconsistency")
-        if config.pose_given[i] != (poses[i] is not None):
-            raise InvalidValueError(f"view {i}: pose flag/input inconsistency")
+        for name, flags, inputs in checks:
+            if flags[i] != (inputs[i] is not None):
+                raise InvalidValueError(f"view {i}: {name} flag/input inconsistency")
     h, w = images[0].shape[:2]
     if h % cfg.patch or w % cfg.patch:
         raise ShapeError(f"image dims {h}x{w} must be divisible by patch {cfg.patch}")
@@ -323,29 +316,26 @@ def encode_inputs(
     tok = []
     for i in range(n):
         img = np.asarray(images[i], dtype=np.float64)
-        emb = _layer_norm(
-            _linear(_patchify(img, cfg.patch), weights, "patch_image"),
-            weights["ln_image.g"], weights["ln_image.b"],
-        )
+        emb = _layer_norm(_linear(_patchify(img, cfg.patch), weights, "patch_image"), weights, "ln_image")
         if rays[i] is not None:
             r = _linear(_patchify(rays[i].directions, cfg.patch), weights, "patch_rays")
-            emb = emb + _layer_norm(r, weights["ln_rays.g"], weights["ln_rays.b"])
+            emb = emb + _layer_norm(r, weights, "ln_rays")
         if depths[i] is not None:
             df = factor_depth(depths[i])
             d = _linear(_patchify(df.normalized.values[:, :, None], cfg.patch), weights, "patch_depth")
-            emb = emb + _layer_norm(d, weights["ln_depth.g"], weights["ln_depth.b"])
+            emb = emb + _layer_norm(d, weights, "ln_depth")
             if config.metric_depth_scale_given:
                 zd = _mlp4(np.array([encode_log_scale(df.z_d)]), weights, "mlp_zd")
-                emb = emb + _layer_norm(zd, weights["ln_zd.g"], weights["ln_zd.b"])[None, :]
+                emb = emb + _layer_norm(zd, weights, "ln_zd")[None, :]
         if poses[i] is not None:
             q = _mlp4(poses[i].rotation, weights, "mlp_quat")
-            emb = emb + _layer_norm(q, weights["ln_quat.g"], weights["ln_quat.b"])[None, :]
+            emb = emb + _layer_norm(q, weights, "ln_quat")[None, :]
             t = _mlp4(norm_trans[i], weights, "mlp_trans")
-            emb = emb + _layer_norm(t, weights["ln_trans.g"], weights["ln_trans.b"])[None, :]
+            emb = emb + _layer_norm(t, weights, "ln_trans")[None, :]
             if config.metric_pose_scale_given:
                 zp = _mlp4(np.array([encode_log_scale(z_p)]), weights, "mlp_zp")
-                emb = emb + _layer_norm(zp, weights["ln_zp.g"], weights["ln_zp.b"])[None, :]
-        tok.append(_layer_norm(emb, weights["ln_fuse.g"], weights["ln_fuse.b"]))
+                emb = emb + _layer_norm(zp, weights, "ln_zp")[None, :]
+        tok.append(_layer_norm(emb, weights, "ln_fuse"))
     tokens = np.stack(tok)
     tokens[reference_view] = tokens[reference_view] + weights["ref_embed"]
     return TokenSet(tokens=tokens, scale_token=weights["scale_token"].copy(), patch_grid=(h // cfg.patch, w // cfg.patch))
@@ -390,8 +380,8 @@ def alternating_attention(
             raise InvalidValueError(f"unknown layer type {kind!r}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))):
             raise NumericOverflowError(f"non-finite activations after layer {i}")
-    x = _layer_norm(x, weights["ln_out.g"], weights["ln_out.b"])
-    s = _layer_norm(s, weights["ln_out.g"], weights["ln_out.b"])
+    x = _layer_norm(x, weights, "ln_out")
+    s = _layer_norm(s, weights, "ln_out")
     return TokenSet(tokens=x, scale_token=s, patch_grid=tokens.patch_grid)
 
 

@@ -83,8 +83,7 @@ class InputConfig:
 
     @classmethod
     def images_only(cls, n_views: int) -> "InputConfig":
-        off = [False] * n_views
-        return cls(rays_given=list(off), pose_given=list(off), depth_given=list(off), depth_sparse=list(off))
+        return cls.from_modalities(n_views)
 
     @classmethod
     def from_modalities(

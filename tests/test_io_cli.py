@@ -3,6 +3,7 @@ import io
 import json
 import re
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mapt import errors
 from mapt.cli import main
@@ -67,6 +69,59 @@ class TestTensorContainer:
         (tmp_path / "t.mapt").write_bytes(raw[:13])  # ndim 3 needs 12 header bytes after byte 7
         with pytest.raises(FormatError, match="truncated tensor header"):
             read_tensor(tmp_path / "t.mapt")
+
+    def test_rejects_dims_whose_product_wraps_around(self, tmp_path):
+        # 65536 ** 4 == 2 ** 64: a uint64 element count wraps to 0 and would match the empty payload
+        (tmp_path / "w.mapt").write_bytes(b"MAPT" + struct.pack("<BBB4I", 1, 1, 4, *[65536] * 4))
+        with pytest.raises(FormatError, match="payload size mismatch"):
+            read_tensor(tmp_path / "w.mapt")
+
+    def test_rejects_huge_dims_beside_a_zero(self, tmp_path):
+        # an empty payload matches the element count 0, but numpy cannot hold the shape
+        (tmp_path / "z.mapt").write_bytes(b"MAPT" + struct.pack("<BBB4I", 1, 1, 4, 0, *[2**32 - 1] * 3))
+        with pytest.raises(FormatError, match="unsupported tensor shape"):
+            read_tensor(tmp_path / "z.mapt")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arr=hnp.arrays(
+            st.sampled_from([np.float32, np.uint8, np.bool_]),
+            hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+        ),
+        mutation=st.one_of(
+            st.tuples(st.just("header"), st.integers(0, 2**16), st.integers(1, 255)),
+            st.tuples(st.just("cut"), st.integers(1, 24)),
+            st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24)),
+            st.just(("none",)),
+        ),
+    )
+    def test_mutated_files_fail_or_round_trip(self, arr, mutation):
+        """Each file read_tensor accepts is exactly what write_tensor writes
+        for the array it returns; every other file is a FormatError."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.mapt"
+            write_tensor(path, arr)
+            data = path.read_bytes()
+            if mutation[0] == "none":
+                back = read_tensor(path)
+                stored = arr.astype(np.uint8) if arr.dtype == np.bool_ else arr
+                assert back.dtype == stored.dtype and back.shape == arr.shape
+                assert back.tobytes() == stored.tobytes()
+                return
+            if mutation[0] == "header":  # magic, version, dtype code, ndim or a dim byte
+                k = mutation[1] % (7 + 4 * arr.ndim)
+                data = data[:k] + bytes([(data[k] + mutation[2]) % 256]) + data[k + 1 :]
+            elif mutation[0] == "cut":
+                data = data[: max(0, len(data) - mutation[1])]
+            else:
+                data = data + mutation[1]
+            path.write_bytes(data)
+            try:
+                back = read_tensor(path)
+            except FormatError:
+                return
+            write_tensor(path, back)
+            assert path.read_bytes() == data
 
 
 class TestSceneRoundTrip:
@@ -289,6 +344,48 @@ class TestCli:
         assert "view 0" in err
 
 
+def _walkthrough() -> None:
+    """The README walkthrough at seed 5, in-process and in the current
+    directory, with every report written to a file (stdout included), plus
+    the images-only forward, loss and eval without --synthetic and
+    --align-points, and PLY exports of both predictions."""
+    runs = [
+        ["synth", "--seed", "5", "--views", "4", "--size", "56x56", "--spheres", "4", "--out", "scene/"],
+        ["covis", "--scene", "scene/", "--tol", "0.05", "--jobs", "4", "--out", "covis.json"],
+        ["sample", "--covis", "covis.json", "--threshold", "0.25", "--n", "3", "--seed", "2"],
+    ]
+    for pred, inputs in (("pred", "rays,pose"), ("pred_images", "")):
+        runs += [
+            ["forward", "--scene", "scene/", "--seed", "1", "--inputs", inputs, "--out", f"{pred}/"],
+            ["loss", "--gt", "scene/", "--pred", f"{pred}/", "--out", f"{pred}_loss.json"],
+            ["loss", "--gt", "scene/", "--pred", f"{pred}/", "--synthetic", "--out", f"{pred}_loss_synthetic.json"],
+            ["eval", "--gt", "scene/", "--pred", f"{pred}/", "--out", f"{pred}_eval.json"],
+            ["eval", "--gt", "scene/", "--pred", f"{pred}/", "--align-points", "--out", f"{pred}_eval_aligned.json"],
+            ["export-ply", "--scene", f"{pred}/", "--out", f"{pred}.ply"],
+        ]
+    runs.append(["export-ply", "--scene", "scene/", "--out", "scene.ply"])
+    for k, argv in enumerate(runs):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        Path(f"stdout_{k:02d}_{argv[0]}.txt").write_text(out.getvalue())
+
+
+class TestCliReruns:
+    def test_walkthrough_reruns_are_byte_identical(self, tmp_path, monkeypatch):
+        files = []
+        for run in (tmp_path / "a", tmp_path / "b"):
+            run.mkdir()
+            monkeypatch.chdir(run)
+            _walkthrough()
+            files.append({str(p.relative_to(run)): p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()})
+        assert {"scene/scene.json", "covis.json", "pred_images/view_003_depth.mapt", "scene.ply"} <= files[0].keys()
+        assert json.loads(files[0]["stdout_02_sample.txt"])["n_views"] == 3
+        assert files[0].keys() == files[1].keys()
+        for name in files[0]:
+            assert files[0][name] == files[1][name], name
+
+
 class TestCliErrorContract:
     """Malformed inputs end in exit code 1 and one `error: <category>: <message>` line."""
 
@@ -394,6 +491,12 @@ class TestCliErrorContract:
     def test_covis_jobs_below_one(self, scene_dir, capsys):
         code = main(["covis", "--scene", str(scene_dir), "--jobs", "0"])
         assert "jobs must be >= 1" in self._single_error(capsys, code, "invalid-value")
+
+    def test_covis_tensor_dims_overflow(self, scene_dir, capsys):
+        # dims that multiply to 2 ** 64 over an empty payload
+        (scene_dir / "view_001_depth.mapt").write_bytes(b"MAPT" + struct.pack("<BBB4I", 1, 1, 4, *[65536] * 4))
+        code = main(["covis", "--scene", str(scene_dir)])
+        assert "payload size mismatch" in self._single_error(capsys, code, "format")
 
     def test_covis_truncated_tensor(self, scene_dir, capsys):
         (scene_dir / "view_000_rays.mapt").write_bytes(b"MAPT\x01\x01\x03\x1c\x00")

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ from mapt.geometry import Pose
 from mapt.network import (
     _QUERY_BLOCK,
     ModelConfig,
-    FULL_SCALE_CONFIG,
     TokenSet,
     Weights,
     alternating_attention,
@@ -86,12 +86,6 @@ class TestConfig:
         with pytest.raises(InvalidValueError):
             ModelConfig(depth=3)
 
-    def test_full_scale_constants(self):
-        assert FULL_SCALE_CONFIG.depth == 24
-        assert FULL_SCALE_CONFIG.dim == 768
-        assert FULL_SCALE_CONFIG.heads == 12
-        assert FULL_SCALE_CONFIG.mlp_ratio == 4.0
-
 
 class TestEncodeInputs:
     def test_zero_weights_shape_contract(self):
@@ -127,6 +121,17 @@ class TestEncodeInputs:
         cfg = InputConfig.from_modalities(3, rays=True)
         with pytest.raises(InvalidValueError):
             encode_inputs(_images(s), cfg, w)  # rays flagged but not provided
+
+    @pytest.mark.parametrize("modality, given", [("rays", "rays"), ("depth", "depths"), ("pose", "poses")])
+    def test_flag_input_inconsistency_names_the_modality(self, modality, given):
+        s = _scene()
+        w = init_weights(TOY, 3)
+        full = _full_inputs(s)
+        message = f"view 0: {modality} flag/input inconsistency"
+        with pytest.raises(InvalidValueError, match=message):  # flagged but not provided
+            encode_inputs(full["images"], InputConfig.from_modalities(3, **{modality: True}), w)
+        with pytest.raises(InvalidValueError, match=message):  # provided but not flagged
+            encode_inputs(full["images"], InputConfig.images_only(3), w, **{given: full[given]})
 
     def test_patch_divisibility_enforced(self):
         s = _scene(size=28)
@@ -198,6 +203,35 @@ class TestAlternatingAttention:
         var = ((tokens.scale_token - mu) ** 2).mean()
         expect = (tokens.scale_token - mu) / np.sqrt(var + 1e-6) * w["ln_out.g"] + w["ln_out.b"]
         np.testing.assert_allclose(got.scale_token, expect, atol=1e-12)
+
+
+class TestScaleTokenInFrame:
+    """ModelConfig(scale_token_in_frame=True) also runs the scale token,
+    alone, through every frame layer; the patch tokens never see it there."""
+
+    @staticmethod
+    def _attend(in_frame, layer_types=None):
+        w = init_weights(dataclasses.replace(TOY, scale_token_in_frame=in_frame), 12)
+        tokens = encode_inputs(_images(_scene()), InputConfig.images_only(3), w)
+        audit = []
+        return alternating_attention(tokens, w, layer_types=layer_types, attention_audit=audit), audit
+
+    def test_frame_layers(self):
+        (off, audit_off), (on, audit_on) = (self._attend(flag, ("frame",) * TOY.depth) for flag in (False, True))
+        np.testing.assert_array_equal(on.tokens, off.tokens)
+        assert not np.array_equal(on.scale_token, off.scale_token)
+        assert (len(audit_off), len(audit_on)) == (TOY.depth, 2 * TOY.depth)
+        assert max(audit_on) < 1e-6
+
+    def test_forward_scale_differs(self):
+        s = _scene()
+        scales = [
+            forward(_images(s), InputConfig.images_only(3), init_weights(dataclasses.replace(TOY, scale_token_in_frame=flag), 12)).scale.value
+            for flag in (False, True)
+        ]
+        assert scales[0] != scales[1]
+        (off, _), (on, _) = (self._attend(flag) for flag in (False, True))
+        assert not np.array_equal(on.tokens, off.tokens)  # global layers carry the change to the patches
 
 
 class TestDecodeHeads:
