@@ -330,6 +330,14 @@ def _compose(points, validity, depth=None, pose=None, scale=None) -> np.ndarray:
     return pts
 
 
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, raising InvalidValueError for a seed numpy rejects."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidValueError(f"seed must be a non-negative integer, got {seed!r}") from exc
+
+
 def _check(what: str, shapes: list, *grids: list) -> None:
     """Raise unless every grid list has one array per view whose leading
     dimensions are that view's entry in ``shapes``; the errors name ``what``

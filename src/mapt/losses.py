@@ -96,11 +96,10 @@ def robust_kernel(x, p: RobustKernelParams = DEFAULT_KERNEL):
 def robust_kernel_grad(x, p: RobustKernelParams = DEFAULT_KERNEL):
     """d rho / d x; one expression covers all alpha <= 2 cases."""
     x = np.asarray(x, dtype=np.float64)
-    t = x / p.c
-    b = abs(p.alpha - 2.0) if p.alpha != 2.0 else 1.0
     if p.alpha == 2.0:
         return x / (p.c * p.c)
-    return (x / (p.c * p.c)) * np.power(t * t / b + 1.0, p.alpha / 2.0 - 1.0)
+    t = x / p.c
+    return (x / (p.c * p.c)) * np.power(t * t / abs(p.alpha - 2.0) + 1.0, p.alpha / 2.0 - 1.0)
 
 
 @dataclass
@@ -353,7 +352,8 @@ def loss_gradient_matching(
     masks = [np.asarray(m, dtype=bool) for m in validity]
     zp = [np.asarray(z, dtype=np.float64) for z in pred_z]
     zg = [np.asarray(z, dtype=np.float64) for z in gt_z]
-    if not all(np.all((z > 0.0) & (z < np.inf)) for z in _pool("gradient matching loss", masks, zp, zg)[1:]):
+    _check("gradient matching loss", [m.shape for m in masks], zp, zg)
+    if not all(np.all(((z > 0.0) & (z < np.inf)) | ~m) for zs in (zp, zg) for z, m in zip(zs, masks)):
         raise InvalidValueError("gradient matching loss requires finite positive depths")
     per_view = [(np.log(np.where(m, a, 1.0)) - np.log(np.where(m, b, 1.0)), m) for a, b, m in zip(zp, zg, masks)]
 

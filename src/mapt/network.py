@@ -18,11 +18,10 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import InvalidValueError, NumericOverflowError, ShapeError
 from .factorization import encode_log_scale, factor_depth, factor_pose_scale
-from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, Pose, RayMap, _norm3
+from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, Pose, RayMap, _norm3, _rng
 from .viewgraph import InputConfig
 
 EXP_CLIP = 30.0
@@ -162,31 +161,11 @@ class Weights:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.params[name]
 
-    def to_flat(self) -> np.ndarray:
-        """All parameters raveled into one float32 vector (registry order)."""
-        return np.concatenate([self.params[n].ravel() for n, _, _ in _param_specs(self.config)]).astype(
-            np.float32
-        )
-
-    @classmethod
-    def from_flat(cls, config: ModelConfig, flat: np.ndarray) -> "Weights":
-        specs = _param_specs(config)
-        total = sum(int(np.prod(s)) for _, s, _ in specs)
-        flat = np.asarray(flat, dtype=np.float64).ravel()
-        if flat.size != total:
-            raise ShapeError(f"weight vector has {flat.size} values, config needs {total}")
-        params, off = {}, 0
-        for name, shape, _ in specs:
-            n = int(np.prod(shape))
-            params[name] = flat[off : off + n].reshape(shape)
-            off += n
-        return cls(config=config, params=params)
-
 
 def init_weights(config: ModelConfig, seed: int) -> Weights:
-    """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init, float32-quantized
-    so the on-disk container reproduces the weights bit-exactly."""
-    rng = np.random.default_rng(seed)
+    """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init, rounded to
+    float32 values (every forward report depends on these exact values)."""
+    rng = _rng(seed)
     params = {}
     for name, shape, fan_in in _param_specs(config):
         if fan_in is None:
@@ -202,13 +181,15 @@ def init_weights(config: ModelConfig, seed: int) -> Weights:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf  # imported here: only the network needs scipy
+
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def _layer_norm(x: np.ndarray, w: Weights, name: str, eps: float = 1e-6) -> np.ndarray:
+def _layer_norm(x: np.ndarray, w: Weights, name: str) -> np.ndarray:
     mu = x.mean(axis=-1, keepdims=True)
     var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * w[f"{name}.g"] + w[f"{name}.b"]
+    return (x - mu) / np.sqrt(var + 1e-6) * w[f"{name}.g"] + w[f"{name}.b"]
 
 
 def _linear(x: np.ndarray, w: Weights, name: str) -> np.ndarray:
@@ -272,14 +253,13 @@ def encode_inputs(
     rays: list[RayMap | None] | None = None,
     depths: list[DepthAlongRay | None] | None = None,
     poses: list[Pose | None] | None = None,
-    reference_view: int = 0,
 ) -> TokenSet:
     """Encode images and available factored inputs into the fused token set.
 
     Per view, every available modality embedding is layer-normalized, summed
     and normalized again; global quantities (pose, scales) are broadcast-added
     to their view's patch tokens. The reference embedding is added to
-    ``reference_view`` and the scale token appended.
+    view 0 and the scale token appended.
     """
     cfg = weights.config
     n = len(images)
@@ -300,8 +280,6 @@ def encode_inputs(
         raise ShapeError(f"image dims {h}x{w} must be divisible by patch {cfg.patch}")
     if any(im.shape[:2] != (h, w) for im in images):
         raise ShapeError("all views must share one resolution")
-    if not 0 <= reference_view < n:
-        raise InvalidValueError("reference view index out of range")
 
     # pose scale over the views that actually provide translations
     pose_idx = [i for i in range(n) if poses[i] is not None]
@@ -337,7 +315,7 @@ def encode_inputs(
                 emb = emb + _layer_norm(zp, weights, "ln_zp")[None, :]
         tok.append(_layer_norm(emb, weights, "ln_fuse"))
     tokens = np.stack(tok)
-    tokens[reference_view] = tokens[reference_view] + weights["ref_embed"]
+    tokens[0] = tokens[0] + weights["ref_embed"]
     return TokenSet(tokens=tokens, scale_token=weights["scale_token"].copy(), patch_grid=(h // cfg.patch, w // cfg.patch))
 
 

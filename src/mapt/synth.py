@@ -28,6 +28,7 @@ from .geometry import (
     _dot3,
     _forward_normals,
     _norm3,
+    _rng,
     quat_to_rot,
     rays_from_intrinsics,
     rot_to_quat,
@@ -146,23 +147,20 @@ def render_view(
     pose: Pose,
     width: int,
     height: int,
-    max_depth: float = MAX_RAY_DEPTH,
 ) -> tuple[RayMap, DepthAlongRay, np.ndarray, np.ndarray]:
     """Raycast one pinhole view; returns (rays, ray depth, validity, mask).
 
     Ray directions are float32-quantized; depths are the exact float64 hit
-    distances along those quantized rays, far-clipped at ``max_depth``. The
+    distances along those quantized rays, far-clipped at ``MAX_RAY_DEPTH``. The
     non-ambiguous mask equals the validity (sky and far-clipped pixels are
     both invalid and ambiguous).
     """
-    rays = rays_from_intrinsics(intrinsics, width, height)
-    quant = rays.directions.astype(np.float32).astype(np.float64)
-    rays = RayMap(quant)
+    rays = RayMap(rays_from_intrinsics(intrinsics, width, height).directions.astype(np.float32).astype(np.float64))
     rot = quat_to_rot(pose.rotation)
     world_dirs = rays.directions @ rot.T
     t = _raycast_arrays(scene, pose.translation, world_dirs)
-    validity = np.isfinite(t) & (t <= max_depth)
-    depth = DepthAlongRay(np.where(validity, t, 0.0), validity)
+    validity = np.isfinite(t) & (t <= MAX_RAY_DEPTH)
+    depth = DepthAlongRay(t, validity)
     return rays, depth, validity, validity.copy()
 
 
@@ -277,7 +275,9 @@ def gen_scene(
         raise InvalidValueError("need at least one view")
     if width < 8 or height < 8:
         raise InvalidValueError("image dimensions must be at least 8")
-    rng = np.random.default_rng(seed)
+    if n_spheres < 1:
+        raise InvalidValueError("need at least one sphere")
+    rng = _rng(seed)
     for _ in range(12):
         scene = _sample_analytic(rng, n_spheres, plane)
         cluster = scene.centers.mean(axis=0)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientComponentError, InvalidValueError, ShapeError
-from .geometry import DepthAlongRay, _check, quat_to_rot
+from .geometry import DepthAlongRay, _check, _rng, quat_to_rot
 from .synth import SceneSample
 
 # Training-time conditioning probabilities.
@@ -93,8 +93,6 @@ class InputConfig:
         pose: bool = False,
         depth: bool = False,
         depth_sparse: bool = False,
-        metric_pose_scale: bool | None = None,
-        metric_depth_scale: bool | None = None,
     ) -> "InputConfig":
         """All-view configuration from modality switches (the CLI path)."""
         depth = depth or depth_sparse
@@ -103,8 +101,8 @@ class InputConfig:
             pose_given=[pose] * n_views,
             depth_given=[depth] * n_views,
             depth_sparse=[depth_sparse] * n_views,
-            metric_pose_scale_given=pose if metric_pose_scale is None else metric_pose_scale,
-            metric_depth_scale_given=depth if metric_depth_scale is None else metric_depth_scale,
+            metric_pose_scale_given=pose,
+            metric_depth_scale_given=depth,
             geometric_enabled=rays or pose or depth,
             rays_selected=rays,
             pose_selected=pose,
@@ -266,12 +264,16 @@ def _components(adj: np.ndarray) -> list[list[int]]:
 def random_walk_sample(adj: np.ndarray, n_views: int, rng_seed: int) -> list[int]:
     """Random walk over an undirected adjacency collecting n_views distinct nodes.
 
-    Start node is uniform over nodes whose component is large enough; each step
-    moves to a uniform neighbor of the current node (added if new), restarting
-    at a random visited node on dead ends. The induced subgraph of the result
-    is connected by construction. Deterministic per seed.
+    The adjacency must be square and symmetric. Start node is uniform over
+    nodes whose component is large enough; each step moves to a uniform
+    neighbor of the current node (added if new). The induced subgraph of the
+    result is connected by construction. Deterministic per seed.
     """
     adj = np.asarray(adj, dtype=bool)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ShapeError(f"adjacency must be a square matrix, got shape {adj.shape}")
+    if not np.array_equal(adj, adj.T):
+        raise InvalidValueError("adjacency must be symmetric (undirected)")
     n = adj.shape[0]
     if n_views < 1:
         raise InvalidValueError("n_views must be >= 1")
@@ -281,7 +283,7 @@ def random_walk_sample(adj: np.ndarray, n_views: int, rng_seed: int) -> list[int
         raise InsufficientComponentError(
             f"no connected component of size >= {n_views} at this threshold"
         )
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     nbrs = [np.flatnonzero(adj[u]) for u in range(n)]
     start = int(eligible[rng.integers(len(eligible))])
     visited = [start]
@@ -290,10 +292,7 @@ def random_walk_sample(adj: np.ndarray, n_views: int, rng_seed: int) -> list[int
     budget = 1000 + 50 * n * max(n_views, 2)
     while len(visited) < n_views and budget > 0:
         budget -= 1
-        cand = nbrs[current]
-        if cand.size == 0:
-            current = visited[int(rng.integers(len(visited)))]
-            continue
+        cand = nbrs[current]  # never empty: a step runs only in a component of >= 2 nodes
         nxt = int(cand[rng.integers(cand.size)])
         if nxt not in vset:
             visited.append(nxt)
@@ -318,7 +317,7 @@ def sample_input_config(n_views: int, metric_gt_available: bool, rng_seed: int) 
     """
     if n_views < 1:
         raise InvalidValueError("n_views must be >= 1")
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     geometric = bool(rng.random() < GEOMETRIC_INPUT_PROB)
     rays_sel = depth_sel = pose_sel = False
     sparse_mode = False
@@ -361,11 +360,11 @@ def sparsify_depth(d: DepthAlongRay, keep_fraction: float = SPARSE_KEEP_FRACTION
     the rest. Retained values are bit-equal to the originals."""
     if not (0.0 < keep_fraction <= 1.0):
         raise InvalidValueError("keep_fraction must lie in (0, 1]")
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     idx = np.flatnonzero(d.validity.ravel())
     k = int(np.floor(keep_fraction * idx.size))
     chosen = rng.choice(idx, size=k, replace=False) if idx.size else idx
     validity = np.zeros_like(d.validity).ravel()
     validity[chosen] = True
     validity = validity.reshape(d.validity.shape)
-    return DepthAlongRay(np.where(validity, d.values, 0.0), validity)
+    return DepthAlongRay(d.values, validity)

@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -386,6 +389,44 @@ class TestCliReruns:
             assert files[0][name] == files[1][name], name
 
 
+_SCIPY_PROBE = """
+import json, sys
+from mapt.cli import main
+from mapt.io import read_scene, write_factored
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+runs = [
+    ["synth", "--seed", "5", "--views", "3", "--size", "28x28", "--out", "scene/"],
+    ["covis", "--scene", "scene/", "--out", "covis.json"],
+    ["sample", "--covis", "covis.json", "--threshold", "0.0", "--n", "2"],
+    ["loss", "--gt", "scene/", "--pred", "pred/", "--synthetic"],
+    ["eval", "--gt", "scene/", "--pred", "pred/", "--align-points"],
+    ["export-ply", "--scene", "pred/", "--out", "pred.ply"],
+]
+for argv in runs:
+    if argv[0] == "loss":
+        write_factored("pred", read_scene("scene").as_factored_scene())
+    assert main(argv) == 0, argv
+before = scipy_modules()
+assert main(["forward", "--scene", "scene/", "--inputs", "rays,pose", "--out", "net/"]) == 0
+print(json.dumps([before, scipy_modules()]), file=sys.stderr)
+"""
+
+
+def test_only_forward_loads_scipy(tmp_path):
+    # a fresh interpreter: this test process has long imported scipy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stderr.splitlines()[-1])
+    assert before == []
+    assert "scipy.special" in after
+
+
 class TestCliErrorContract:
     """Malformed inputs end in exit code 1 and one `error: <category>: <message>` line."""
 
@@ -547,6 +588,23 @@ class TestCliErrorContract:
         (tmp_path / "c.json").write_text(json.dumps({"fraction": fraction}))
         code = main(["sample", "--covis", str(tmp_path / "c.json"), "--n", "2"])
         assert "'fraction' is not a numeric matrix" in self._single_error(capsys, code, "format")
+
+    @pytest.mark.parametrize("command", ["synth", "sample", "forward"])
+    def test_negative_seed(self, scene_dir, tmp_path, capsys, command):
+        (tmp_path / "c.json").write_text(json.dumps({"fraction": [[1.0, 1.0], [1.0, 1.0]]}))
+        argv = {
+            "synth": ["synth", "--views", "2", "--size", "28x28", "--out", str(tmp_path / "s")],
+            "sample": ["sample", "--covis", str(tmp_path / "c.json"), "--n", "2"],
+            "forward": ["forward", "--scene", str(scene_dir), "--out", str(tmp_path / "p")],
+        }[command]
+        code = main([*argv, "--seed", "-1"])
+        assert "seed must be a non-negative integer" in self._single_error(capsys, code, "invalid-value")
+
+    @pytest.mark.parametrize("spheres", ["0", "-1"])
+    def test_synth_fewer_than_one_sphere(self, tmp_path, capsys, spheres):
+        code = main(["synth", "--views", "2", "--size", "28x28", "--spheres", spheres, "--out", str(tmp_path / "s")])
+        assert "need at least one sphere" in self._single_error(capsys, code, "invalid-value")
+        assert not (tmp_path / "s").exists()
 
 
 class TestCliFuzz:

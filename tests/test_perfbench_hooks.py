@@ -5,12 +5,15 @@ perfbench/workloads.py spans the CLI by swapping names that mapt.cli imports
 the ``SPANNED_IO`` functions. A change to mapt.cli that drops one of those
 imports, or calls another mapt.io function, breaks that workload. The
 cli-small test runs its warm-up scene the way ``perfbench/run.py --trace 1``
-does; the wide24 test runs the network path through several query blocks.
+does; the other workloads' warm-up scenes are checked against the same
+reference file.
 """
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,15 +42,17 @@ def test_cli_small_warmup_scene_instrumented(tmp_path):
     assert {"viewgraph.covisibility", "io.write_json", "io.read_json"} <= spanned
 
 
-def test_wide24_warmup_scene_matches_reference(tmp_path):
-    # 24 views of 144 patches: the global layers attend over 3457 tokens in
-    # several query blocks, and the outputs must stay within the reference gate
+@pytest.mark.parametrize("name", ["wide24", "hires4", "views100"])
+def test_warmup_scene_matches_reference(tmp_path, name):
+    # wide24 has 24 views of 144 patches: the global layers attend over 3457
+    # tokens in several query blocks. Every workload's outputs must stay
+    # within the reference gate.
     wl = _load("workloads")
     ops = wl.Ops(_load("tracer").Tracer())
-    workload = wl.WORKLOADS["wide24"]()
+    workload = wl.WORKLOADS[name]()
     workload.setup(ops)
     summary, _ = ops.scene(workload, wl.WARMUP_SEED, tmp_path)
     assert ops.failed == 0, ops.categories
     assert ops.problems == []
-    reference = json.loads((PERFBENCH / "reference.json").read_text())["wide24"]
+    reference = json.loads((PERFBENCH / "reference.json").read_text())[name]
     assert wl.compare_reference(summary, reference) == []

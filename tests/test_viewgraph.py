@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mapt.errors import InsufficientComponentError, InvalidValueError
+from mapt.errors import InsufficientComponentError, InvalidValueError, ShapeError
 from mapt.geometry import DepthAlongRay, Intrinsics, MetricScale, Pose
 from mapt.synth import AnalyticScene, SceneSample, ViewSample, gen_scene, render_view
 from mapt import viewgraph
@@ -208,6 +208,21 @@ class TestRandomWalk:
         adj[2, 3] = adj[3, 2] = True
         with pytest.raises(InsufficientComponentError):
             random_walk_sample(adj, 3, rng_seed=0)
+
+    @pytest.mark.parametrize("adj", [np.ones((1, 3), dtype=bool), np.ones(3, dtype=bool)])
+    def test_non_square_adjacency(self, adj):
+        with pytest.raises(ShapeError, match="square"):
+            random_walk_sample(adj, 2, rng_seed=0)
+
+    def test_asymmetric_adjacency(self):
+        # a directed edge: a walk from node 1 would find no way on
+        for seed in range(4):
+            with pytest.raises(InvalidValueError, match="symmetric"):
+                random_walk_sample(np.array([[0, 1], [0, 0]]), 2, rng_seed=seed)
+
+    def test_negative_seed(self):
+        with pytest.raises(InvalidValueError, match="non-negative integer"):
+            random_walk_sample(self._path_graph(3), 2, rng_seed=-1)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(1)
