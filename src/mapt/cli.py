@@ -27,7 +27,6 @@ from .synth import gen_scene, shade_view
 from .viewgraph import (
     DEFAULT_COVIS_THRESHOLD,
     DEFAULT_REL_DEPTH_TOL,
-    SPARSE_KEEP_FRACTION,
     CovisGraph,
     InputConfig,
     build_adjacency,
@@ -122,7 +121,7 @@ def cmd_sample(args) -> int:
         raise FormatError(f"{args.covis}: covisibility file lacks 'fraction'")
     try:
         fraction = np.array(data["fraction"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float64
         raise FormatError(f"{args.covis}: 'fraction' is not a numeric matrix ({exc})") from exc
     graph = CovisGraph(fraction)
     adj = build_adjacency(graph, threshold=args.threshold)
@@ -205,7 +204,7 @@ def cmd_forward(args) -> int:
     depths = None
     if use_depth:
         depths = [
-            sparsify_depth(v.depth, SPARSE_KEEP_FRACTION, args.seed + i) if use_sparse else v.depth
+            sparsify_depth(v.depth, args.seed + i) if use_sparse else v.depth
             for i, v in enumerate(scene.views)
         ]
     out = forward(images, config, weights, rays=rays, depths=depths, poses=poses)

@@ -86,8 +86,10 @@ def _pose_from_list(vals) -> Pose:
 
 
 def _numbers(vals, n: int) -> bool:
-    """Whether a manifest value is a list of n JSON numbers."""
-    return isinstance(vals, list) and len(vals) == n and all(type(v) in (int, float) for v in vals)
+    """Whether a manifest value is a list of n JSON numbers within float64 range; the
+    NaN and Infinity literals pass, for the constructors to reject them."""
+    top = float(np.finfo(np.float64).max)
+    return isinstance(vals, list) and len(vals) == n and all(type(v) is float or type(v) is int and abs(v) <= top for v in vals)
 
 
 def write_scene(path, scene: SceneSample) -> None:
@@ -146,8 +148,8 @@ def _load_manifest(path: Path) -> dict:
         raise FormatError(f"{path}: view count does not match manifest entries")
     if "metric_scale" not in manifest:
         raise FormatError(f"{path}: manifest lacks 'metric_scale'")
-    if type(manifest["metric_scale"]) not in (int, float):
-        raise FormatError(f"{path}: manifest 'metric_scale' must be a number")
+    if not _numbers([manifest["metric_scale"]], 1):
+        raise FormatError(f"{path}: manifest 'metric_scale' must be a number within float64 range")
     for i, entry in enumerate(manifest["views"]):
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: view {i} must be a JSON object")
@@ -157,9 +159,9 @@ def _load_manifest(path: Path) -> dict:
         if not all(type(entry[k]) is int and entry[k] > 0 for k in ("width", "height")):
             raise FormatError(f"{path}: view {i} 'width' and 'height' must be positive integers")
         if not _numbers(entry["pose"], 7):
-            raise FormatError(f"{path}: view {i} 'pose' must be 7 numbers (qw qx qy qz tx ty tz)")
+            raise FormatError(f"{path}: view {i} 'pose' must be 7 numbers within float64 range (qw qx qy qz tx ty tz)")
         if "intrinsics" in entry and not _numbers(entry["intrinsics"], 4):
-            raise FormatError(f"{path}: view {i} 'intrinsics' must be 4 numbers (fx fy cx cy)")
+            raise FormatError(f"{path}: view {i} 'intrinsics' must be 4 numbers within float64 range (fx fy cx cy)")
         files = entry["files"]
         if not isinstance(files, dict) or not all(isinstance(f, str) for f in files.values()):
             raise FormatError(f"{path}: view {i} 'files' must map tensor names to file names")

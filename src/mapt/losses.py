@@ -55,8 +55,9 @@ _WEIGHTS = {
     "mask": 0.1,
 }
 
-DEFAULT_ALPHA_CONF = 0.2
-DEFAULT_EXCLUDE_TOP = 0.05
+DEFAULT_ALPHA_CONF = 0.2  # weight of the -log C confidence regularizer
+DEFAULT_EXCLUDE_TOP = 0.05  # fraction of largest depth / local pointmap residuals dropped
+GM_SCALES = 4  # factor-2 scales summed by the gradient-matching loss
 BCE_CLAMP = 1e-7
 
 
@@ -131,18 +132,12 @@ def loss_weights() -> dict:
 # reduction helpers
 
 
-def _check_weights(exclude_top: float = DEFAULT_EXCLUDE_TOP, alpha_conf: float = DEFAULT_ALPHA_CONF) -> None:
-    """Raise unless 0 <= exclude_top < 1 and alpha_conf is finite and >= 0 (NaN fails both)."""
-    if not (0.0 <= exclude_top < 1.0 and 0.0 <= alpha_conf < np.inf):
-        raise InvalidValueError(f"need exclude_top in [0, 1) and alpha_conf finite >= 0, got {exclude_top}, {alpha_conf}")
-
-
-def _excluded_mean(values: np.ndarray, exclude_top: float) -> float:
-    """Mean after dropping the floor(exclude_top * n) largest entries (sorts ``values`` in place)."""
+def _excluded_mean(values: np.ndarray) -> float:
+    """Mean after dropping the floor(DEFAULT_EXCLUDE_TOP * n) largest entries (sorts ``values`` in place)."""
     n = values.size
     if n == 0:
         raise EmptyDepthError("no valid pixels to reduce")
-    n_drop = int(np.floor(exclude_top * n))
+    n_drop = int(np.floor(DEFAULT_EXCLUDE_TOP * n))
     if n_drop == 0:
         return float(np.mean(values))
     values.sort()
@@ -211,21 +206,19 @@ def loss_depth(
     z_pred: NormScale,
     z_gt: NormScale,
     p: RobustKernelParams = DEFAULT_KERNEL,
-    exclude_top: float = DEFAULT_EXCLUDE_TOP,
 ) -> float:
     """Log-space scale-invariant ray depth loss with top-fraction exclusion.
 
     Pixels are selected by the ground-truth validity masks and pooled across
-    views before the exclusion quantile is applied.
+    views before the DEFAULT_EXCLUDE_TOP largest residuals are dropped.
     """
-    _check_weights(exclude_top)
     _, dp, dg = _pool("depth loss", [d.validity for d in gt], [d.values for d in pred], [d.values for d in gt])
-    return _depth_term(dp, dg, z_pred, z_gt, p, exclude_top)
+    return _depth_term(dp, dg, z_pred, z_gt, p)
 
 
-def _depth_term(dp, dg, z_pred, z_gt, p, exclude_top) -> float:
+def _depth_term(dp, dg, z_pred, z_gt, p) -> float:
     res = _rowwise(lambda x, y: robust_kernel(np.abs(f_log(y / z_gt.value) - f_log(x / z_pred.value)), p), dp, dg)
-    return _excluded_mean(res, exclude_top)
+    return _excluded_mean(res)
 
 
 def loss_local_pointmap(
@@ -234,18 +227,16 @@ def loss_local_pointmap(
     z_pred: NormScale,
     z_gt: NormScale,
     p: RobustKernelParams = DEFAULT_KERNEL,
-    exclude_top: float = DEFAULT_EXCLUDE_TOP,
 ) -> float:
     """As the depth loss but on 3D points: kernel of the f_log residual norm."""
-    _check_weights(exclude_top)
     masks = [pm.validity for pm in gt]
     _, pp, pg = _pool("local pointmap loss", masks, [pm.points for pm in pred], [pm.points for pm in gt])
-    return _lpm_term(pp, pg, z_pred, z_gt, p, exclude_top)
+    return _lpm_term(pp, pg, z_pred, z_gt, p)
 
 
-def _lpm_term(pp, pg, z_pred, z_gt, p, exclude_top) -> float:
+def _lpm_term(pp, pg, z_pred, z_gt, p) -> float:
     res = _point_residual(pp, pg, z_pred, z_gt)
-    return _excluded_mean(_rowwise(lambda r: robust_kernel(r, p), res, out=res), exclude_top)
+    return _excluded_mean(_rowwise(lambda r: robust_kernel(r, p), res, out=res))
 
 
 def loss_pointmap_conf(
@@ -255,23 +246,21 @@ def loss_pointmap_conf(
     z_pred: NormScale,
     z_gt: NormScale,
     p: RobustKernelParams = DEFAULT_KERNEL,
-    alpha_conf: float = DEFAULT_ALPHA_CONF,
 ) -> float:
-    """Confidence-weighted world pointmap loss: mean of C * rho(res) - a * log C."""
-    _check_weights(alpha_conf=alpha_conf)
+    """Confidence-weighted world pointmap loss: mean of C * rho(res) - a * log C, a = DEFAULT_ALPHA_CONF."""
     conf = [np.asarray(c, dtype=np.float64) for c in conf]
     masks = [pm.validity for pm in gt]
     _, pp, pg, c = _pool("pointmap loss", masks, [pm.points for pm in pred], [pm.points for pm in gt], conf)
     if not all(np.all((x >= 1.0) & (x < np.inf)) for x in conf):
         raise InvalidValueError("confidence must be finite and >= 1")
-    return _pointmap_term(pp, pg, c, z_pred, z_gt, p, alpha_conf)
+    return _pointmap_term(pp, pg, c, z_pred, z_gt, p)
 
 
-def _pointmap_term(pp, pg, c, z_pred, z_gt, p, alpha_conf) -> float:
+def _pointmap_term(pp, pg, c, z_pred, z_gt, p) -> float:
     if c.size == 0:
         raise EmptyDepthError("pointmap loss: no valid pixels")
     res = _point_residual(pp, pg, z_pred, z_gt)
-    return float(np.mean(_rowwise(lambda r, w: w * robust_kernel(r, p) - alpha_conf * np.log(w), res, c, out=res)))
+    return float(np.mean(_rowwise(lambda r, w: w * robust_kernel(r, p) - DEFAULT_ALPHA_CONF * np.log(w), res, c, out=res)))
 
 
 def loss_scale(
@@ -340,12 +329,10 @@ def _pool_half(d: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return out, out_valid
 
 
-def loss_gradient_matching(
-    pred_z: list[np.ndarray], gt_z: list[np.ndarray], validity: list[np.ndarray], n_scales: int = 4
-) -> float:
+def loss_gradient_matching(pred_z: list[np.ndarray], gt_z: list[np.ndarray], validity: list[np.ndarray]) -> float:
     """Multi-scale gradient matching on the log z-depth difference.
 
-    At each scale the x- and y-forward-difference magnitudes of
+    At each of GM_SCALES factor-2 scales the x- and y-forward-difference magnitudes of
     d = log(pred) - log(gt) are averaged over pairs whose both endpoints are
     valid, pooled across views; the per-scale terms are summed.
     """
@@ -358,7 +345,7 @@ def loss_gradient_matching(
     per_view = [(np.log(np.where(m, a, 1.0)) - np.log(np.where(m, b, 1.0)), m) for a, b, m in zip(zp, zg, masks)]
 
     total = 0.0
-    for _ in range(n_scales):
+    for _ in range(GM_SCALES):
         for ahead, behind in ((np.s_[:, 1:], np.s_[:, :-1]), (np.s_[1:, :], np.s_[:-1, :])):  # x, then y
             pairs = [m[ahead] & m[behind] for _, m in per_view]
             _, grad = _pool("gradient matching loss", pairs, [np.abs(d[ahead] - d[behind]) for d, _ in per_view])
@@ -384,14 +371,7 @@ def loss_mask(pred_prob: list[np.ndarray], gt: list[np.ndarray]) -> float:
 # total
 
 
-def total_loss(
-    pred: FactoredScene,
-    gt,
-    synthetic: bool = False,
-    p: RobustKernelParams = DEFAULT_KERNEL,
-    alpha_conf: float = DEFAULT_ALPHA_CONF,
-    exclude_top: float = DEFAULT_EXCLUDE_TOP,
-) -> LossReport:
+def total_loss(pred: FactoredScene, gt, synthetic: bool = False) -> LossReport:
     """Full weighted objective of a predicted factored scene against ground truth.
 
     ``gt`` is a ground-truth scene sample (see mapt.synth.SceneSample). The
@@ -399,8 +379,7 @@ def total_loss(
     is set. Pixels enter the dense losses through the ground-truth validity
     masks; the prediction normalizer z_pred uses the same masks.
     """
-    _check_weights(exclude_top, alpha_conf)
-    what = "total loss"
+    what, p = "total loss", DEFAULT_KERNEL
     masks = [g.depth.validity for g in gt.views]
     pr_valid = [v.depth.validity for v in pred.views]
     confs = [v.confidence if v.confidence is not None else np.ones(v.depth.values.shape) for v in pred.views]
@@ -415,10 +394,10 @@ def total_loss(
     gw = _pool_composed(masks, [(x, g.depth.validity, None, g.pose, None) for x, g in zip(gt_local, gt.views)])
     z_gt = _norm_scale(gw, offsets)
     z_pred = _norm_scale(pw, offsets, pv)
-    pointmap = _pointmap_term(pw, gw, c, z_pred, z_gt, p, alpha_conf)
+    pointmap = _pointmap_term(pw, gw, c, z_pred, z_gt, p)
     del pw, gw
     _, pl, gl = _pool(what, masks, pr_local, gt_local)
-    lpm = _lpm_term(pl, gl, z_pred, z_gt, p, exclude_top)
+    lpm = _lpm_term(pl, gl, z_pred, z_gt, p)
     del pl, gl
     terms = {
         "pointmap": pointmap,
@@ -427,7 +406,7 @@ def total_loss(
         "translation": loss_translation(
             [v.pose.translation for v in pred.views], [g.pose.translation for g in gt.views], z_pred, z_gt, p
         ),
-        "depth": _depth_term(dp, dg, z_pred, z_gt, p, exclude_top),
+        "depth": _depth_term(dp, dg, z_pred, z_gt, p),
         "lpm": lpm,
         "scale": loss_scale(z_gt, pred.scale, z_pred, p),
         "normal": _normal_term(pr_local, pr_valid, gt_local, masks) if synthetic else 0.0,

@@ -91,16 +91,16 @@ def _abs_rel(p: np.ndarray, g: np.ndarray) -> float:
     return float(np.mean(np.abs(p - g) / g))
 
 
-def inlier_ratio_tau(pred, gt, validity, ratio_threshold: float = TAU_DEFAULT) -> float:
-    """Fraction of valid pixels with max(pred/gt, gt/pred) < ratio_threshold; +inf is an outlier."""
-    return _inlier_ratio_tau(*_masked(pred, gt, validity), ratio_threshold)
+def inlier_ratio_tau(pred, gt, validity) -> float:
+    """Fraction of valid pixels with max(pred/gt, gt/pred) < TAU_DEFAULT; +inf is an outlier."""
+    return _inlier_ratio_tau(*_masked(pred, gt, validity))
 
 
-def _inlier_ratio_tau(p: np.ndarray, g: np.ndarray, ratio_threshold: float = TAU_DEFAULT) -> float:
+def _inlier_ratio_tau(p: np.ndarray, g: np.ndarray) -> float:
     if not (np.all(p > 0.0) and np.all(g > 0.0)):
         raise InvalidValueError("inlier ratio requires positive values")
     ratio = np.maximum(p / g, g / p)
-    return float(np.mean(ratio < ratio_threshold))
+    return float(np.mean(ratio < TAU_DEFAULT))
 
 
 def median_align(pred, gt, validity) -> tuple[float, np.ndarray]:
@@ -120,7 +120,7 @@ def scale_rel(pred: MetricScale, gt: MetricScale) -> float:
 # alignment and pose metrics
 
 
-def umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
+def umeyama(src, dst) -> SimilarityTransform:
     """Closed-form least-squares similarity transform mapping src onto dst.
 
     Minimizes sum ||dst - (s R src + t)||^2. Needs >= 3 non-collinear points;
@@ -147,11 +147,7 @@ def umeyama(src, dst, with_scale: bool = True) -> SimilarityTransform:
     if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
         s_fix[2, 2] = -1.0
     rot = u @ s_fix @ vt
-    if with_scale:
-        var_src = float(np.mean(_dot3(xs, xs)))
-        scale = float(np.trace(np.diag(d) @ s_fix) / var_src)
-    else:
-        scale = 1.0
+    scale = float(np.trace(np.diag(d) @ s_fix) / float(np.mean(_dot3(xs, xs))))
     t = mu_d - scale * (rot @ mu_s)
     return SimilarityTransform(scale=scale, rotation=rot_to_quat(rot), translation=t)
 
@@ -164,7 +160,7 @@ def ate_rmse(pred_traj: list[Pose], gt_traj: list[Pose]) -> float:
         raise DegenerateError("trajectory alignment needs at least 3 poses")
     pred_c = np.stack([p.translation for p in pred_traj])
     gt_c = np.stack([p.translation for p in gt_traj])
-    sim = umeyama(pred_c, gt_c, with_scale=True)
+    sim = umeyama(pred_c, gt_c)
     res = gt_c - sim.apply(pred_c)
     return float(np.sqrt(np.mean(_dot3(res, res))))
 
@@ -196,8 +192,9 @@ def pose_angular_errors(pred: list[Pose], gt: list[Pose]) -> tuple[np.ndarray, n
     return rra, rta
 
 
-def auc_at_threshold(errors_deg, max_threshold: float = AUC_DEFAULT_DEG) -> float:
-    """Exact area under the accuracy-vs-threshold curve, normalized to [0, 1].
+def auc_at_threshold(errors_deg) -> float:
+    """Exact area under the accuracy-vs-threshold curve up to T = AUC_DEFAULT_DEG,
+    normalized to [0, 1].
 
     acc(theta) is piecewise constant in the sorted error list, so the integral
     is sum(max(0, T - e_i)) / (n T).
@@ -207,7 +204,7 @@ def auc_at_threshold(errors_deg, max_threshold: float = AUC_DEFAULT_DEG) -> floa
         raise InvalidValueError("auc requires at least one error value")
     if not np.all(e >= 0.0):
         raise InvalidValueError("errors must be non-negative")
-    return float(np.sum(np.maximum(0.0, max_threshold - e)) / (e.size * max_threshold))
+    return float(np.sum(np.maximum(0.0, AUC_DEFAULT_DEG - e)) / (e.size * AUC_DEFAULT_DEG))
 
 
 # ---------------------------------------------------------------------------

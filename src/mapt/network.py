@@ -26,9 +26,7 @@ from .viewgraph import InputConfig
 
 EXP_CLIP = 30.0
 _QUERY_BLOCK = 256  # query rows per exact-softmax attention block: heads * B * T doubles of scores
-# Accepted value types of each ModelConfig field type; bool is an int in
-# Python, so __post_init__ also rejects bools for the numeric fields.
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": (bool, np.bool_)}
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}  # bool is an int too; __post_init__ rejects bools
 
 
 @dataclass
@@ -38,12 +36,11 @@ class ModelConfig:
     heads: int = 4
     mlp_ratio: float = 4.0
     patch: int = 14
-    scale_token_in_frame: bool = False  # scale token normally attends only globally
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, (bool, np.bool_)) != (f.type == "bool") or not isinstance(v, _FIELD_TYPES[f.type]):
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, _FIELD_TYPES[f.type]):
                 raise InvalidValueError(f"model config {f.name} must be of type {f.type}, got {v!r}")
         if self.heads < 1:
             raise InvalidValueError("heads must be >= 1")
@@ -164,10 +161,14 @@ class Weights:
 
 def init_weights(config: ModelConfig, seed: int) -> Weights:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init, rounded to
-    float32 values (every forward report depends on these exact values)."""
+    float32 values (every forward report depends on these exact values).
+    Each shape is checked just before its weight is drawn, so a config whose
+    first oversized weight numpy can describe but not allocate is a MemoryError."""
     rng = _rng(seed)
     params = {}
     for name, shape, fan_in in _param_specs(config):
+        if np.prod(shape, dtype=object) > np.iinfo(np.intp).max // 8:  # more bytes than numpy can address
+            raise InvalidValueError(f"model config gives {name} the shape {shape}, too large for a numpy array")
         if fan_in is None:
             params[name] = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
         else:
@@ -332,7 +333,7 @@ def alternating_attention(
     """Alternate frame-wise and global self-attention over the token set.
 
     Even layers attend within each view, odd layers over all views' patches
-    plus the scale token (which, by default, is untouched by frame layers).
+    plus the scale token (which frame layers leave untouched).
     ``layer_types`` overrides the frame/global pattern for testing. The output
     is final-layer-normalized.
     """
@@ -347,8 +348,6 @@ def alternating_attention(
     for i, kind in enumerate(layer_types):
         if kind == "frame":
             x = _block(x, weights, i, cfg.heads, attention_audit)
-            if cfg.scale_token_in_frame:
-                s = _block(s[None, None, :], weights, i, cfg.heads, attention_audit)[0, 0]
         elif kind == "global":
             seq = np.concatenate([x.reshape(1, v * p, dim), s[None, None, :]], axis=1)
             seq = _block(seq, weights, i, cfg.heads, attention_audit)

@@ -4,7 +4,7 @@ geometric-input configuration sampler used for training-style conditioning."""
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -355,14 +355,12 @@ def sample_input_config(n_views: int, metric_gt_available: bool, rng_seed: int) 
     )
 
 
-def sparsify_depth(d: DepthAlongRay, keep_fraction: float = SPARSE_KEEP_FRACTION, rng_seed: int = 0) -> DepthAlongRay:
-    """Keep floor(keep_fraction * valid) uniformly random valid pixels, invalidate
-    the rest. Retained values are bit-equal to the originals."""
-    if not (0.0 < keep_fraction <= 1.0):
-        raise InvalidValueError("keep_fraction must lie in (0, 1]")
+def sparsify_depth(d: DepthAlongRay, rng_seed: int = 0) -> DepthAlongRay:
+    """Keep floor(SPARSE_KEEP_FRACTION * valid) uniformly random valid pixels,
+    invalidate the rest. Retained values are bit-equal to the originals."""
     rng = _rng(rng_seed)
     idx = np.flatnonzero(d.validity.ravel())
-    k = int(np.floor(keep_fraction * idx.size))
+    k = int(np.floor(SPARSE_KEEP_FRACTION * idx.size))
     chosen = rng.choice(idx, size=k, replace=False) if idx.size else idx
     validity = np.zeros_like(d.validity).ravel()
     validity[chosen] = True

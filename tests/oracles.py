@@ -8,6 +8,7 @@ it checks.
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -161,7 +162,7 @@ def is_connected(adj: np.ndarray, nodes: list[int]) -> bool:
 
 def parse_ply(path) -> tuple[np.ndarray, np.ndarray]:
     """Struct-based binary PLY reader (x y z float32, r g b uint8)."""
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     end = data.index(b"end_header\n") + len(b"end_header\n")
     header = data[:end].decode("ascii").splitlines()
     assert header[0] == "ply"

@@ -1,6 +1,9 @@
 import contextlib
+import copy
+import functools
 import io
 import json
+import operator
 import os
 import re
 import shutil
@@ -471,7 +474,7 @@ class TestCliErrorContract:
         [
             ({"dim": "64"}, "dim must be of type int"),
             ({"dim": True}, "dim must be of type int"),
-            ({"scale_token_in_frame": 1}, "scale_token_in_frame must be of type bool"),
+            ({"scale_token_in_frame": False}, "scale_token_in_frame'; valid fields: depth, dim, heads, mlp_ratio, patch"),
             ({"heads": 0}, "heads must be >= 1"),
             ({"dim": 0}, "dim must be >= 1"),
             ({"mlp_ratio": -1.0}, "mlp_ratio must be finite"),
@@ -502,6 +505,37 @@ class TestCliErrorContract:
         code = main(["covis", "--scene", str(scene_dir)])
         assert message in self._single_error(capsys, code, "format")
 
+    @pytest.mark.parametrize("command", ["covis", "export-ply"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["views"][1]["pose"].__setitem__(4, 10**400), "view 1 'pose' must be 7 numbers within float64 range"),
+            (lambda m: m.update(metric_scale=10**400), "'metric_scale' must be a number within float64 range"),
+            (lambda m: m["views"][1]["intrinsics"].__setitem__(0, -(10**400)), "view 1 'intrinsics' must be 4 numbers within"),
+        ],
+    )
+    def test_manifest_integer_beyond_float64(self, scene_dir, tmp_path, capsys, command, edit, message):
+        manifest = json.loads((scene_dir / "scene.json").read_text())
+        edit(manifest)
+        (scene_dir / "scene.json").write_text(json.dumps(manifest))
+        argv = {"covis": ["covis"], "export-ply": ["export-ply", "--out", str(tmp_path / "x.ply")]}[command]
+        assert message in self._single_error(capsys, main([*argv, "--scene", str(scene_dir)]), "format")
+
+    @pytest.mark.parametrize(
+        "edit, category",
+        [
+            (lambda m: m["views"][1]["pose"].__setitem__(4, float("nan")), "invalid-value"),
+            (lambda m: m.update(metric_scale=float("inf")), "invalid-value"),
+            (lambda m: m["views"][1]["intrinsics"].__setitem__(0, float("-inf")), "invalid-intrinsics"),
+        ],
+    )
+    def test_manifest_nan_and_infinity_literals(self, scene_dir, capsys, edit, category):
+        # the manifest check lets these through; the constructors reject them
+        manifest = json.loads((scene_dir / "scene.json").read_text())
+        edit(manifest)
+        (scene_dir / "scene.json").write_text(json.dumps(manifest))
+        self._single_error(capsys, main(["covis", "--scene", str(scene_dir)]), category)
+
     def test_eval_manifest_view_missing_pose(self, scene_dir, tmp_path, capsys):
         manifest = json.loads((scene_dir / "scene.json").read_text())
         del manifest["views"][0]["pose"]
@@ -528,6 +562,14 @@ class TestCliErrorContract:
         (tmp_path / "cfg.json").write_text(json.dumps({"dim": 1000000000000}))
         code = main(["forward", "--scene", str(scene_dir), "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "p")])
         assert "Unable to allocate" in self._single_error(capsys, code, "out-of-memory")
+
+    @pytest.mark.parametrize("config", [{"patch": 10**30}, {"mlp_ratio": 1e300}, {"dim": 2**70, "heads": 1}])
+    def test_forward_config_too_large_for_numpy(self, scene_dir, tmp_path, capsys, config):
+        # a weight shape numpy cannot describe is rejected before that weight is drawn
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code = main(["forward", "--scene", str(scene_dir), "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "p")])
+        assert "too large for a numpy array" in self._single_error(capsys, code, "invalid-value")
+        assert not (tmp_path / "p").exists()
 
     def test_covis_jobs_below_one(self, scene_dir, capsys):
         code = main(["covis", "--scene", str(scene_dir), "--jobs", "0"])
@@ -607,14 +649,30 @@ class TestCliErrorContract:
         assert not (tmp_path / "s").exists()
 
 
+KNOWN_CATEGORIES = {c.category for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.MaptError)}
+KNOWN_CATEGORIES |= {"io", "out-of-memory"}  # cli.main's categories for OSError and MemoryError
+
+
+def _run_cli(argv) -> tuple[int, str]:
+    """Exit code and stdout of cli.main; a failed run must print exactly one
+    `error: <known category>:` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code != 0:
+        assert code == 1 and len(lines) == 1, lines
+        m = re.fullmatch(r"error: ([a-z-]+): \S.*", lines[0])
+        assert m and m.group(1) in KNOWN_CATEGORIES, lines
+    return code, out.getvalue()
+
+
 class TestCliFuzz:
     """One NaN or +-inf written into one float32 tensor payload, and drawn
     --tol/--threshold values: every run either exits 0 without a null in a
     loss, eval or covisibility report, or prints exactly one `error: <known
     category>:` line."""
 
-    KNOWN = {c.category for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.MaptError)}
-    KNOWN |= {"io", "out-of-memory"}  # cli.main's categories for OSError and MemoryError
     FLAGS = ["nan", "inf", "-1", "0", "0.05"]
 
     @pytest.fixture(scope="class")
@@ -625,15 +683,7 @@ class TestCliFuzz:
         return root
 
     def _run(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
-            code = main(argv)
-        lines = err.getvalue().splitlines()
-        if code != 0:
-            assert code == 1 and len(lines) == 1, lines
-            m = re.fullmatch(r"error: ([a-z-]+): \S.*", lines[0])
-            assert m and m.group(1) in self.KNOWN, lines
-        return code
+        return _run_cli(argv)[0]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -668,6 +718,87 @@ class TestCliFuzz:
                     self._run(["sample", "--covis", str(report), f"--threshold={threshold}", "--n", "2"])
             else:
                 self._run(["export-ply", "--scene", gt if target.startswith("gt") else pred, "--out", str(tmp / "x.ply")])
+
+
+class TestManifestFuzz:
+    """One value of a 3-view scene.json, or of the covisibility JSON that
+    `mapt sample` reads, replaced by a wrong JSON type, a bool, a 400-digit
+    integer or an Infinity or NaN literal; or a key removed or added, or
+    n_views made to disagree. Every run either exits 0 and writes the same
+    bytes on a rerun, without a null in a JSON report, or prints exactly one
+    `error: <known category>:` line."""
+
+    VALUES = ["x", None, [], {}, True, False, 10**400, -(10**400), float("inf"), float("-inf"), float("nan")]
+
+    @pytest.fixture(scope="class")
+    def dirs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("manifest-fuzz")
+        gt = str(root / "gt")
+        assert main(["synth", "--seed", "4", "--views", "3", "--size", "28x28", "--spheres", "3", "--out", gt]) == 0
+        assert main(["forward", "--scene", gt, "--seed", "1", "--out", str(root / "pred")]) == 0
+        assert main(["covis", "--scene", gt, "--out", str(root / "covis.json")]) == 0
+        return root
+
+    @staticmethod
+    def _paths(doc, prefix=()):
+        """The key path of every value below the root of a JSON document."""
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+        for key, value in items:
+            yield (*prefix, key)
+            yield from TestManifestFuzz._paths(value, (*prefix, key))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(["covis", "loss", "eval", "export-ply", "forward", "sample"]),
+        index=st.integers(0, 10**6),
+        change=st.one_of(
+            st.tuples(st.just("set"), st.sampled_from(VALUES)),
+            st.tuples(st.sampled_from(["drop", "extra"]), st.none()),
+            st.tuples(st.just("n_views"), st.sampled_from([-1, 1])),
+        ),
+    )
+    def test_cli_exits_cleanly(self, dirs, command, index, change):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            shutil.copytree(dirs / "gt", tmp / "gt")
+            shutil.copy(dirs / "covis.json", tmp / "covis.json")
+            doc_path = tmp / ("covis.json" if command == "sample" else "gt/scene.json")
+            doc = json.loads(doc_path.read_text())
+            kind, value = change
+            if kind == "n_views":
+                doc["n_views"] += value
+            else:
+                paths = list(self._paths(doc))
+                *parent, key = paths[index % len(paths)]
+                parent = functools.reduce(operator.getitem, parent, doc)
+                if kind == "set":
+                    parent[key] = copy.deepcopy(value)
+                elif kind == "drop":
+                    del parent[key]
+                elif isinstance(parent, dict):
+                    parent["extra"] = copy.deepcopy(parent[key])
+                else:  # an extra list entry
+                    parent.insert(key, copy.deepcopy(parent[key]))
+            doc_path.write_text(json.dumps(doc))
+
+            gt, out = str(tmp / "gt"), tmp / "out"
+            argv = {
+                "covis": ["covis", "--scene", gt],
+                "loss": ["loss", "--gt", gt, "--pred", str(dirs / "pred"), "--synthetic"],
+                "eval": ["eval", "--gt", gt, "--pred", str(dirs / "pred"), "--align-points"],
+                "export-ply": ["export-ply", "--scene", gt],
+                "forward": ["forward", "--scene", gt, "--inputs", "rays,pose,depth"],
+                "sample": ["sample", "--covis", str(doc_path), "--n", "2"],
+            }[command] + ["--out", str(out)]
+            runs = []
+            for _ in range(2):
+                code, stdout = _run_cli(argv)
+                if code != 0:
+                    return
+                runs.append((stdout, _dir_bytes(out) if out.is_dir() else out.read_bytes()))
+            assert runs[0] == runs[1]
+            if command in ("covis", "loss", "eval", "sample"):  # JSON reports
+                assert b"null" not in runs[0][1]
 
 
 class TestPlyExport:

@@ -169,13 +169,6 @@ class TestUmeyama:
         with pytest.raises(DegenerateError):
             umeyama(np.zeros((2, 3)), np.zeros((2, 3)))
 
-    def test_without_scale(self):
-        rng = np.random.default_rng(7)
-        src = rng.normal(size=(9, 3))
-        dst = 3.0 * src
-        t = umeyama(src, dst, with_scale=False)
-        assert t.scale == 1.0
-
     @pytest.mark.parametrize("side", ["src", "dst"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_point(self, side, bad):

@@ -205,35 +205,6 @@ class TestAlternatingAttention:
         np.testing.assert_allclose(got.scale_token, expect, atol=1e-12)
 
 
-class TestScaleTokenInFrame:
-    """ModelConfig(scale_token_in_frame=True) also runs the scale token,
-    alone, through every frame layer; the patch tokens never see it there."""
-
-    @staticmethod
-    def _attend(in_frame, layer_types=None):
-        w = init_weights(dataclasses.replace(TOY, scale_token_in_frame=in_frame), 12)
-        tokens = encode_inputs(_images(_scene()), InputConfig.images_only(3), w)
-        audit = []
-        return alternating_attention(tokens, w, layer_types=layer_types, attention_audit=audit), audit
-
-    def test_frame_layers(self):
-        (off, audit_off), (on, audit_on) = (self._attend(flag, ("frame",) * TOY.depth) for flag in (False, True))
-        np.testing.assert_array_equal(on.tokens, off.tokens)
-        assert not np.array_equal(on.scale_token, off.scale_token)
-        assert (len(audit_off), len(audit_on)) == (TOY.depth, 2 * TOY.depth)
-        assert max(audit_on) < 1e-6
-
-    def test_forward_scale_differs(self):
-        s = _scene()
-        scales = [
-            forward(_images(s), InputConfig.images_only(3), init_weights(dataclasses.replace(TOY, scale_token_in_frame=flag), 12)).scale.value
-            for flag in (False, True)
-        ]
-        assert scales[0] != scales[1]
-        (off, _), (on, _) = (self._attend(flag) for flag in (False, True))
-        assert not np.array_equal(on.tokens, off.tokens)  # global layers carry the change to the patches
-
-
 class TestDecodeHeads:
     def test_output_parameterizations_random_draws(self):
         s = _scene()

@@ -22,6 +22,8 @@ from mapt.geometry import (
     world_pointmap,
 )
 from mapt.losses import (
+    DEFAULT_ALPHA_CONF,
+    DEFAULT_EXCLUDE_TOP,
     DEFAULT_KERNEL,
     loss_depth,
     loss_gradient_matching,
@@ -144,18 +146,19 @@ class TestPooledPaths:
         z_pred, z_gt = NormScale(1.3), NormScale(0.7)
         gt_valid = [x.validity for x in gl]
         depths = [v.depth for v in pred.views], [v.depth for v in gt.views]
+        # each call, and the fixed weights that only the oracle takes as arguments
         calls = [
-            (norm_scale, (gw,)),
-            (loss_rays, ([v.rays for v in pred.views], [v.rays for v in gt.views], DEFAULT_KERNEL)),
-            (loss_depth, (*depths, z_pred, z_gt, DEFAULT_KERNEL, 0.05)),
-            (loss_local_pointmap, (pl, gl, z_pred, z_gt, DEFAULT_KERNEL, 0.05)),
-            (loss_pointmap_conf, (pw, gw, conf, z_pred, z_gt, DEFAULT_KERNEL, 0.2)),
-            (loss_normal, (pl, gl)),
-            (loss_gradient_matching, ([x.points[:, :, 2] for x in pl], [x.points[:, :, 2] for x in gl], gt_valid)),
-            (loss_mask, (prob, [v.mask.astype(np.float64) for v in gt.views])),
+            (norm_scale, (gw,), ()),
+            (loss_rays, ([v.rays for v in pred.views], [v.rays for v in gt.views], DEFAULT_KERNEL), ()),
+            (loss_depth, (*depths, z_pred, z_gt, DEFAULT_KERNEL), (DEFAULT_EXCLUDE_TOP,)),
+            (loss_local_pointmap, (pl, gl, z_pred, z_gt, DEFAULT_KERNEL), (DEFAULT_EXCLUDE_TOP,)),
+            (loss_pointmap_conf, (pw, gw, conf, z_pred, z_gt, DEFAULT_KERNEL), (DEFAULT_ALPHA_CONF,)),
+            (loss_normal, (pl, gl), ()),
+            (loss_gradient_matching, ([x.points[:, :, 2] for x in pl], [x.points[:, :, 2] for x in gl], gt_valid), ()),
+            (loss_mask, (prob, [v.mask.astype(np.float64) for v in gt.views]), ()),
         ]
-        for f, args in calls:
-            got, ref = _outcome(f, *args), _outcome(getattr(oracles, f.__name__ + "_reference"), *args)
+        for f, args, fixed in calls:
+            got, ref = _outcome(f, *args), _outcome(getattr(oracles, f.__name__ + "_reference"), *args, *fixed)
             if isinstance(ref, NormScale) and isinstance(got, NormScale):
                 got, ref = got.value, ref.value
             _assert_same(got, ref)

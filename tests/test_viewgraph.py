@@ -9,6 +9,7 @@ from mapt.geometry import DepthAlongRay, Intrinsics, MetricScale, Pose
 from mapt.synth import AnalyticScene, SceneSample, ViewSample, gen_scene, render_view
 from mapt import viewgraph
 from mapt.viewgraph import (
+    SPARSE_KEEP_FRACTION,
     CovisGraph,
     InputConfig,
     build_adjacency,
@@ -321,28 +322,28 @@ class TestSparsifyDepth:
         valid = rng.random(shape) < 0.8
         return DepthAlongRay(np.where(valid, vals, 0.0), valid)
 
-    def test_keep_all_is_identity(self):
-        d = self._depth()
-        out = sparsify_depth(d, keep_fraction=1.0, rng_seed=3)
-        np.testing.assert_array_equal(out.values, d.values)
-        np.testing.assert_array_equal(out.validity, d.validity)
+    def test_under_ten_valid_pixels_keep_none(self):
+        # floor(SPARSE_KEEP_FRACTION * 9) = 0
+        valid = np.zeros((25, 40), dtype=bool)
+        valid[3, :9] = True
+        out = sparsify_depth(DepthAlongRay(np.where(valid, 2.0, 0.0), valid), rng_seed=3)
+        assert not out.validity.any()
+        assert np.all(out.values == 0.0)
 
     def test_floor_count(self):
-        vals = np.ones((25, 40))
-        d = DepthAlongRay(vals, np.ones((25, 40), dtype=bool))
-        out = sparsify_depth(d, keep_fraction=0.1, rng_seed=0)
-        assert out.validity.sum() == 100
+        assert SPARSE_KEEP_FRACTION == 0.1
+        for n_valid, kept in ((1000, 100), (999, 99), (10, 1)):
+            valid = (np.arange(1000) < n_valid).reshape(25, 40)
+            out = sparsify_depth(DepthAlongRay(np.where(valid, 1.0, 0.0), valid), rng_seed=0)
+            assert out.validity.sum() == kept
+            assert np.all(out.validity <= valid)
 
     def test_retained_bit_equal_and_deterministic(self):
         d = self._depth(seed=5)
-        a = sparsify_depth(d, keep_fraction=0.25, rng_seed=9)
-        b = sparsify_depth(d, keep_fraction=0.25, rng_seed=9)
+        a = sparsify_depth(d, rng_seed=9)
+        b = sparsify_depth(d, rng_seed=9)
         np.testing.assert_array_equal(a.values, b.values)
         assert np.all(a.validity <= d.validity)
         kept = a.validity
         np.testing.assert_array_equal(a.values[kept], d.values[kept])
         assert np.all(a.values[~kept] == 0.0)
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(InvalidValueError):
-            sparsify_depth(self._depth(), keep_fraction=0.0)
