@@ -312,7 +312,12 @@ def _compose(points, validity, depth=None, pose=None, scale=None) -> np.ndarray:
     always a new (H, W, 3) array. Finite inputs can overflow, so a non-finite
     result raises InvalidValueError.
     """
-    pts = points if depth is None else np.multiply(points, depth[:, :, None], order="C")
+    if depth is None:
+        pts = points
+    else:  # per component: the same bits as a broadcast multiply, whose inner loop has length 3, and faster
+        pts = np.empty(points.shape)
+        for k in range(3):
+            np.multiply(points[:, :, k], depth, out=pts[:, :, k])
     if pose is not None:
         # one matmul over the (H, W, 3) grid: numpy computes (H, 1, 3) @ (3, 3)
         # by another route than (H, 3) @ (3, 3), and the last bit can differ

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, NumericOverflowError, ShapeError
 from .geometry import (
     DepthAlongRay,
     FactoredScene,
@@ -86,10 +87,15 @@ def _pose_from_list(vals) -> Pose:
 
 
 def _numbers(vals, n: int) -> bool:
-    """Whether a manifest value is a list of n JSON numbers within float64 range; the
-    NaN and Infinity literals pass, for the constructors to reject them."""
-    top = float(np.finfo(np.float64).max)
-    return isinstance(vals, list) and len(vals) == n and all(type(v) is float or type(v) is int and abs(v) <= top for v in vals)
+    """Whether a manifest value is a list of n JSON numbers within float32 range, as
+    the tensors and the PLY store; the NaN and Infinity literals pass, for the
+    constructors to reject them."""
+    top = float(np.finfo(np.float32).max)
+    return (
+        isinstance(vals, list)
+        and len(vals) == n
+        and all(type(v) is float and not math.isfinite(v) or type(v) in (int, float) and abs(v) <= top for v in vals)
+    )
 
 
 def write_scene(path, scene: SceneSample) -> None:
@@ -110,6 +116,10 @@ def _write_dir(path, scene, masks: list, confidences: list, entries: list) -> No
     go between its height and its pose."""
     if any(v.depth.values.size == 0 for v in scene.views):
         raise FormatError(f"{path}: a view on disk needs a positive width and height")
+    numbers = [scene.scale.value, *(x for v in scene.views for x in _pose_list(v.pose))]
+    numbers += [x for e in entries for x in e.get("intrinsics", ())]
+    if not _numbers(numbers, len(numbers)):  # the reader would reject the manifest
+        raise NumericOverflowError(f"{path}: the metric scale, poses and intrinsics must be within float32 range")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     views = []
@@ -149,7 +159,7 @@ def _load_manifest(path: Path) -> dict:
     if "metric_scale" not in manifest:
         raise FormatError(f"{path}: manifest lacks 'metric_scale'")
     if not _numbers([manifest["metric_scale"]], 1):
-        raise FormatError(f"{path}: manifest 'metric_scale' must be a number within float64 range")
+        raise FormatError(f"{path}: manifest 'metric_scale' must be a number within float32 range")
     for i, entry in enumerate(manifest["views"]):
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: view {i} must be a JSON object")
@@ -159,9 +169,9 @@ def _load_manifest(path: Path) -> dict:
         if not all(type(entry[k]) is int and entry[k] > 0 for k in ("width", "height")):
             raise FormatError(f"{path}: view {i} 'width' and 'height' must be positive integers")
         if not _numbers(entry["pose"], 7):
-            raise FormatError(f"{path}: view {i} 'pose' must be 7 numbers within float64 range (qw qx qy qz tx ty tz)")
+            raise FormatError(f"{path}: view {i} 'pose' must be 7 numbers within float32 range (qw qx qy qz tx ty tz)")
         if "intrinsics" in entry and not _numbers(entry["intrinsics"], 4):
-            raise FormatError(f"{path}: view {i} 'intrinsics' must be 4 numbers within float64 range (fx fy cx cy)")
+            raise FormatError(f"{path}: view {i} 'intrinsics' must be 4 numbers within float32 range (fx fy cx cy)")
         files = entry["files"]
         if not isinstance(files, dict) or not all(isinstance(f, str) for f in files.values()):
             raise FormatError(f"{path}: view {i} 'files' must map tensor names to file names")
@@ -242,7 +252,10 @@ def read_factored(path) -> FactoredScene:
 
 def write_ply(path, points: np.ndarray, colors: np.ndarray) -> None:
     """Binary little-endian PLY: float32 x/y/z plus uchar red/green/blue."""
-    points = np.asarray(points, dtype="<f4").reshape(-1, 3)
+    with np.errstate(over="ignore"):
+        points = np.asarray(points, dtype="<f4").reshape(-1, 3)
+    if not np.isfinite(points).all():
+        raise NumericOverflowError("PLY points must be finite and within float32 range")
     colors = np.asarray(colors, dtype=np.uint8).reshape(-1, 3)
     if points.shape[0] != colors.shape[0]:
         raise ShapeError("point and color counts differ")

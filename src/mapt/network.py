@@ -8,13 +8,21 @@ view 0, one learnable scale token, an alternating-attention transformer
 and three heads producing the factored output with all parameterization
 constraints enforced by construction.
 
-Pure numpy, float64, fully deterministic per (weights, inputs).
+Pure numpy, float64, fully deterministic per (weights, inputs): each stage
+holds numpy's OpenBLAS at one thread, and long attention sequences run in
+query blocks fixed by their shape, so the bits do not depend on the BLAS
+thread count or on how many workers run the blocks.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +33,53 @@ from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, P
 from .viewgraph import InputConfig
 
 EXP_CLIP = 30.0
-_QUERY_BLOCK = 256  # query rows per exact-softmax attention block: heads * B * T doubles of scores
+_QUERY_BLOCK = 256  # attention sequences longer than this run in tasks of _QUERY_BLOCK // 2 query rows
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}  # bool is an int too; __post_init__ rejects bools
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when this numpy build does not export them (dlsym also searches the
+    extension's dependencies)."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+_BLAS = _openblas_threads()
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Decorator holding OpenBLAS at one thread while a network stage runs, or
+    doing nothing without the symbols. The count is process-global: the first
+    stage to enter saves it and the last to leave restores it, so stages
+    running on several threads at once nest safely."""
+
+    def __init__(self):
+        self.lock, self.users, self.saved = threading.Lock(), 0, 0
+
+    def __enter__(self):
+        if _BLAS is not None:
+            with self.lock:
+                if self.users == 0:
+                    self.saved = _BLAS[0]()
+                    _BLAS[1](1)
+                self.users += 1
+
+    def __exit__(self, *exc):
+        if _BLAS is not None:
+            with self.lock:
+                self.users -= 1
+                if self.users == 0:
+                    _BLAS[1](self.saved)
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 @dataclass
@@ -184,7 +237,11 @@ def init_weights(config: ModelConfig, seed: int) -> Weights:
 def _gelu(x: np.ndarray) -> np.ndarray:
     from scipy.special import erf  # imported here: only the network needs scipy
 
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    # 0.5 * x * (1 + erf(x / sqrt 2)) with two temporaries, in the same order
+    e = erf(x / np.sqrt(2.0))
+    e += 1.0
+    e *= 0.5 * x
+    return e
 
 
 def _layer_norm(x: np.ndarray, w: Weights, name: str) -> np.ndarray:
@@ -205,34 +262,58 @@ def _mlp4(x: np.ndarray, w: Weights, name: str) -> np.ndarray:
     return x
 
 
-def _attention(x: np.ndarray, w: Weights, block: str, heads: int, audit: list | None) -> np.ndarray:
-    """Multi-head self-attention over (batch, tokens, dim) sequences, in blocks of query rows."""
+def _block(x: np.ndarray, w: Weights, i: int, heads: int, audit: list | None, pool: ThreadPoolExecutor | None) -> np.ndarray:
+    """Pre-norm residual transformer block over (batch, tokens, dim) sequences.
+
+    A sequence of at most _QUERY_BLOCK tokens runs inline as one task; a
+    longer one runs in fixed blocks of _QUERY_BLOCK // 2 query rows, on
+    ``pool`` when given, so two workers hold as many scores as one block of
+    _QUERY_BLOCK rows. Each task first computes LN1 and q, k, v for its rows, then
+    exact softmax attention against all keys, the out-projection, LN2, the MLP
+    and both residuals. The blocks depend only on the shape, so the bits do
+    not depend on the number of workers. Each thread reuses one score buffer.
+    """
     bsz, t, dim = x.shape
     dh = dim // heads
-    q, k, v = _linear(x, w, f"{block}.attn.qkv").reshape(bsz, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)
-    buf, out, err = np.empty((bsz, heads, min(t, _QUERY_BLOCK), t)), np.empty((bsz, heads, t, dh)), 0.0
-    for a in range(0, t, _QUERY_BLOCK):
-        probs = np.matmul(q[:, :, a : a + _QUERY_BLOCK], k.transpose(0, 1, 3, 2), out=buf[:, :, : t - a])
-        probs /= np.sqrt(dh)
+    blk = f"blocks.{i}"
+    step = max(t, 1) if t <= _QUERY_BLOCK else _QUERY_BLOCK // 2  # a sequence of no tokens has no blocks
+    rows = [slice(a, min(a + step, t)) for a in range(0, t, step)]
+    qkv = np.empty((3, bsz, heads, t, dh))
+    kt = qkv[1].transpose(0, 1, 3, 2)
+    out = np.empty_like(x)
+    scratch = threading.local()
+
+    def project(r: slice) -> None:
+        h = _linear(_layer_norm(x[:, r], w, f"{blk}.ln1"), w, f"{blk}.attn.qkv")
+        qkv[:, :, :, r] = h.reshape(bsz, r.stop - r.start, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+        qkv[0, :, :, r] /= np.sqrt(dh)  # the score scale, exact for a power-of-two sqrt(dh)
+
+    def attend(r: slice) -> float:
+        m = r.stop - r.start
+        if len(rows) == 1:  # nothing to reuse
+            probs = np.empty((bsz, heads, m, t))
+        else:
+            if not hasattr(scratch, "buf"):
+                scratch.buf = np.empty(bsz * heads * step * t)
+            probs = scratch.buf[: bsz * heads * m * t].reshape(bsz, heads, m, t)
+        np.matmul(qkv[0, :, :, r], kt, out=probs)
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        if audit is not None:
-            err = max(err, float(np.max(np.abs(probs.sum(axis=-1) - 1.0))))
-        np.matmul(probs, v, out=out[:, :, a : a + _QUERY_BLOCK])
+        err = 0.0 if audit is None else float(np.max(np.abs(probs.sum(axis=-1) - 1.0)))
+        att = np.matmul(probs, qkv[2]).transpose(0, 2, 1, 3).reshape(bsz, m, dim)
+        y = x[:, r] + _linear(att, w, f"{blk}.attn.out")
+        del probs, att  # before the MLP's temporaries
+        h = _layer_norm(y, w, f"{blk}.ln2")
+        out[:, r] = y + _linear(_gelu(_linear(h, w, f"{blk}.mlp.0")), w, f"{blk}.mlp.1")
+        return err
+
+    run = map if pool is None or len(rows) == 1 else pool.map
+    list(run(project, rows))
+    err = max(run(attend, rows), default=0.0)
     if audit is not None:
         audit.append(err)
-    return _linear(out.transpose(0, 2, 1, 3).reshape(bsz, t, dim), w, f"{block}.attn.out")
-
-
-def _block(x: np.ndarray, w: Weights, i: int, heads: int, audit: list | None) -> np.ndarray:
-    """Pre-norm residual transformer block."""
-    blk = f"blocks.{i}"
-    h = _layer_norm(x, w, f"{blk}.ln1")
-    x = x + _attention(h, w, blk, heads, audit)
-    h = _layer_norm(x, w, f"{blk}.ln2")
-    h = _linear(_gelu(_linear(h, w, f"{blk}.mlp.0")), w, f"{blk}.mlp.1")
-    return x + h
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +328,7 @@ def _patchify(arr: np.ndarray, patch: int) -> np.ndarray:
     return arr.transpose(0, 2, 1, 3, 4).reshape((h // patch) * (w // patch), patch * patch * c)
 
 
+@_one_blas_thread
 def encode_inputs(
     images: list[np.ndarray],
     config: InputConfig,
@@ -324,6 +406,7 @@ def encode_inputs(
 # transformer
 
 
+@_one_blas_thread
 def alternating_attention(
     tokens: TokenSet,
     weights: Weights,
@@ -345,18 +428,23 @@ def alternating_attention(
     v, p, dim = tokens.tokens.shape
     x = tokens.tokens
     s = tokens.scale_token
-    for i, kind in enumerate(layer_types):
-        if kind == "frame":
-            x = _block(x, weights, i, cfg.heads, attention_audit)
-        elif kind == "global":
-            seq = np.concatenate([x.reshape(1, v * p, dim), s[None, None, :]], axis=1)
-            seq = _block(seq, weights, i, cfg.heads, attention_audit)
-            x = seq[0, : v * p].reshape(v, p, dim)
-            s = seq[0, v * p]
-        else:
-            raise InvalidValueError(f"unknown layer type {kind!r}")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))):
-            raise NumericOverflowError(f"non-finite activations after layer {i}")
+    # without the OpenBLAS symbols, BLAS may run its own threads: no pool then.
+    # The pool starts its threads on first use, so a forward whose sequences
+    # all run inline starts none.
+    workers = len(os.sched_getaffinity(0)) if _BLAS is not None else 1
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for i, kind in enumerate(layer_types):
+            if kind == "frame":
+                x = _block(x, weights, i, cfg.heads, attention_audit, pool)
+            elif kind == "global":
+                seq = np.concatenate([x.reshape(1, v * p, dim), s[None, None, :]], axis=1)
+                seq = _block(seq, weights, i, cfg.heads, attention_audit, pool)
+                x = seq[0, : v * p].reshape(v, p, dim)
+                s = seq[0, v * p]
+            else:
+                raise InvalidValueError(f"unknown layer type {kind!r}")
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))):
+                raise NumericOverflowError(f"non-finite activations after layer {i}")
     x = _layer_norm(x, weights, "ln_out")
     s = _layer_norm(s, weights, "ln_out")
     return TokenSet(tokens=x, scale_token=s, patch_grid=tokens.patch_grid)
@@ -374,6 +462,7 @@ def _bounded_exp(x: np.ndarray) -> np.ndarray:
     return np.exp(np.clip(x, -EXP_CLIP, EXP_CLIP))
 
 
+@_one_blas_thread
 def decode_heads(tokens: TokenSet, weights: Weights) -> ModelOutput:
     """Decode tokens into the factored output.
 

@@ -22,7 +22,7 @@ SPARSE_KEEP_FRACTION = 0.1
 
 DEFAULT_COVIS_THRESHOLD = 0.25
 DEFAULT_REL_DEPTH_TOL = 0.05
-_COVIS_BLOCK = 1 << 16  # (target, pixel) pairs per covisibility row block: 7 float64 buffers of this size per thread
+_COVIS_BLOCK = 1 << 16  # (target, pixel) pairs per covisibility row block: 7 float64 and 2 int64 buffers of this size per thread
 
 
 @dataclass
@@ -136,8 +136,9 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
     k = np.array([[v.intrinsics.fx, v.intrinsics.fy, v.intrinsics.cx, v.intrinsics.cy] for v in views])
     # group target views by resolution so one source row is evaluated against
     # a whole stack of targets in a few vectorized passes; cols[r][k] is the
-    # (targets, 1) column of rotation entries (k, r), and the depth maps are
-    # raveled so one linear index gathers from a stack
+    # (targets, 1) column of rotation entries (k, r), the depth maps are
+    # raveled so one linear index gathers from a stack, and base is each
+    # target's first index in it
     groups = {}
     for j, v in enumerate(views):
         groups.setdefault(v.depth.validity.shape, []).append(j)
@@ -148,8 +149,8 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
             trans[idxs].T[..., None],
             k[idxs].T[..., None],
             views[idxs[0]].depth.validity.shape,
-            np.stack([views[j].depth.validity for j in idxs]).ravel(),
             np.stack([views[j].depth.values for j in idxs]).ravel(),
+            (np.arange(idxs.size) * views[idxs[0]].depth.values.size)[:, None],
         )
         for idxs in map(np.array, groups.values())
     ]
@@ -160,7 +161,10 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         Each stack is evaluated whole, view i included, and entry i is set to
         1 at the end. The row gathers view i's valid pixels and runs them in
         blocks of about _COVIS_BLOCK (target, pixel) pairs through reused
-        buffers; integer counts add up across blocks. Arithmetic is written out
+        buffers, testing every pair of a block; integer counts add up across
+        blocks. Out-of-bounds pairs gather a clamped pixel of their own
+        target and are masked out, and an invalid target pixel stores depth 0,
+        whose relative error is inf or nan and never passes. Arithmetic is written out
         component-wise (broadcast over a stack of target views) so a naive
         per-pixel reference computes bit-identical values, whatever the block size.
         """
@@ -174,14 +178,15 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         wy = ri[1, 0] * lx + ri[1, 1] * ly + ri[1, 2] * lz + ti[1]
         wz = ri[2, 0] * lx + ri[2, 1] * ly + ri[2, 2] * lz + ti[2]
         row = np.zeros(len(views))
-        for idxs, cols, t, (fx, fy, px0, py0), (h, w), validity, values in stacks:
+        for idxs, cols, t, (fx, fy, px0, py0), (h, w), values, base in stacks:
             block = max(1, _COVIS_BLOCK // idxs.size)
-            buf = np.empty((7, idxs.size * min(block, dep.size)))
-            masks = np.empty((2, buf.shape[1]), dtype=bool)
+            size = idxs.size * min(block, dep.size)
+            buf, lbuf, masks = np.empty((7, size)), np.empty((2, size), dtype=np.int64), np.empty((2, size), dtype=bool)
             counts = np.zeros(idxs.size, dtype=np.int64)
             for a in range(0, dep.size, block):
                 m = min(block, dep.size - a)
                 ax, ay, az, cx, cy, cz, tmp = buf[:, : idxs.size * m].reshape(7, idxs.size, m)
+                px, lin = lbuf[:, : idxs.size * m].reshape(2, idxs.size, m)
                 front, inb = masks[:, : idxs.size * m].reshape(2, idxs.size, m)
                 np.subtract(wx[a : a + m], t[0], out=ax)
                 np.subtract(wy[a : a + m], t[1], out=ay)
@@ -206,18 +211,32 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
                 inb &= np.less(u, w, out=front)
                 inb &= np.greater_equal(v, 0.0, out=front)
                 inb &= np.less(v, h, out=front)
-                idx = np.flatnonzero(inb)
-                rows = idx // m
-                # in-bounds u and v are >= 0, where truncation is floor
-                px = u.take(idx).astype(np.int64)
-                py = v.take(idx).astype(np.int64)
-                lin = (rows * h + py) * w + px
-                ok = np.flatnonzero(validity.take(lin))
-                idx, rows, dj = idx.take(ok), rows.take(ok), values.take(lin.take(ok))
-                cxs, cys, czs = cx.take(idx), cy.take(idx), cz.take(idx)
-                rd = np.sqrt(cxs * cxs + cys * cys + czs * czs)
-                cov = np.abs(rd - dj) / dj <= rel_depth_tol
-                counts += np.bincount(rows[cov], minlength=idxs.size)
+                # clamp every u, v into the image (fmax maps nan to 0), so that
+                # out-of-bounds pairs gather some pixel of their own target;
+                # in-bounds u, v truncate to the same pixel, and truncation is floor
+                np.fmax(u, 0.0, out=u)
+                np.fmin(u, w - 1, out=u)
+                np.fmax(v, 0.0, out=v)
+                np.fmin(v, h - 1, out=v)
+                np.copyto(px, u, casting="unsafe")
+                np.copyto(lin, v, casting="unsafe")
+                lin *= w
+                lin += px
+                lin += base
+                # every index is in range; with out=, mode "raise" would gather into a temporary first
+                dj = values.take(lin, out=az, mode="clip")
+                # the ray depth sqrt(cx^2 + cy^2 + cz^2), then its relative error, in cx
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    cx *= cx
+                    cx += np.multiply(cy, cy, out=tmp)
+                    cx += np.multiply(cz, cz, out=tmp)
+                    np.sqrt(cx, out=cx)
+                    cx -= dj
+                    np.abs(cx, out=cx)
+                    cx /= dj
+                np.less_equal(cx, rel_depth_tol, out=front)
+                front &= inb
+                counts += np.count_nonzero(front, axis=1)
             # a view without valid pixels has all counts 0 and a row of 0s
             row[idxs] = counts / max(dep.size, 1)
         row[i] = 1.0

@@ -509,8 +509,8 @@ class TestCliErrorContract:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda m: m["views"][1]["pose"].__setitem__(4, 10**400), "view 1 'pose' must be 7 numbers within float64 range"),
-            (lambda m: m.update(metric_scale=10**400), "'metric_scale' must be a number within float64 range"),
+            (lambda m: m["views"][1]["pose"].__setitem__(4, 10**400), "view 1 'pose' must be 7 numbers within float32 range"),
+            (lambda m: m.update(metric_scale=10**400), "'metric_scale' must be a number within float32 range"),
             (lambda m: m["views"][1]["intrinsics"].__setitem__(0, -(10**400)), "view 1 'intrinsics' must be 4 numbers within"),
         ],
     )
@@ -535,6 +535,50 @@ class TestCliErrorContract:
         edit(manifest)
         (scene_dir / "scene.json").write_text(json.dumps(manifest))
         self._single_error(capsys, main(["covis", "--scene", str(scene_dir)]), category)
+
+    @pytest.mark.parametrize("value", [1e308, 3e38])
+    @pytest.mark.parametrize("command", ["eval", "loss", "loss-synthetic", "export-ply"])
+    def test_huge_finite_pose_translation(self, tmp_path, capsys, command, value):
+        # 3 views, so that eval reports every metric; past float32 range the
+        # manifest is a format error, inside it every command runs cleanly
+        scene = tmp_path / "s"
+        assert main(["synth", "--seed", "14", "--views", "3", "--size", "28x28", "--spheres", "3", "--out", str(scene)]) == 0
+        manifest = json.loads((scene / "scene.json").read_text())
+        manifest["views"][1]["pose"][4] = value
+        (scene / "scene.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        argv = {
+            "eval": ["eval", "--gt", str(scene), "--pred", str(scene)],
+            "loss": ["loss", "--gt", str(scene), "--pred", str(scene)],
+            "loss-synthetic": ["loss", "--gt", str(scene), "--pred", str(scene), "--synthetic"],
+            "export-ply": ["export-ply", "--scene", str(scene), "--out", str(tmp_path / "x.ply")],
+        }[command]
+        code = main(argv)
+        if value > float(np.finfo(np.float32).max):
+            assert "'pose' must be 7 numbers within float32 range" in self._single_error(capsys, code, "format")
+        elif code != 0:
+            self._single_error(capsys, code, r"[a-z-]+")
+        else:
+            out, err = capsys.readouterr()
+            assert err == "" and "null" not in out
+            if command == "export-ply":
+                assert np.isfinite(parse_ply(tmp_path / "x.ply")[0]).all()
+
+    def test_export_ply_points_beyond_float32(self, tmp_path, capsys):
+        scene = tmp_path / "s"
+        assert main(["synth", "--seed", "14", "--views", "2", "--size", "28x28", "--spheres", "3", "--out", str(scene)]) == 0
+        manifest = json.loads((scene / "scene.json").read_text())
+        manifest["views"][1]["pose"][4] = 3e38
+        manifest["metric_scale"] = 10.0  # the scaled points pass float32's largest value
+        (scene / "scene.json").write_text(json.dumps(manifest))
+        code = main(["export-ply", "--scene", str(scene), "--out", str(tmp_path / "x.ply")])
+        assert "within float32 range" in self._single_error(capsys, code, "numeric-overflow")
+        assert not (tmp_path / "x.ply").exists()
+
+    def test_synth_metric_scale_beyond_float32(self, tmp_path, capsys):
+        # the reader would reject the manifest, so the writer refuses it
+        code = main(["synth", "--views", "2", "--size", "28x28", "--metric-scale", "1e39", "--out", str(tmp_path / "s")])
+        assert "within float32 range" in self._single_error(capsys, code, "numeric-overflow")
 
     def test_eval_manifest_view_missing_pose(self, scene_dir, tmp_path, capsys):
         manifest = json.loads((scene_dir / "scene.json").read_text())

@@ -1,10 +1,16 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from mapt import network
 from mapt.errors import InvalidValueError, NumericOverflowError, ShapeError
 from mapt.geometry import Pose
 from mapt.network import (
@@ -152,6 +158,17 @@ class TestAlternatingAttention:
     @pytest.mark.parametrize("kind", ["frame", "global"])
     @pytest.mark.parametrize("t", [_QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1, 2 * _QUERY_BLOCK + 1])
     def test_query_blocks_equal_reference_encoder(self, kind, t):
+        self._check_against_reference_encoder(kind, t)
+
+    @pytest.mark.parametrize("kind", ["frame", "global"])
+    def test_without_openblas_symbols_runs_inline(self, monkeypatch, kind):
+        # a numpy without the OpenBLAS thread symbols: the same blocks, run inline with no pool
+        monkeypatch.setattr(network, "_BLAS", None)
+        monkeypatch.setattr(ThreadPoolExecutor, "map", lambda *args, **kwargs: pytest.fail("the network used a pool"))
+        self._check_against_reference_encoder(kind, 2 * _QUERY_BLOCK + 1)
+
+    @staticmethod
+    def _check_against_reference_encoder(kind, t):
         # t tokens per attention call: two views of t patches in frame layers,
         # one view of t - 1 patches plus the scale token in global layers
         w = init_weights(ModelConfig(depth=2, dim=32, heads=4), 9)
@@ -169,6 +186,39 @@ class TestAlternatingAttention:
             np.testing.assert_allclose(got.scale_token, ref[p], atol=1e-12)
         assert len(audit) == 2  # one entry per attention call, however many blocks it ran
         assert max(audit) < 1e-6
+
+    def test_views_without_patches(self):
+        # frame layers then attend over sequences of no tokens, global layers over the scale token alone
+        w = init_weights(ModelConfig(depth=2, dim=32, heads=4), 9)
+        audit = []
+        got = alternating_attention(TokenSet(np.zeros((2, 0, 32)), np.ones(32), (0, 0)), w, attention_audit=audit)
+        assert got.tokens.shape == (2, 0, 32) and np.all(np.isfinite(got.scale_token))
+        assert len(audit) == 2 and max(audit) < 1e-6
+
+    @pytest.mark.skipif(network._BLAS is None, reason="numpy exports no OpenBLAS thread symbols")
+    def test_concurrent_calls_restore_the_blas_thread_count(self):
+        # more callers than cores, switching often: each call holds OpenBLAS at
+        # one thread, gives the serial bits, and the last to leave restores the count
+        get, put = network._BLAS
+        before = get()
+        w = init_weights(ModelConfig(depth=2, dim=32, heads=4), 9)
+        rng = np.random.default_rng(1)
+        p = 2 * _QUERY_BLOCK
+        tokens = TokenSet(tokens=rng.normal(size=(1, p, 32)), scale_token=rng.normal(size=32), patch_grid=(1, p))
+        interval = sys.getswitchinterval()
+        try:
+            put(2)
+            outside = get()
+            expect = alternating_attention(tokens, w, layer_types=("global", "global")).tokens
+            sys.setswitchinterval(1e-5)
+            with ThreadPoolExecutor(max_workers=6) as callers:
+                runs = [callers.submit(alternating_attention, tokens, w, ("global", "global")) for _ in range(12)]
+                for run in runs:
+                    np.testing.assert_array_equal(run.result(timeout=120).tokens, expect)
+            assert get() == outside
+        finally:
+            sys.setswitchinterval(interval)
+            put(before)
 
     def test_global_attention_peak_memory_below_one_dense_score_array(self):
         cfg = ModelConfig(depth=2)
@@ -313,6 +363,50 @@ class TestForward:
 
         rep = total_loss(out.as_factored_scene(), s, synthetic=True)
         assert np.isfinite(rep.total)
+
+
+# Prints a digest of every forward output of a 17-view 56x56 scene with all
+# inputs given. Its global layers attend over 273 tokens, which run as query
+# blocks on the worker pool; at the parent of this test, the digest differed
+# between OPENBLAS_NUM_THREADS=1 and 2.
+_FORWARD_DIGEST = """
+import hashlib, os, sys
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from mapt.network import ModelConfig, forward, init_weights
+from mapt.synth import gen_scene
+from mapt.viewgraph import InputConfig
+_, s = gen_scene(n_views=17, width=56, height=56, n_spheres=4, seed=0, plane=True)
+out = forward(
+    [v.image.astype(np.float64) for v in s.views], InputConfig.from_modalities(17, rays=True, pose=True, depth=True),
+    init_weights(ModelConfig(), 0), rays=[v.rays for v in s.views], depths=[v.depth for v in s.views],
+    poses=[v.pose for v in s.views],
+)
+digest = hashlib.sha256()
+for view in out.as_factored_scene().views:
+    for a in (view.rays.directions, view.depth.values, view.confidence, view.mask_prob, view.pose.rotation, view.pose.translation):
+        digest.update(a.tobytes())
+digest.update(np.float64(out.scale.value).tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(network._BLAS is None, reason="numpy exports no OpenBLAS thread symbols")
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_forward_bits_independent_of_blas_threads_and_cpus():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = {}
+    for threads in ("1", "2"):
+        for cpus in ("one-cpu", "all-cpus"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _FORWARD_DIGEST, cpus],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests[threads, cpus] = proc.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
 
 
 class TestWeights:

@@ -143,9 +143,9 @@ class TestCovisBlocks:
         finally:
             tracemalloc.stop()
         # Each row gathers only its own view's pixels. The stacked target
-        # depth maps take 1 of these, the seven block buffers of _COVIS_BLOCK
-        # pairs about 0.7, and the row's gathered pixels and the index arrays
-        # of one block the rest: the peak is near 3.5.
+        # depth maps take 1 of these, the block buffers of _COVIS_BLOCK pairs
+        # (seven float64, two int64) about 0.9, and the row's gathered pixels
+        # the rest: the peak is near 2.4.
         assert peak < 4 * dense
 
 
