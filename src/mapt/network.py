@@ -33,7 +33,9 @@ from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, P
 from .viewgraph import InputConfig
 
 EXP_CLIP = 30.0
-_QUERY_BLOCK = 256  # attention sequences longer than this run in tasks of _QUERY_BLOCK // 2 query rows
+_QUERY_ROWS = 128  # an attention sequence longer than _INLINE_TOKENS runs in tasks of this many query rows
+_INLINE_TOKENS = 2 * _QUERY_ROWS  # a sequence of at most this many tokens runs inline as one task
+_MAX_WORKERS = _INLINE_TOKENS // _QUERY_ROWS  # so the workers' scores together cover at most _INLINE_TOKENS query rows
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}  # bool is an int too; __post_init__ rejects bools
 
 
@@ -52,6 +54,16 @@ def _openblas_threads():
 
 
 _BLAS = _openblas_threads()
+
+
+def _workers() -> int:
+    """Threads that run the query blocks: one per usable CPU, at most
+    _MAX_WORKERS. One (no pool) without the OpenBLAS symbols, since BLAS may
+    then run its own threads."""
+    if _BLAS is None:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
 
 class _OneBlasThread(contextlib.ContextDecorator):
@@ -265,10 +277,10 @@ def _mlp4(x: np.ndarray, w: Weights, name: str) -> np.ndarray:
 def _block(x: np.ndarray, w: Weights, i: int, heads: int, audit: list | None, pool: ThreadPoolExecutor | None) -> np.ndarray:
     """Pre-norm residual transformer block over (batch, tokens, dim) sequences.
 
-    A sequence of at most _QUERY_BLOCK tokens runs inline as one task; a
-    longer one runs in fixed blocks of _QUERY_BLOCK // 2 query rows, on
-    ``pool`` when given, so two workers hold as many scores as one block of
-    _QUERY_BLOCK rows. Each task first computes LN1 and q, k, v for its rows, then
+    A sequence of at most _INLINE_TOKENS tokens runs inline as one task; a
+    longer one runs in fixed blocks of _QUERY_ROWS query rows, on ``pool``
+    when given. The pool has at most _MAX_WORKERS threads, so their scores
+    together cover at most _INLINE_TOKENS query rows. Each task first computes LN1 and q, k, v for its rows, then
     exact softmax attention against all keys, the out-projection, LN2, the MLP
     and both residuals. The blocks depend only on the shape, so the bits do
     not depend on the number of workers. Each thread reuses one score buffer.
@@ -276,7 +288,7 @@ def _block(x: np.ndarray, w: Weights, i: int, heads: int, audit: list | None, po
     bsz, t, dim = x.shape
     dh = dim // heads
     blk = f"blocks.{i}"
-    step = max(t, 1) if t <= _QUERY_BLOCK else _QUERY_BLOCK // 2  # a sequence of no tokens has no blocks
+    step = max(t, 1) if t <= _INLINE_TOKENS else _QUERY_ROWS  # a sequence of no tokens has no blocks
     rows = [slice(a, min(a + step, t)) for a in range(0, t, step)]
     qkv = np.empty((3, bsz, heads, t, dh))
     kt = qkv[1].transpose(0, 1, 3, 2)
@@ -428,10 +440,9 @@ def alternating_attention(
     v, p, dim = tokens.tokens.shape
     x = tokens.tokens
     s = tokens.scale_token
-    # without the OpenBLAS symbols, BLAS may run its own threads: no pool then.
     # The pool starts its threads on first use, so a forward whose sequences
     # all run inline starts none.
-    workers = len(os.sched_getaffinity(0)) if _BLAS is not None else 1
+    workers = _workers()
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
         for i, kind in enumerate(layer_types):
             if kind == "frame":

@@ -14,7 +14,8 @@ from mapt import network
 from mapt.errors import InvalidValueError, NumericOverflowError, ShapeError
 from mapt.geometry import Pose
 from mapt.network import (
-    _QUERY_BLOCK,
+    _INLINE_TOKENS,
+    _MAX_WORKERS,
     ModelConfig,
     TokenSet,
     Weights,
@@ -156,7 +157,7 @@ class TestAlternatingAttention:
         np.testing.assert_allclose(got.tokens[0], ref, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["frame", "global"])
-    @pytest.mark.parametrize("t", [_QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1, 2 * _QUERY_BLOCK + 1])
+    @pytest.mark.parametrize("t", [_INLINE_TOKENS - 1, _INLINE_TOKENS, _INLINE_TOKENS + 1, 2 * _INLINE_TOKENS + 1])
     def test_query_blocks_equal_reference_encoder(self, kind, t):
         self._check_against_reference_encoder(kind, t)
 
@@ -165,7 +166,27 @@ class TestAlternatingAttention:
         # a numpy without the OpenBLAS thread symbols: the same blocks, run inline with no pool
         monkeypatch.setattr(network, "_BLAS", None)
         monkeypatch.setattr(ThreadPoolExecutor, "map", lambda *args, **kwargs: pytest.fail("the network used a pool"))
-        self._check_against_reference_encoder(kind, 2 * _QUERY_BLOCK + 1)
+        self._check_against_reference_encoder(kind, 2 * _INLINE_TOKENS + 1)
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_pool_capped_on_many_cpus(self, monkeypatch, affinity):
+        # a 64-CPU host, with and without os.sched_getaffinity: the pool gets
+        # at most _MAX_WORKERS threads and the blocks give the same result
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        sizes = []
+
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(network, "ThreadPoolExecutor", Spy)
+        self._check_against_reference_encoder("global", 2 * _INLINE_TOKENS + 1)
+        assert sizes == ([_MAX_WORKERS] if network._BLAS is not None else [])
 
     @staticmethod
     def _check_against_reference_encoder(kind, t):
@@ -203,7 +224,7 @@ class TestAlternatingAttention:
         before = get()
         w = init_weights(ModelConfig(depth=2, dim=32, heads=4), 9)
         rng = np.random.default_rng(1)
-        p = 2 * _QUERY_BLOCK
+        p = 2 * _INLINE_TOKENS
         tokens = TokenSet(tokens=rng.normal(size=(1, p, 32)), scale_token=rng.normal(size=32), patch_grid=(1, p))
         interval = sys.getswitchinterval()
         try:
@@ -220,7 +241,9 @@ class TestAlternatingAttention:
             sys.setswitchinterval(interval)
             put(before)
 
-    def test_global_attention_peak_memory_below_one_dense_score_array(self):
+    def test_global_attention_peak_memory_below_one_dense_score_array(self, monkeypatch):
+        # on a 64-CPU host, so the bound does not depend on this host's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         cfg = ModelConfig(depth=2)
         w = init_weights(cfg, 10)
         rng = np.random.default_rng(11)
