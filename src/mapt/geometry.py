@@ -12,6 +12,7 @@ public constructors and the network heads, NaN, +-inf and empty arrays included.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,6 +240,12 @@ def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _norm3(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm(x, axis=-1) of (..., 3) vectors, bit for bit (see _dot3)."""
     return np.sqrt(_dot3(x, x))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, otherwise the CPU count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _blocks(n: int, width: int = 1) -> list[slice]:

@@ -120,12 +120,19 @@ def _write_dir(path, scene, masks: list, confidences: list, entries: list) -> No
     numbers += [x for e in entries for x in e.get("intrinsics", ())]
     if not _numbers(numbers, len(numbers)):  # the reader would reject the manifest
         raise NumericOverflowError(f"{path}: the metric scale, poses and intrinsics must be within float32 range")
+    tensors = []  # per view, the arrays of its tensor files by key
+    for v, mask, conf in zip(scene.views, masks, confidences):
+        arrays = dict(zip(_VIEW_TENSORS, (v.rays.directions, v.depth.values, v.depth.validity, mask)), confidence=conf)
+        tensors.append({key: arr for key, arr in arrays.items() if arr is not None})
+    top = np.finfo(np.float32).max
+    if any(a.dtype.kind == "f" and (a.max() > top or a.min() < -top) for arrays in tensors for a in arrays.values()):
+        # the float32 cast would give inf, which the reader rejects
+        raise NumericOverflowError(f"{path}: the tensor values must be within float32 range")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     views = []
-    for i, (v, mask, conf, extra) in enumerate(zip(scene.views, masks, confidences, entries)):
-        arrays = dict(zip(_VIEW_TENSORS, (v.rays.directions, v.depth.values, v.depth.validity, mask)), confidence=conf)
-        files = {key: f"view_{i:03d}_{key}.mapt" for key, arr in arrays.items() if arr is not None}
+    for i, (v, arrays, extra) in enumerate(zip(scene.views, tensors, entries)):
+        files = {key: f"view_{i:03d}_{key}.mapt" for key in arrays}
         for key, name in files.items():
             write_tensor(path / name, arrays[key])
         views.append(

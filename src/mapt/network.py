@@ -9,9 +9,9 @@ and three heads producing the factored output with all parameterization
 constraints enforced by construction.
 
 Pure numpy, float64, fully deterministic per (weights, inputs): each stage
-holds numpy's OpenBLAS at one thread, and long attention sequences run in
-query blocks fixed by their shape, so the bits do not depend on the BLAS
-thread count or on how many workers run the blocks.
+holds numpy's OpenBLAS at one thread and runs as a list of tasks fixed by the
+shapes (groups of views or sequences, blocks of query rows), so the bits do
+not depend on the BLAS thread count or on how many workers run the tasks.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import contextlib
 import ctypes
 import dataclasses
 import numbers
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,12 +28,12 @@ import numpy as np
 
 from .errors import InvalidValueError, NumericOverflowError, ShapeError
 from .factorization import encode_log_scale, factor_depth, factor_pose_scale
-from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, Pose, RayMap, _norm3, _rng
+from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, Pose, RayMap, _norm3, _rng, _usable_cpus
 from .viewgraph import InputConfig
 
 EXP_CLIP = 30.0
 _QUERY_ROWS = 128  # an attention sequence longer than _INLINE_TOKENS runs in tasks of this many query rows
-_INLINE_TOKENS = 2 * _QUERY_ROWS  # a sequence of at most this many tokens runs inline as one task
+_INLINE_TOKENS = 2 * _QUERY_ROWS  # tokens a task takes whole: sequences (views) this short are grouped up to it
 _MAX_WORKERS = _INLINE_TOKENS // _QUERY_ROWS  # so the workers' scores together cover at most _INLINE_TOKENS query rows
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}  # bool is an int too; __post_init__ rejects bools
 
@@ -57,13 +56,26 @@ _BLAS = _openblas_threads()
 
 
 def _workers() -> int:
-    """Threads that run the query blocks: one per usable CPU, at most
+    """Threads that run a stage's tasks: one per usable CPU, at most
     _MAX_WORKERS. One (no pool) without the OpenBLAS symbols, since BLAS may
     then run its own threads."""
-    if _BLAS is None:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
+    return 1 if _BLAS is None else min(_usable_cpus(), _MAX_WORKERS)
+
+
+@contextlib.contextmanager
+def _task_map():
+    """For one stage call, yield run(fn, tasks): the list of fn over tasks, in
+    order, inline for one task or one worker and otherwise on one pool, whose
+    threads start on first use (so a stage of one-task steps starts none)."""
+    workers = _workers()
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        yield lambda fn, tasks: list(map(fn, tasks) if pool is None or len(tasks) < 2 else pool.map(fn, tasks))
+
+
+def _groups(n: int, t: int) -> list[slice]:
+    """Slices of range(n) grouping n sequences (views) of t tokens, max(1, _INLINE_TOKENS // t) a task."""
+    size = max(1, _INLINE_TOKENS // max(t, 1))
+    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
 class _OneBlasThread(contextlib.ContextDecorator):
@@ -145,9 +157,11 @@ class TokenSet:
 class ModelOutput:
     """Factored predictions with the output parameterizations already applied.
 
-    From ``decode_heads``, each view's ray directions are a slice of one
-    (v, h, w, 3) stack: the views share that buffer, so holding any one
-    view's rays keeps the whole stack alive.
+    From ``decode_heads``, every dense output is a slice of a stack the stage
+    fills: the rays of one (v, h, w, 3) stack, the depths, confidences and
+    masks of one (3, v, h, w) stack and the depth validities of one (v, h, w)
+    stack. The views share those buffers, so holding any one view's output
+    keeps its whole stack alive.
     """
 
     rays: list[RayMap]
@@ -274,55 +288,58 @@ def _mlp4(x: np.ndarray, w: Weights, name: str) -> np.ndarray:
     return x
 
 
-def _block(x: np.ndarray, w: Weights, i: int, heads: int, audit: list | None, pool: ThreadPoolExecutor | None) -> np.ndarray:
+def _block(x: np.ndarray, w: Weights, i: int, heads: int, audit: list | None, run) -> np.ndarray:
     """Pre-norm residual transformer block over (batch, tokens, dim) sequences.
 
-    A sequence of at most _INLINE_TOKENS tokens runs inline as one task; a
-    longer one runs in fixed blocks of _QUERY_ROWS query rows, on ``pool``
-    when given. The pool has at most _MAX_WORKERS threads, so their scores
-    together cover at most _INLINE_TOKENS query rows. Each task first computes LN1 and q, k, v for its rows, then
-    exact softmax attention against all keys, the out-projection, LN2, the MLP
-    and both residuals. The blocks depend only on the shape, so the bits do
-    not depend on the number of workers. Each thread reuses one score buffer.
+    A task is a group of sequences (_groups) and a block of query rows: a
+    sequence of at most _INLINE_TOKENS tokens is one block, a longer one runs
+    in blocks of _QUERY_ROWS rows. ``run`` (_task_map) maps them on at most
+    _MAX_WORKERS threads. Each task computes LN1 and q, k, v for its rows;
+    then, one head at a time in one score tile per thread, exact softmax
+    attention against all keys, the out-projection, LN2, the MLP and both
+    residuals. Every gemm is one the whole batch would run: the same bits.
     """
     bsz, t, dim = x.shape
     dh = dim // heads
     blk = f"blocks.{i}"
     step = max(t, 1) if t <= _INLINE_TOKENS else _QUERY_ROWS  # a sequence of no tokens has no blocks
-    rows = [slice(a, min(a + step, t)) for a in range(0, t, step)]
+    groups = _groups(bsz, t)
+    tasks = [(g, slice(a, min(a + step, t))) for g in groups for a in range(0, t, step)]
     qkv = np.empty((3, bsz, heads, t, dh))
     kt = qkv[1].transpose(0, 1, 3, 2)
     out = np.empty_like(x)
     scratch = threading.local()
 
-    def project(r: slice) -> None:
-        h = _linear(_layer_norm(x[:, r], w, f"{blk}.ln1"), w, f"{blk}.attn.qkv")
-        qkv[:, :, :, r] = h.reshape(bsz, r.stop - r.start, 3, heads, dh).transpose(2, 0, 3, 1, 4)
-        qkv[0, :, :, r] /= np.sqrt(dh)  # the score scale, exact for a power-of-two sqrt(dh)
+    def project(task: tuple[slice, slice]) -> None:
+        g, r = task
+        h = _linear(_layer_norm(x[g, r], w, f"{blk}.ln1"), w, f"{blk}.attn.qkv")
+        qkv[:, g, :, r] = h.reshape(g.stop - g.start, r.stop - r.start, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+        qkv[0, g, :, r] /= np.sqrt(dh)  # the score scale, exact for a power-of-two sqrt(dh)
 
-    def attend(r: slice) -> float:
-        m = r.stop - r.start
-        if len(rows) == 1:  # nothing to reuse
-            probs = np.empty((bsz, heads, m, t))
-        else:
-            if not hasattr(scratch, "buf"):
-                scratch.buf = np.empty(bsz * heads * step * t)
-            probs = scratch.buf[: bsz * heads * m * t].reshape(bsz, heads, m, t)
-        np.matmul(qkv[0, :, :, r], kt, out=probs)
-        probs -= probs.max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        err = 0.0 if audit is None else float(np.max(np.abs(probs.sum(axis=-1) - 1.0)))
-        att = np.matmul(probs, qkv[2]).transpose(0, 2, 1, 3).reshape(bsz, m, dim)
-        y = x[:, r] + _linear(att, w, f"{blk}.attn.out")
-        del probs, att  # before the MLP's temporaries
+    def attend(task: tuple[slice, slice]) -> float:
+        g, r = task
+        n, m = g.stop - g.start, r.stop - r.start
+        if not hasattr(scratch, "tile"):
+            scratch.tile = np.empty((groups[0].stop - groups[0].start) * step * t)
+        probs = scratch.tile[: n * m * t].reshape(n, m, t)
+        att = np.empty((n, m, dim))
+        err = 0.0
+        for hd in range(heads):
+            np.matmul(qkv[0, g, hd, r], kt[g, hd], out=probs)
+            probs -= probs.max(axis=-1, keepdims=True)
+            np.exp(probs, out=probs)
+            probs /= probs.sum(axis=-1, keepdims=True)
+            if audit is not None:
+                err = max(err, float(np.max(np.abs(probs.sum(axis=-1) - 1.0))))
+            np.matmul(probs, qkv[2, g, hd], out=att[:, :, hd * dh : (hd + 1) * dh])
+        y = x[g, r] + _linear(att, w, f"{blk}.attn.out")
+        del att  # before the MLP's temporaries
         h = _layer_norm(y, w, f"{blk}.ln2")
-        out[:, r] = y + _linear(_gelu(_linear(h, w, f"{blk}.mlp.0")), w, f"{blk}.mlp.1")
+        out[g, r] = y + _linear(_gelu(_linear(h, w, f"{blk}.mlp.0")), w, f"{blk}.mlp.1")
         return err
 
-    run = map if pool is None or len(rows) == 1 else pool.map
-    list(run(project, rows))
-    err = max(run(attend, rows), default=0.0)
+    run(project, tasks)
+    err = max(run(attend, tasks), default=0.0)
     if audit is not None:
         audit.append(err)
     return out
@@ -333,11 +350,10 @@ def _block(x: np.ndarray, w: Weights, i: int, heads: int, audit: list | None, po
 
 
 def _patchify(arr: np.ndarray, patch: int) -> np.ndarray:
-    """Pixel unshuffle: (H, W, C) -> (H/p * W/p, p*p*C)."""
-    h, w = arr.shape[:2]
-    c = arr.shape[2] if arr.ndim == 3 else 1
-    arr = arr.reshape(h // patch, patch, w // patch, patch, c)
-    return arr.transpose(0, 2, 1, 3, 4).reshape((h // patch) * (w // patch), patch * patch * c)
+    """Pixel unshuffle: (..., H, W, C) -> (..., H/p * W/p, p*p*C)."""
+    *lead, h, w, c = arr.shape
+    arr = arr.reshape(*lead, h // patch, patch, w // patch, patch, c).swapaxes(-4, -3)
+    return arr.reshape(*lead, (h // patch) * (w // patch), patch * patch * c)
 
 
 @_one_blas_thread
@@ -386,32 +402,37 @@ def encode_inputs(
         for slot, i in enumerate(pose_idx):
             norm_trans[i] = pf.normalized_translations[slot]
 
-    tok = []
-    for i in range(n):
-        img = np.asarray(images[i], dtype=np.float64)
-        emb = _layer_norm(_linear(_patchify(img, cfg.patch), weights, "patch_image"), weights, "ln_image")
-        if rays[i] is not None:
-            r = _linear(_patchify(rays[i].directions, cfg.patch), weights, "patch_rays")
-            emb = emb + _layer_norm(r, weights, "ln_rays")
-        if depths[i] is not None:
-            df = factor_depth(depths[i])
-            d = _linear(_patchify(df.normalized.values[:, :, None], cfg.patch), weights, "patch_depth")
-            emb = emb + _layer_norm(d, weights, "ln_depth")
-            if config.metric_depth_scale_given:
-                zd = _mlp4(np.array([encode_log_scale(df.z_d)]), weights, "mlp_zd")
-                emb = emb + _layer_norm(zd, weights, "ln_zd")[None, :]
-        if poses[i] is not None:
-            q = _mlp4(poses[i].rotation, weights, "mlp_quat")
-            emb = emb + _layer_norm(q, weights, "ln_quat")[None, :]
-            t = _mlp4(norm_trans[i], weights, "mlp_trans")
-            emb = emb + _layer_norm(t, weights, "ln_trans")[None, :]
-            if config.metric_pose_scale_given:
-                zp = _mlp4(np.array([encode_log_scale(z_p)]), weights, "mlp_zp")
-                emb = emb + _layer_norm(zp, weights, "ln_zp")[None, :]
-        tok.append(_layer_norm(emb, weights, "ln_fuse"))
-    tokens = np.stack(tok)
+    ph, pw = h // cfg.patch, w // cfg.patch
+    tokens = np.empty((n, ph * pw, cfg.dim))
+
+    def embed(g: slice) -> None:
+        img = np.asarray(images[g], dtype=np.float64)  # one stack; each view still runs its own gemms
+        embs = _layer_norm(_linear(_patchify(img, cfg.patch), weights, "patch_image"), weights, "ln_image")
+        for i, emb in zip(range(g.start, g.stop), embs):
+            if rays[i] is not None:
+                r = _linear(_patchify(rays[i].directions, cfg.patch), weights, "patch_rays")
+                emb += _layer_norm(r, weights, "ln_rays")
+            if depths[i] is not None:
+                df = factor_depth(depths[i])
+                d = _linear(_patchify(df.normalized.values[:, :, None], cfg.patch), weights, "patch_depth")
+                emb += _layer_norm(d, weights, "ln_depth")
+                if config.metric_depth_scale_given:
+                    zd = _mlp4(np.array([encode_log_scale(df.z_d)]), weights, "mlp_zd")
+                    emb += _layer_norm(zd, weights, "ln_zd")[None, :]
+            if poses[i] is not None:
+                q = _mlp4(poses[i].rotation, weights, "mlp_quat")
+                emb += _layer_norm(q, weights, "ln_quat")[None, :]
+                t = _mlp4(norm_trans[i], weights, "mlp_trans")
+                emb += _layer_norm(t, weights, "ln_trans")[None, :]
+                if config.metric_pose_scale_given:
+                    zp = _mlp4(np.array([encode_log_scale(z_p)]), weights, "mlp_zp")
+                    emb += _layer_norm(zp, weights, "ln_zp")[None, :]
+        tokens[g] = _layer_norm(embs, weights, "ln_fuse")
+
+    with _task_map() as run:
+        run(embed, _groups(n, ph * pw))
     tokens[0] = tokens[0] + weights["ref_embed"]
-    return TokenSet(tokens=tokens, scale_token=weights["scale_token"].copy(), patch_grid=(h // cfg.patch, w // cfg.patch))
+    return TokenSet(tokens=tokens, scale_token=weights["scale_token"].copy(), patch_grid=(ph, pw))
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +461,13 @@ def alternating_attention(
     v, p, dim = tokens.tokens.shape
     x = tokens.tokens
     s = tokens.scale_token
-    # The pool starts its threads on first use, so a forward whose sequences
-    # all run inline starts none.
-    workers = _workers()
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+    with _task_map() as run:
         for i, kind in enumerate(layer_types):
             if kind == "frame":
-                x = _block(x, weights, i, cfg.heads, attention_audit, pool)
+                x = _block(x, weights, i, cfg.heads, attention_audit, run)
             elif kind == "global":
                 seq = np.concatenate([x.reshape(1, v * p, dim), s[None, None, :]], axis=1)
-                seq = _block(seq, weights, i, cfg.heads, attention_audit, pool)
+                seq = _block(seq, weights, i, cfg.heads, attention_audit, run)
                 x = seq[0, : v * p].reshape(v, p, dim)
                 s = seq[0, v * p]
             else:
@@ -488,17 +506,26 @@ def decode_heads(tokens: TokenSet, weights: Weights) -> ModelOutput:
     ph, pw = tokens.patch_grid
     h, w = ph * cfg.patch, pw * cfg.patch
 
-    dense = _linear(tokens.tokens, weights, "head_dense")
-    dense = dense.reshape(v, ph, pw, cfg.patch, cfg.patch, 6)
-    dense = dense.transpose(5, 0, 1, 3, 2, 4).reshape(6, v, h, w)
+    rays, maps = np.empty((v, h, w, 3)), np.empty((3, v, h, w))  # maps: depth, confidence, mask
 
-    rays = np.stack([dense[0], dense[1], _bounded_exp(dense[2])], axis=-1)
-    norms = _norm3(rays)[..., None]
-    # Overflowing head weights are a numeric overflow, not an invalid container:
-    # catch them here, before the constructors below check the ranges.
-    if not (np.all(np.isfinite(dense)) and np.all(np.isfinite(norms))):
-        raise NumericOverflowError("non-finite dense head outputs")
-    rays /= norms
+    def dense_head(g: slice) -> None:
+        dense = _linear(tokens.tokens[g], weights, "head_dense")
+        dense = dense.reshape(g.stop - g.start, ph, pw, cfg.patch, cfg.patch, 6)
+        dense = dense.transpose(5, 0, 1, 3, 2, 4).reshape(6, g.stop - g.start, h, w)
+        r = rays[g]
+        r[..., 0], r[..., 1], r[..., 2] = dense[0], dense[1], _bounded_exp(dense[2])
+        norms = _norm3(r)[..., None]
+        # Overflowing head weights are a numeric overflow, not an invalid container:
+        # catch them here, before any division and the constructors' range checks.
+        if not (np.all(np.isfinite(dense)) and np.all(np.isfinite(norms))):
+            raise NumericOverflowError("non-finite dense head outputs")
+        r /= norms
+        maps[0, g] = _bounded_exp(dense[3])
+        maps[1, g] = 1.0 + _bounded_exp(dense[4])
+        maps[2, g] = _sigmoid(dense[5])
+
+    with _task_map() as run:
+        run(dense_head, _groups(v, p))
 
     pooled = tokens.tokens.mean(axis=1)
     hdn = _gelu(_linear(pooled, weights, "head_pose.0"))
@@ -514,9 +541,9 @@ def decode_heads(tokens: TokenSet, weights: Weights) -> ModelOutput:
 
     return ModelOutput(
         rays=[RayMap(r) for r in rays],
-        depths=[DepthAlongRay(_bounded_exp(d), np.ones((h, w), bool)) for d in dense[3]],
-        confidences=[1.0 + _bounded_exp(c) for c in dense[4]],
-        mask_probs=[_sigmoid(m) for m in dense[5]],
+        depths=[DepthAlongRay(d, m) for d, m in zip(maps[0], np.ones((v, h, w), bool))],
+        confidences=list(maps[1]),
+        mask_probs=list(maps[2]),
         poses=poses,
         scale=MetricScale(float(_bounded_exp(sc[0]))),
     )

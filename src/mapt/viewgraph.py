@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientComponentError, InvalidValueError, ShapeError
-from .geometry import DepthAlongRay, _check, _rng, quat_to_rot
+from .geometry import DepthAlongRay, _check, _rng, _usable_cpus, quat_to_rot
 from .synth import SceneSample
 
 # Training-time conditioning probabilities.
@@ -121,7 +121,7 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
     A valid pixel of view i is covisible in view j when its world point lands
     in front of j, projects inside j's image, the nearest pixel is valid, and
     the reprojected ray depth matches the sampled one within rel_depth_tol.
-    Rows (source views) run on ``jobs`` threads (None: the executor default).
+    Rows (source views) run on ``jobs`` threads (None: one per usable CPU).
     """
     if jobs is not None and jobs < 1:
         raise InvalidValueError("jobs must be >= 1")
@@ -242,7 +242,7 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         row[i] = 1.0
         return row
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=jobs or _usable_cpus()) as pool:
         return CovisGraph(np.array(list(pool.map(covis_row, range(len(views))))))
 
 

@@ -21,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 from mapt import errors
 from mapt.cli import main
-from mapt.errors import FormatError
+from mapt.errors import FormatError, NumericOverflowError
 from mapt.geometry import DepthAlongRay, FactoredScene, FactoredView, Pose, RayMap, quat_to_rot
 from mapt.io import read_factored, read_scene, read_tensor, write_factored, write_ply, write_scene, write_tensor
 from mapt.synth import AnalyticScene, gen_scene
@@ -163,6 +163,28 @@ class TestSceneRoundTrip:
         with pytest.raises(FormatError, match="positive width and height"):
             write_factored(tmp_path / "s", FactoredScene(views=[empty]))
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("tensor", ["depth", "confidence"])
+    def test_values_beyond_float32_are_not_written(self, tmp_path, tensor):
+        # the float32 cast would store inf, which the reader rejects; float32's
+        # largest value itself round-trips
+        for value in (float(np.finfo(np.float32).max), 1e39):
+            arrays = {"depth": np.ones((2, 2)), "confidence": np.ones((2, 2))}
+            arrays[tensor][1, 0] = value
+            view = FactoredView(
+                RayMap(np.tile([0.0, 0.0, 1.0], (2, 2, 1))), DepthAlongRay(arrays["depth"], np.ones((2, 2), bool)),
+                Pose.identity(), confidence=arrays["confidence"],
+            )
+            path = tmp_path / f"s{value:g}"
+            if value == 1e39:
+                with pytest.raises(NumericOverflowError, match="tensor values must be within float32 range"):
+                    write_factored(path, FactoredScene(views=[view]))
+                assert not path.exists()
+            else:
+                write_factored(path, FactoredScene(views=[view]))
+                back = read_factored(path).views[0]
+                np.testing.assert_array_equal(back.depth.values, arrays["depth"])
+                np.testing.assert_array_equal(back.confidence, arrays["confidence"])
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FormatError):
@@ -701,7 +723,7 @@ def _run_cli(argv) -> tuple[int, str]:
     """Exit code and stdout of cli.main; a failed run must print exactly one
     `error: <known category>:` line."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     lines = err.getvalue().splitlines()
     if code != 0:

@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 import os
 import subprocess
 import sys
@@ -242,6 +243,20 @@ class TestAlternatingAttention:
             put(before)
 
     def test_global_attention_peak_memory_below_one_dense_score_array(self, monkeypatch):
+        peak, dense = self._global_layer_peak(monkeypatch)
+        assert peak < dense
+
+    def test_global_attention_peak_memory_below_a_tenth_of_one_dense_score_array(self, monkeypatch):
+        # each worker holds one head's rows x T score tile: about 20 MB in all
+        # against 38 MB, and 41 MB with every head's scores in one buffer
+        # (scipy is already imported here; its first import adds about 14 MB)
+        peak, dense = self._global_layer_peak(monkeypatch)
+        assert peak < dense / 10
+
+    @staticmethod
+    def _global_layer_peak(monkeypatch):
+        """Traced peak of two global layers over 24 x 144 tokens, and the bytes
+        of one dense heads x T x T score array."""
         # on a 64-CPU host, so the bound does not depend on this host's CPU count
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         cfg = ModelConfig(depth=2)
@@ -256,7 +271,7 @@ class TestAlternatingAttention:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < cfg.heads * t * t * 8
+        return peak, cfg.heads * t * t * 8
 
     def test_attention_rows_sum_to_one(self):
         s = _scene()
@@ -430,6 +445,36 @@ def test_forward_bits_independent_of_blas_threads_and_cpus():
             assert proc.returncode == 0, proc.stderr
             digests[threads, cpus] = proc.stdout.strip()
     assert len(set(digests.values())) == 1, digests
+
+
+@pytest.mark.skipif(network._BLAS is None, reason="numpy exports no OpenBLAS thread symbols")
+def test_pool_tasks_give_the_inline_bits(monkeypatch):
+    # 3 views of 12 x 12 patches: 3 encode tasks, 3 frame tasks, 4 row blocks
+    # of the 433-token global sequence and 3 decode tasks on a 2-worker pool,
+    # then everything inline
+    s = _scene(n_views=3, size=168)
+    w = init_weights(ModelConfig(), 2)
+    sizes = []
+
+    class Spy(ThreadPoolExecutor):
+        def map(self, fn, tasks):
+            sizes.append(len(tasks))
+            return super().map(fn, tasks)
+
+    monkeypatch.setattr(network, "ThreadPoolExecutor", Spy)
+    runs = []
+    for workers in (2, 1):
+        monkeypatch.setattr(network, "_workers", lambda: workers)
+        audit = []
+        out = forward(**_full_inputs(s), weights=w, attention_audit=audit)
+        views = out.as_factored_scene().views
+        fields = ("rays.directions", "depth.values", "depth.validity", "confidence", "mask_prob", "pose.rotation", "pose.translation")
+        runs.append([operator.attrgetter(f)(v) for v in views for f in fields] + [out.scale.value, audit])
+        # encode; per layer the LN1/qkv and the attention/MLP phases; decode
+        assert sizes == [3, 3, 3, 4, 4, 3, 3, 4, 4, 3]
+    assert len(runs[0][-1]) == 4
+    for pooled, inline in zip(*runs):
+        np.testing.assert_array_equal(pooled, inline)
 
 
 class TestWeights:

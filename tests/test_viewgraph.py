@@ -1,4 +1,6 @@
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -93,6 +95,29 @@ class TestCovisibility:
         serial = covisibility(scene, jobs=1).fraction
         for jobs in (2, 4, None):
             np.testing.assert_array_equal(covisibility(scene, jobs=jobs).fraction, serial)
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_default_jobs_is_one_thread_per_usable_cpu(self, monkeypatch, affinity):
+        # 3 usable CPUs of 64, or 5 CPUs without os.sched_getaffinity; not the
+        # executor's own default of min(32, cpus + 4)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 7, 9}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        sizes = []
+
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(viewgraph, "ThreadPoolExecutor", Spy)
+        _, scene = gen_scene(n_views=4, width=24, height=18, n_spheres=4, seed=14)
+        got = covisibility(scene).fraction
+        assert sizes == [3 if affinity else 5]
+        np.testing.assert_array_equal(got, covisibility(scene, jobs=1).fraction)
 
     def test_diagonal_exactly_one(self, small_scene):
         g = covisibility(small_scene)
