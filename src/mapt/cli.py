@@ -225,8 +225,13 @@ def cmd_export_ply(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is main's one invalid-value line; --help still exits 0
+        raise InvalidValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mapt", description="factored multi-view metric 3D toolkit")
+    ap = _Parser(prog="mapt", description="factored multi-view metric 3D toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic ground-truth scene")
@@ -284,8 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if any(isinstance(v, list) for v in vars(args).values()):  # argparse before 3.12 reads "--x=--" as []
+            raise InvalidValueError("an option value cannot be '--'")
         return args.func(args)
     except MaptError as e:
         print(f"error: {e.category}: {e}", file=sys.stderr)

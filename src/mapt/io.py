@@ -25,6 +25,7 @@ from .geometry import (
     MetricScale,
     Pose,
     RayMap,
+    _blocks,
 )
 from .synth import SceneSample, ViewSample
 
@@ -44,30 +45,33 @@ _VIEW_TENSORS = ("rays", "depth", "validity", "mask")
 def write_tensor(path, arr: np.ndarray) -> None:
     arr = np.asarray(arr)
     code = DTYPE_U8 if arr.dtype in (np.bool_, np.uint8) else DTYPE_F32
-    header = MAGIC + struct.pack(f"<BBB{arr.ndim}I", TENSOR_VERSION, code, arr.ndim, *arr.shape)
-    Path(path).write_bytes(header + arr.astype(_DTYPES[code], copy=False).tobytes(order="C"))
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack(f"<BBB{arr.ndim}I", TENSOR_VERSION, code, arr.ndim, *arr.shape))
+        arr.astype(_DTYPES[code], copy=False).tofile(f)
 
 
 def read_tensor(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < 7 or data[:4] != MAGIC:
-        raise FormatError(f"{path}: not a MAPT tensor file")
-    version, code, ndim = struct.unpack("<BBB", data[4:7])
-    if version != TENSOR_VERSION:
-        raise FormatError(f"{path}: unsupported tensor version {version}")
-    if len(data) < 7 + 4 * ndim:
-        raise FormatError(f"{path}: truncated tensor header")
-    if code not in _DTYPES:
-        raise FormatError(f"{path}: unknown dtype code {code}")
-    dims = struct.unpack(f"<{ndim}I", data[7 : 7 + 4 * ndim])
-    payload = data[7 + 4 * ndim :]
-    # the element count as an exact Python int: a uint64 product can wrap around
-    if len(payload) != _DTYPES[code].itemsize * np.prod(dims, dtype=object):
-        raise FormatError(f"{path}: payload size mismatch")
-    try:
-        return np.frombuffer(payload, dtype=_DTYPES[code]).reshape(dims).copy()
-    except ValueError as exc:  # dims numpy cannot hold: more than 64, or huge ones beside a 0
-        raise FormatError(f"{path}: unsupported tensor shape {dims}") from exc
+    with open(path, "rb") as f:
+        head = f.read(7)
+        if len(head) < 7 or head[:4] != MAGIC:
+            raise FormatError(f"{path}: not a MAPT tensor file")
+        version, code, ndim = struct.unpack("<BBB", head[4:7])
+        if version != TENSOR_VERSION:
+            raise FormatError(f"{path}: unsupported tensor version {version}")
+        dims = f.read(4 * ndim)
+        if len(dims) < 4 * ndim:
+            raise FormatError(f"{path}: truncated tensor header")
+        if code not in _DTYPES:
+            raise FormatError(f"{path}: unknown dtype code {code}")
+        dims = struct.unpack(f"<{ndim}I", dims)
+        # the element count as an exact Python int: a uint64 product can wrap around
+        count = np.prod(dims, dtype=object)
+        if Path(path).stat().st_size - f.tell() != _DTYPES[code].itemsize * count:
+            raise FormatError(f"{path}: payload size mismatch")
+        try:
+            return np.fromfile(f, dtype=_DTYPES[code], count=count).reshape(dims)
+        except ValueError as exc:  # dims numpy cannot hold: more than 64, or huge ones beside a 0
+            raise FormatError(f"{path}: unsupported tensor shape {dims}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +262,7 @@ def read_factored(path) -> FactoredScene:
 
 
 def write_ply(path, points: np.ndarray, colors: np.ndarray) -> None:
-    """Binary little-endian PLY: float32 x/y/z plus uchar red/green/blue."""
+    """Binary little-endian PLY: float32 x/y/z plus uchar red/green/blue, written in row blocks after every check."""
     with np.errstate(over="ignore"):
         points = np.asarray(points, dtype="<f4").reshape(-1, 3)
     if not np.isfinite(points).all():
@@ -279,7 +283,13 @@ def write_ply(path, points: np.ndarray, colors: np.ndarray) -> None:
         "property uchar blue\n"
         "end_header\n"
     ).encode("ascii")
-    rec = np.zeros(n, dtype=[("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("r", "u1"), ("g", "u1"), ("b", "u1")])
-    rec["x"], rec["y"], rec["z"] = points[:, 0], points[:, 1], points[:, 2]
-    rec["r"], rec["g"], rec["b"] = colors[:, 0], colors[:, 1], colors[:, 2]
-    Path(path).write_bytes(header + rec.tobytes())
+    blocks = _blocks(n)
+    vertex = [("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("r", "u1"), ("g", "u1"), ("b", "u1")]
+    rec = np.zeros(blocks[0].stop if blocks else 0, dtype=vertex)
+    with open(path, "wb") as f:
+        f.write(header)
+        for s in blocks:
+            r = rec[: s.stop - s.start]
+            r["x"], r["y"], r["z"] = points[s, 0], points[s, 1], points[s, 2]
+            r["r"], r["g"], r["b"] = colors[s, 0], colors[s, 1], colors[s, 2]
+            r.tofile(f)

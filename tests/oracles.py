@@ -160,6 +160,21 @@ def is_connected(adj: np.ndarray, nodes: list[int]) -> bool:
     return seen == nodeset
 
 
+def write_ply_reference(path, points, colors) -> None:
+    """The whole-array PLY writer streaming replaced: one record array, then
+    the header and its bytes written together."""
+    points = np.asarray(points, dtype="<f4").reshape(-1, 3)
+    colors = np.asarray(colors, dtype=np.uint8).reshape(-1, 3)
+    n = points.shape[0]
+    props = "".join(f"property {t} {c}\n" for t, c in [("float", "x"), ("float", "y"), ("float", "z"),
+                                                       ("uchar", "red"), ("uchar", "green"), ("uchar", "blue")])
+    header = f"ply\nformat binary_little_endian 1.0\nelement vertex {n}\n{props}end_header\n".encode("ascii")
+    rec = np.zeros(n, dtype=[("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("r", "u1"), ("g", "u1"), ("b", "u1")])
+    rec["x"], rec["y"], rec["z"] = points[:, 0], points[:, 1], points[:, 2]
+    rec["r"], rec["g"], rec["b"] = colors[:, 0], colors[:, 1], colors[:, 2]
+    Path(path).write_bytes(header + rec.tobytes())
+
+
 def parse_ply(path) -> tuple[np.ndarray, np.ndarray]:
     """Struct-based binary PLY reader (x y z float32, r g b uint8)."""
     data = Path(path).read_bytes()

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mapt import errors
+from mapt import errors, geometry
 from mapt.cli import main
 from mapt.errors import FormatError, NumericOverflowError
 from mapt.geometry import DepthAlongRay, FactoredScene, FactoredView, Pose, RayMap, quat_to_rot
@@ -27,7 +28,7 @@ from mapt.io import read_factored, read_scene, read_tensor, write_factored, writ
 from mapt.synth import AnalyticScene, gen_scene
 from mapt.viewgraph import covisibility
 
-from oracles import parse_ply
+from oracles import parse_ply, write_ply_reference
 
 
 class TestTensorContainer:
@@ -714,6 +715,27 @@ class TestCliErrorContract:
         assert "need at least one sphere" in self._single_error(capsys, code, "invalid-value")
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--views", "abc", "--out", "x"],
+            ["bogus"],
+            [],
+            ["synth"],
+            ["covis", "--scene", "s", "--extra"],
+            ["synth", "--views=--", "--out", "x"],  # argparse before 3.12 parses the value as []
+        ],
+    )
+    def test_argument_errors(self, capsys, argv):
+        """Usage errors are one invalid-value line, not argparse's usage block and exit 2."""
+        self._single_error(capsys, main(argv), "invalid-value")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["synth", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: mapt")
+
 
 KNOWN_CATEGORIES = {c.category for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.MaptError)}
 KNOWN_CATEGORIES |= {"io", "out-of-memory"}  # cli.main's categories for OSError and MemoryError
@@ -867,6 +889,42 @@ class TestManifestFuzz:
                 assert b"null" not in runs[0][1]
 
 
+class TestCliArgumentFuzz:
+    """One drawn --size, --views, --n or --tol value, non-numbers included:
+    every run either exits 0 or prints exactly one `error: <known category>:`
+    line."""
+
+    NUMBERS = ["-1", "0", "1", "2", "3", "+2", " 2", "1_0"]
+    OTHER = ["", "abc", "1.5", "2.0", "1e1", "nan", "inf", "-inf", "0x10", "--", "\u0662"]
+    SIDES = ["-1", "0", "1", "28", "2.5", "abc", ""]
+
+    @pytest.fixture(scope="class")
+    def dirs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("argument-fuzz")
+        assert main(["synth", "--seed", "2", "--views", "3", "--size", "28x28", "--spheres", "3", "--out", str(root / "gt")]) == 0
+        assert main(["covis", "--scene", str(root / "gt"), "--out", str(root / "covis.json")]) == 0
+        return root
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        flag=st.sampled_from(["--size", "--views", "--n", "--tol"]),
+        value=st.one_of(
+            st.sampled_from(NUMBERS + OTHER),
+            st.tuples(st.sampled_from(SIDES), st.sampled_from(SIDES), st.sampled_from(["x", "X", "x28x"])).map("".join),
+        ),
+    )
+    def test_cli_exits_cleanly(self, dirs, flag, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = str(Path(tmp) / "out")
+            argv = {
+                "--size": ["synth", "--views", "2", "--out", out],
+                "--views": ["synth", "--size", "28x28", "--out", out],
+                "--n": ["sample", "--covis", str(dirs / "covis.json"), "--out", out],
+                "--tol": ["covis", "--scene", str(dirs / "gt"), "--out", out],
+            }[flag]
+            _run_cli([*argv, f"{flag}={value}"])
+
+
 class TestPlyExport:
     def test_export_and_independent_reparse(self, tmp_path):
         assert main(["synth", "--seed", "10", "--views", "2", "--size", "24x18", "--spheres", "4", "--out", str(tmp_path / "s")]) == 0
@@ -906,3 +964,36 @@ class TestPlyExport:
         got_pts, got_cols = parse_ply(tmp_path / "x.ply")
         np.testing.assert_array_equal(got_pts, pts)
         np.testing.assert_array_equal(got_cols, cols)
+
+    @pytest.mark.parametrize("n", [0, 1, geometry._PIXEL_BLOCK, geometry._PIXEL_BLOCK + 1])
+    def test_write_ply_bytes_match_whole_array_writer(self, tmp_path, n):
+        """No points, one, one whole block of records and one point past it."""
+        rng = np.random.default_rng(n)
+        pts, cols = rng.normal(0.0, 10.0, (n, 3)), rng.integers(0, 256, (n, 3), dtype=np.uint8)
+        write_ply(tmp_path / "x.ply", pts, cols)
+        write_ply_reference(tmp_path / "ref.ply", pts, cols)
+        assert (tmp_path / "x.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
+
+    def test_write_ply_rejects_before_opening(self, tmp_path):
+        pts = np.array([[0.0, 1.0, 2.0], [np.inf, 0.0, 0.0]])
+        with pytest.raises(NumericOverflowError):
+            write_ply(tmp_path / "x.ply", pts, np.zeros((2, 3), np.uint8))
+        with pytest.raises(errors.ShapeError):
+            write_ply(tmp_path / "x.ply", pts[:1], np.zeros((2, 3), np.uint8))
+        assert not (tmp_path / "x.ply").exists()
+
+    def test_write_ply_peak_memory(self, tmp_path):
+        """The tracemalloc peak of writing 1e5 float64 points, in record bytes
+        (15 a point): near 1.0 with the float32 points and their finite check
+        first and then one block of records at a time, near 3.8 when the
+        record array, its bytes and the header joined to them were held."""
+        n = 100_000
+        rng = np.random.default_rng(0)
+        pts, cols = rng.normal(0.0, 10.0, (n, 3)), rng.integers(0, 256, (n, 3), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            write_ply(tmp_path / "x.ply", pts, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 15 * n

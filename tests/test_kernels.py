@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -32,12 +32,13 @@ from mapt.geometry import (
     metric_upgrade,
     ray_angular_error,
 )
-from mapt.losses import DEFAULT_KERNEL, loss_normal, loss_rays, total_loss
+from mapt.losses import DEFAULT_KERNEL, _pool_half, loss_normal, loss_rays, total_loss
 from mapt.metrics import evaluate_scene
 from mapt.network import ModelConfig, alternating_attention, decode_heads, encode_inputs, init_weights
 from mapt.synth import SceneSample, ViewSample, gen_scene, shade_view
 from mapt.viewgraph import InputConfig
 
+import oracles
 from oracles import (
     compose_reference,
     evaluate_scene_reference,
@@ -168,6 +169,23 @@ class TestKernelsMatchOracles:
             _same_bits(got, ref)
         assert [x.tobytes() for x in inputs] == before
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        h=st.one_of(st.integers(1, 40), st.sampled_from([97, 194, 388])),
+        w=st.one_of(st.integers(1, 40), st.sampled_from([130, 259, 518])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(h=40, w=2, seed=1)  # one 2x2 cell per row: numpy adds its four values in turn
+    def test_pool_half(self, h, w, seed):
+        """Against the reshape-sum form, at odd and even sizes, one-pixel rows
+        and columns included, with values of both signs from 1e-12 to 1e12
+        side by side."""
+        rng = np.random.default_rng(seed)
+        d = rng.choice([-1.0, 1.0], (h, w)) * rng.random((h, w)) * 10.0 ** rng.integers(-12, 13, (h, w))
+        valid = rng.random((h, w)) < 0.7
+        for got, ref in zip(_pool_half(d, valid), oracles._pool_half(d, valid)):
+            _same_bits(got, ref)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_metric_upgrade_leaves_its_input(self, data):
@@ -244,6 +262,15 @@ class TestHotPathGuards:
         _, gt = gen_scene(n_views=4, width=128, height=96, n_spheres=5, seed=11, plane=True, with_images=False)
         pred = _perturbed(gt, np.random.default_rng(0))
         assert self._peak(lambda: total_loss(pred, gt, synthetic=True)) < 26 * (128 * 96 * 3 * 8)
+
+    def test_total_loss_peak_memory_in_scene_grids(self):
+        """The same peak counted in dense (N, H, W, 3) float64 grids of the
+        whole scene: near 3.4 with the points of each term composed from rays
+        and depths in row bands right before it, near 6.0 with whole-scene
+        local point grids held through the call."""
+        _, gt = gen_scene(n_views=4, width=128, height=96, n_spheres=5, seed=11, plane=True, with_images=False)
+        pred = _perturbed(gt, np.random.default_rng(0))
+        assert self._peak(lambda: total_loss(pred, gt, synthetic=True)) <= 4.0 * (4 * 128 * 96 * 3 * 8)
 
     def test_evaluate_scene_peak_memory(self):
         """The same for evaluate_scene with point alignment: near 15.7 grids
