@@ -95,10 +95,7 @@ def f_log(x, axis: int | None = None):
     x = np.asarray(x, dtype=np.float64)
     if axis is None:
         return np.sign(x) * np.log1p(np.abs(x))
-    if x.shape[axis] == 3:
-        n = np.expand_dims(_norm3(np.moveaxis(x, axis, -1)), axis)
-    else:
-        n = np.linalg.norm(x, axis=axis, keepdims=True)
+    n = np.linalg.norm(x, axis=axis, keepdims=True)
     return x * np.divide(np.log1p(n), n, out=np.ones_like(n), where=n > 0.0)
 
 

@@ -12,7 +12,9 @@ public constructors and the network heads, NaN, +-inf and empty arrays included.
 
 from __future__ import annotations
 
+import contextlib
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,11 +250,22 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _blocks(n: int, width: int = 1) -> list[slice]:
-    """Slices covering range(n) of _PIXEL_BLOCK // width rows (at least one):
-    row blocks of an (n, ...) array, or row bands of an (n, width) grid."""
-    step = max(1, _PIXEL_BLOCK // max(width, 1))
+def _blocks(n: int, width: int = 1, budget: int | None = None) -> list[slice]:
+    """Slices covering range(n) of budget // width rows (at least one): row
+    blocks of an (n, ...) array, or row bands of an (n, width) grid. The
+    budget defaults to _PIXEL_BLOCK, read at each call."""
+    step = max(1, (_PIXEL_BLOCK if budget is None else budget) // max(width, 1))
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+@contextlib.contextmanager
+def _task_map(workers: int | None):
+    """Yield run(fn, tasks): the list of fn over tasks, in order, inline for
+    one task or one worker and otherwise on one pool of ``workers`` threads
+    (None: one per usable CPU), whose threads start on first use."""
+    workers = _usable_cpus() if workers is None else workers
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        yield lambda fn, tasks: list(map(fn, tasks) if pool is None or len(tasks) < 2 else pool.map(fn, tasks))
 
 
 def _rowwise(f, *arrays, out=None) -> np.ndarray:
@@ -264,14 +277,19 @@ def _rowwise(f, *arrays, out=None) -> np.ndarray:
     return out
 
 
-def rays_from_intrinsics(k: Intrinsics, width: int, height: int) -> RayMap:
-    """Pinhole ray map: pixel (u, v) uses the pixel center (u + 0.5, v + 0.5)."""
+def _pinhole_directions(k: Intrinsics, width: int, height: int) -> np.ndarray:
+    """The unchecked (H, W, 3) directions of rays_from_intrinsics."""
     u = (np.arange(width, dtype=np.float64) + 0.5 - k.cx) / k.fx
     v = (np.arange(height, dtype=np.float64) + 0.5 - k.cy) / k.fy
     x, y = np.meshgrid(u, v)
     d = np.stack([x, y, np.ones_like(x)], axis=2)
     d /= _norm3(d)[:, :, None]
-    return RayMap(d)
+    return d
+
+
+def rays_from_intrinsics(k: Intrinsics, width: int, height: int) -> RayMap:
+    """Pinhole ray map: pixel (u, v) uses the pixel center (u + 0.5, v + 0.5)."""
+    return RayMap(_pinhole_directions(k, width, height))
 
 
 def intrinsics_from_rays(r: RayMap) -> tuple[Intrinsics, float]:

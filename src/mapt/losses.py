@@ -164,14 +164,14 @@ def _point_residual(pp: np.ndarray, pg: np.ndarray, z_pred: NormScale, z_gt: Nor
 # per-term losses; the _*_term functions reduce pixels pooled by geometry._pool
 
 
-def loss_rays(pred: list[RayMap], gt: list[RayMap], p: RobustKernelParams = DEFAULT_KERNEL) -> float:
+def loss_rays(pred: list[RayMap], gt: list[RayMap]) -> float:
     """Kernel of the per-pixel direction residual norm, mean over all pixels."""
     _check("rays loss", [r.directions.shape[:2] for r in gt], [r.directions for r in pred])
     res = np.concatenate([_norm3(a.directions - b.directions).ravel() for a, b in zip(pred, gt)])
-    return float(np.mean(_rowwise(lambda r: robust_kernel(r, p), res, out=res)))
+    return float(np.mean(_rowwise(robust_kernel, res, out=res)))
 
 
-def loss_rot(pred_quats, gt_quats, p: RobustKernelParams = DEFAULT_KERNEL) -> float:
+def loss_rot(pred_quats, gt_quats) -> float:
     """Sign-invariant quaternion chord distance, kernelized, mean over views."""
     qp = np.asarray(pred_quats, dtype=np.float64).reshape(-1, 4)
     qg = np.asarray(gt_quats, dtype=np.float64).reshape(-1, 4)
@@ -183,12 +183,10 @@ def loss_rot(pred_quats, gt_quats, p: RobustKernelParams = DEFAULT_KERNEL) -> fl
         if not np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= 1e-6):
             raise InvalidValueError("rot loss requires unit quaternions")
     res = np.minimum(np.linalg.norm(qg - qp, axis=1), np.linalg.norm(qg + qp, axis=1))
-    return float(np.mean(robust_kernel(res, p)))
+    return float(np.mean(robust_kernel(res)))
 
 
-def loss_translation(
-    pred_t, gt_t, z_pred: NormScale, z_gt: NormScale, p: RobustKernelParams = DEFAULT_KERNEL
-) -> float:
+def loss_translation(pred_t, gt_t, z_pred: NormScale, z_gt: NormScale) -> float:
     """Scale-invariant translation loss: residual of gt/z_gt vs pred/z_pred."""
     tp = np.asarray(pred_t, dtype=np.float64).reshape(-1, 3)
     tg = np.asarray(gt_t, dtype=np.float64).reshape(-1, 3)
@@ -197,55 +195,38 @@ def loss_translation(
     if tp.shape[0] == 0:
         raise InvalidValueError("translation loss requires at least one view")
     res = _norm3(tg / z_gt.value - tp / z_pred.value)
-    return float(np.mean(robust_kernel(res, p)))
+    return float(np.mean(robust_kernel(res)))
 
 
-def loss_depth(
-    pred: list[DepthAlongRay],
-    gt: list[DepthAlongRay],
-    z_pred: NormScale,
-    z_gt: NormScale,
-    p: RobustKernelParams = DEFAULT_KERNEL,
-) -> float:
+def loss_depth(pred: list[DepthAlongRay], gt: list[DepthAlongRay], z_pred: NormScale, z_gt: NormScale) -> float:
     """Log-space scale-invariant ray depth loss with top-fraction exclusion.
 
     Pixels are selected by the ground-truth validity masks and pooled across
     views before the DEFAULT_EXCLUDE_TOP largest residuals are dropped.
     """
     _, dp, dg = _pool("depth loss", [d.validity for d in gt], [d.values for d in pred], [d.values for d in gt])
-    return _depth_term(dp, dg, z_pred, z_gt, p)
+    return _depth_term(dp, dg, z_pred, z_gt)
 
 
-def _depth_term(dp, dg, z_pred, z_gt, p) -> float:
-    res = _rowwise(lambda x, y: robust_kernel(np.abs(f_log(y / z_gt.value) - f_log(x / z_pred.value)), p), dp, dg)
+def _depth_term(dp, dg, z_pred, z_gt) -> float:
+    res = _rowwise(lambda x, y: robust_kernel(np.abs(f_log(y / z_gt.value) - f_log(x / z_pred.value))), dp, dg)
     return _excluded_mean(res)
 
 
-def loss_local_pointmap(
-    pred: list[PointMap],
-    gt: list[PointMap],
-    z_pred: NormScale,
-    z_gt: NormScale,
-    p: RobustKernelParams = DEFAULT_KERNEL,
-) -> float:
+def loss_local_pointmap(pred: list[PointMap], gt: list[PointMap], z_pred: NormScale, z_gt: NormScale) -> float:
     """As the depth loss but on 3D points: kernel of the f_log residual norm."""
     masks = [pm.validity for pm in gt]
     _, pp, pg = _pool("local pointmap loss", masks, [pm.points for pm in pred], [pm.points for pm in gt])
-    return _lpm_term(pp, pg, z_pred, z_gt, p)
+    return _lpm_term(pp, pg, z_pred, z_gt)
 
 
-def _lpm_term(pp, pg, z_pred, z_gt, p) -> float:
+def _lpm_term(pp, pg, z_pred, z_gt) -> float:
     res = _point_residual(pp, pg, z_pred, z_gt)
-    return _excluded_mean(_rowwise(lambda r: robust_kernel(r, p), res, out=res))
+    return _excluded_mean(_rowwise(robust_kernel, res, out=res))
 
 
 def loss_pointmap_conf(
-    pred: list[PointMap],
-    gt: list[PointMap],
-    conf: list[np.ndarray],
-    z_pred: NormScale,
-    z_gt: NormScale,
-    p: RobustKernelParams = DEFAULT_KERNEL,
+    pred: list[PointMap], gt: list[PointMap], conf: list[np.ndarray], z_pred: NormScale, z_gt: NormScale
 ) -> float:
     """Confidence-weighted world pointmap loss: mean of C * rho(res) - a * log C, a = DEFAULT_ALPHA_CONF."""
     conf = [np.asarray(c, dtype=np.float64) for c in conf]
@@ -253,19 +234,17 @@ def loss_pointmap_conf(
     _, pp, pg, c = _pool("pointmap loss", masks, [pm.points for pm in pred], [pm.points for pm in gt], conf)
     if not all(np.all((x >= 1.0) & (x < np.inf)) for x in conf):
         raise InvalidValueError("confidence must be finite and >= 1")
-    return _pointmap_term(pp, pg, c, z_pred, z_gt, p)
+    return _pointmap_term(pp, pg, c, z_pred, z_gt)
 
 
-def _pointmap_term(pp, pg, c, z_pred, z_gt, p) -> float:
+def _pointmap_term(pp, pg, c, z_pred, z_gt) -> float:
     if c.size == 0:
         raise EmptyDepthError("pointmap loss: no valid pixels")
     res = _point_residual(pp, pg, z_pred, z_gt)
-    return float(np.mean(_rowwise(lambda r, w: w * robust_kernel(r, p) - DEFAULT_ALPHA_CONF * np.log(w), res, c, out=res)))
+    return float(np.mean(_rowwise(lambda r, w: w * robust_kernel(r) - DEFAULT_ALPHA_CONF * np.log(w), res, c, out=res)))
 
 
-def loss_scale(
-    z_gt: NormScale, m: MetricScale, z_pred: NormScale, p: RobustKernelParams = DEFAULT_KERNEL
-) -> float:
+def loss_scale(z_gt: NormScale, m: MetricScale, z_pred: NormScale) -> float:
     """Factored metric scale loss on log-space norm scales.
 
     Gradient contract: z_pred is treated as a constant (stop-gradient), so the
@@ -273,17 +252,15 @@ def loss_scale(
     """
     z_bar = metric_norm_scale(m, z_pred)
     r = abs(float(f_log(z_gt.value)) - float(f_log(z_bar.value)))
-    return float(robust_kernel(r, p))
+    return float(robust_kernel(r))
 
 
-def loss_scale_grad_m(
-    z_gt: NormScale, m: MetricScale, z_pred: NormScale, p: RobustKernelParams = DEFAULT_KERNEL
-) -> float:
+def loss_scale_grad_m(z_gt: NormScale, m: MetricScale, z_pred: NormScale) -> float:
     """Analytic d loss_scale / d m (z_pred held constant)."""
     inner = float(np.log1p(z_gt.value) - np.log1p(m.value * z_pred.value))
     r = abs(inner)
     dr_dm = -np.sign(inner) * z_pred.value / (1.0 + m.value * z_pred.value)
-    return float(robust_kernel_grad(r, p) * dr_dm)
+    return float(robust_kernel_grad(r) * dr_dm)
 
 
 def loss_normal(pred: list[PointMap], gt: list[PointMap]) -> float:
@@ -385,7 +362,7 @@ def total_loss(pred: FactoredScene, gt, synthetic: bool = False) -> LossReport:
     is set. Pixels enter the dense losses through the ground-truth validity
     masks; the prediction normalizer z_pred uses the same masks.
     """
-    what, p = "total loss", DEFAULT_KERNEL
+    what = "total loss"
     masks = [g.depth.validity for g in gt.views]
     confs = [v.confidence if v.confidence is not None else np.ones(v.depth.values.shape) for v in pred.views]
     offsets, c, pv = _pool(what, masks, confs, [v.depth.validity for v in pred.views])
@@ -396,19 +373,19 @@ def total_loss(pred: FactoredScene, gt, synthetic: bool = False) -> LossReport:
     pw, gw = (_pool_composed(masks, x) for x in views)
     z_gt = _norm_scale(gw, offsets)
     z_pred = _norm_scale(pw, offsets, pv)
-    pointmap = _pointmap_term(pw, gw, c, z_pred, z_gt, p)
+    pointmap = _pointmap_term(pw, gw, c, z_pred, z_gt)
     del pw, gw, c, pv
     local = [[x[:3] for x in vs] for vs in views]
     terms = {
         "pointmap": pointmap,
-        "rays": loss_rays([v.rays for v in pred.views], [g.rays for g in gt.views], p),
-        "rot": loss_rot([v.pose.rotation for v in pred.views], [g.pose.rotation for g in gt.views], p),
+        "rays": loss_rays([v.rays for v in pred.views], [g.rays for g in gt.views]),
+        "rot": loss_rot([v.pose.rotation for v in pred.views], [g.pose.rotation for g in gt.views]),
         "translation": loss_translation(
-            [v.pose.translation for v in pred.views], [g.pose.translation for g in gt.views], z_pred, z_gt, p
+            [v.pose.translation for v in pred.views], [g.pose.translation for g in gt.views], z_pred, z_gt
         ),
-        "depth": _depth_term(*_pool(what, masks, *([d for _, _, d in x] for x in local))[1:], z_pred, z_gt, p),
-        "lpm": _lpm_term(*(_pool_composed(masks, x) for x in local), z_pred, z_gt, p),
-        "scale": loss_scale(z_gt, pred.scale, z_pred, p),
+        "depth": _depth_term(*_pool(what, masks, *([d for _, _, d in x] for x in local))[1:], z_pred, z_gt),
+        "lpm": _lpm_term(*(_pool_composed(masks, x) for x in local), z_pred, z_gt),
+        "scale": loss_scale(z_gt, pred.scale, z_pred),
         "normal": _normal_term(*local) if synthetic else 0.0,
         # z-depths of the local points, 0 where invalid: the bits of _compose(...)[:, :, 2]
         "gm": loss_gradient_matching(

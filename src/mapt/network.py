@@ -10,8 +10,9 @@ constraints enforced by construction.
 
 Pure numpy, float64, fully deterministic per (weights, inputs): each stage
 holds numpy's OpenBLAS at one thread and runs as a list of tasks fixed by the
-shapes (groups of views or sequences, blocks of query rows), so the bits do
-not depend on the BLAS thread count or on how many workers run the tasks.
+shapes (groups of views or sequences, blocks of query rows, cut by
+geometry._blocks and run by geometry._task_map), so the bits do not depend on
+the BLAS thread count or on how many workers run the tasks.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ import ctypes
 import dataclasses
 import numbers
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidValueError, NumericOverflowError, ShapeError
 from .factorization import encode_log_scale, factor_depth, factor_pose_scale
-from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, Pose, RayMap, _norm3, _rng, _usable_cpus
+from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, Pose, RayMap, _blocks, _norm3, _rng, _task_map, _usable_cpus
 from .viewgraph import InputConfig
 
 EXP_CLIP = 30.0
@@ -60,22 +60,6 @@ def _workers() -> int:
     _MAX_WORKERS. One (no pool) without the OpenBLAS symbols, since BLAS may
     then run its own threads."""
     return 1 if _BLAS is None else min(_usable_cpus(), _MAX_WORKERS)
-
-
-@contextlib.contextmanager
-def _task_map():
-    """For one stage call, yield run(fn, tasks): the list of fn over tasks, in
-    order, inline for one task or one worker and otherwise on one pool, whose
-    threads start on first use (so a stage of one-task steps starts none)."""
-    workers = _workers()
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        yield lambda fn, tasks: list(map(fn, tasks) if pool is None or len(tasks) < 2 else pool.map(fn, tasks))
-
-
-def _groups(n: int, t: int) -> list[slice]:
-    """Slices of range(n) grouping n sequences (views) of t tokens, max(1, _INLINE_TOKENS // t) a task."""
-    size = max(1, _INLINE_TOKENS // max(t, 1))
-    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
 class _OneBlasThread(contextlib.ContextDecorator):
@@ -291,9 +275,10 @@ def _mlp4(x: np.ndarray, w: Weights, name: str) -> np.ndarray:
 def _block(x: np.ndarray, w: Weights, i: int, heads: int, audit: list | None, run) -> np.ndarray:
     """Pre-norm residual transformer block over (batch, tokens, dim) sequences.
 
-    A task is a group of sequences (_groups) and a block of query rows: a
-    sequence of at most _INLINE_TOKENS tokens is one block, a longer one runs
-    in blocks of _QUERY_ROWS rows. ``run`` (_task_map) maps them on at most
+    A task is a group of sequences of at most _INLINE_TOKENS tokens in all
+    (one sequence if it is longer) and a block of query rows: a sequence of at
+    most _INLINE_TOKENS tokens is one block, a longer one runs in blocks of
+    _QUERY_ROWS rows. ``run`` (geometry._task_map) maps them on at most
     _MAX_WORKERS threads. Each task computes LN1 and q, k, v for its rows;
     then, one head at a time in one score tile per thread, exact softmax
     attention against all keys, the out-projection, LN2, the MLP and both
@@ -302,9 +287,9 @@ def _block(x: np.ndarray, w: Weights, i: int, heads: int, audit: list | None, ru
     bsz, t, dim = x.shape
     dh = dim // heads
     blk = f"blocks.{i}"
-    step = max(t, 1) if t <= _INLINE_TOKENS else _QUERY_ROWS  # a sequence of no tokens has no blocks
-    groups = _groups(bsz, t)
-    tasks = [(g, slice(a, min(a + step, t))) for g in groups for a in range(0, t, step)]
+    step = t if t <= _INLINE_TOKENS else _QUERY_ROWS
+    groups = _blocks(bsz, t, _INLINE_TOKENS)
+    tasks = [(g, r) for g in groups for r in _blocks(t, budget=step)]
     qkv = np.empty((3, bsz, heads, t, dh))
     kt = qkv[1].transpose(0, 1, 3, 2)
     out = np.empty_like(x)
@@ -429,8 +414,8 @@ def encode_inputs(
                     emb += _layer_norm(zp, weights, "ln_zp")[None, :]
         tokens[g] = _layer_norm(embs, weights, "ln_fuse")
 
-    with _task_map() as run:
-        run(embed, _groups(n, ph * pw))
+    with _task_map(_workers()) as run:
+        run(embed, _blocks(n, ph * pw, _INLINE_TOKENS))
     tokens[0] = tokens[0] + weights["ref_embed"]
     return TokenSet(tokens=tokens, scale_token=weights["scale_token"].copy(), patch_grid=(ph, pw))
 
@@ -461,7 +446,7 @@ def alternating_attention(
     v, p, dim = tokens.tokens.shape
     x = tokens.tokens
     s = tokens.scale_token
-    with _task_map() as run:
+    with _task_map(_workers()) as run:
         for i, kind in enumerate(layer_types):
             if kind == "frame":
                 x = _block(x, weights, i, cfg.heads, attention_audit, run)
@@ -524,8 +509,8 @@ def decode_heads(tokens: TokenSet, weights: Weights) -> ModelOutput:
         maps[1, g] = 1.0 + _bounded_exp(dense[4])
         maps[2, g] = _sigmoid(dense[5])
 
-    with _task_map() as run:
-        run(dense_head, _groups(v, p))
+    with _task_map(_workers()) as run:
+        run(dense_head, _blocks(v, p, _INLINE_TOKENS))
 
     pooled = tokens.tokens.mean(axis=1)
     hdn = _gelu(_linear(pooled, weights, "head_pose.0"))

@@ -28,9 +28,9 @@ from .geometry import (
     _dot3,
     _forward_normals,
     _norm3,
+    _pinhole_directions,
     _rng,
     quat_to_rot,
-    rays_from_intrinsics,
     rot_to_quat,
 )
 
@@ -155,7 +155,7 @@ def render_view(
     non-ambiguous mask equals the validity (sky and far-clipped pixels are
     both invalid and ambiguous).
     """
-    rays = RayMap(rays_from_intrinsics(intrinsics, width, height).directions.astype(np.float32).astype(np.float64))
+    rays = RayMap(_pinhole_directions(intrinsics, width, height).astype(np.float32).astype(np.float64))
     rot = quat_to_rot(pose.rotation)
     world_dirs = rays.directions @ rot.T
     t = _raycast_arrays(scene, pose.translation, world_dirs)

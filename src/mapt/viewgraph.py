@@ -3,13 +3,12 @@ geometric-input configuration sampler used for training-style conditioning."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientComponentError, InvalidValueError, ShapeError
-from .geometry import DepthAlongRay, _check, _rng, _usable_cpus, quat_to_rot
+from .geometry import DepthAlongRay, _blocks, _check, _rng, _task_map, quat_to_rot
 from .synth import SceneSample
 
 # Training-time conditioning probabilities.
@@ -121,7 +120,8 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
     A valid pixel of view i is covisible in view j when its world point lands
     in front of j, projects inside j's image, the nearest pixel is valid, and
     the reprojected ray depth matches the sampled one within rel_depth_tol.
-    Rows (source views) run on ``jobs`` threads (None: one per usable CPU).
+    Rows (source views) run on ``jobs`` threads (None: one per usable CPU;
+    1: in the calling thread).
     """
     if jobs is not None and jobs < 1:
         raise InvalidValueError("jobs must be >= 1")
@@ -179,18 +179,18 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         wz = ri[2, 0] * lx + ri[2, 1] * ly + ri[2, 2] * lz + ti[2]
         row = np.zeros(len(views))
         for idxs, cols, t, (fx, fy, px0, py0), (h, w), values, base in stacks:
-            block = max(1, _COVIS_BLOCK // idxs.size)
-            size = idxs.size * min(block, dep.size)
+            blocks = _blocks(dep.size, idxs.size, _COVIS_BLOCK)
+            size = idxs.size * (blocks[0].stop if blocks else 0)
             buf, lbuf, masks = np.empty((7, size)), np.empty((2, size), dtype=np.int64), np.empty((2, size), dtype=bool)
             counts = np.zeros(idxs.size, dtype=np.int64)
-            for a in range(0, dep.size, block):
-                m = min(block, dep.size - a)
+            for s in blocks:
+                m = s.stop - s.start
                 ax, ay, az, cx, cy, cz, tmp = buf[:, : idxs.size * m].reshape(7, idxs.size, m)
                 px, lin = lbuf[:, : idxs.size * m].reshape(2, idxs.size, m)
                 front, inb = masks[:, : idxs.size * m].reshape(2, idxs.size, m)
-                np.subtract(wx[a : a + m], t[0], out=ax)
-                np.subtract(wy[a : a + m], t[1], out=ay)
-                np.subtract(wz[a : a + m], t[2], out=az)
+                np.subtract(wx[s], t[0], out=ax)
+                np.subtract(wy[s], t[1], out=ay)
+                np.subtract(wz[s], t[2], out=az)
                 for c, (r0, r1, r2) in zip((cx, cy, cz), cols):
                     np.multiply(r0, ax, out=c)
                     c += np.multiply(r1, ay, out=tmp)
@@ -242,8 +242,8 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         row[i] = 1.0
         return row
 
-    with ThreadPoolExecutor(max_workers=jobs or _usable_cpus()) as pool:
-        return CovisGraph(np.array(list(pool.map(covis_row, range(len(views))))))
+    with _task_map(jobs) as run:
+        return CovisGraph(np.array(run(covis_row, range(len(views)))))
 
 
 def build_adjacency(g: CovisGraph, threshold: float = DEFAULT_COVIS_THRESHOLD) -> np.ndarray:

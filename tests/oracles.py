@@ -410,7 +410,7 @@ def loss_mask_reference(pred_prob, gt):
 
 
 def total_loss_reference(
-    pred, gt, synthetic=False, p=DEFAULT_KERNEL, alpha_conf=DEFAULT_ALPHA_CONF, exclude_top=DEFAULT_EXCLUDE_TOP
+    pred, gt, synthetic=False, alpha_conf=DEFAULT_ALPHA_CONF, exclude_top=DEFAULT_EXCLUDE_TOP
 ) -> dict:
     """The loss terms and the weighted total ("total") as a dict, computed
     term by term over per-view PointMaps."""
@@ -434,23 +434,22 @@ def total_loss_reference(
     z_gt = norm_scale_reference(gt_world)
     z_pred = norm_scale_reference(pr_world_masked)
     terms = {
-        "pointmap": loss_pointmap_conf_reference(pr_world, gt_world, confs, z_pred, z_gt, p, alpha_conf),
-        "rays": loss_rays_reference([v.rays for v in pred.views], [g.rays for g in gt.views], p),
+        "pointmap": loss_pointmap_conf_reference(pr_world, gt_world, confs, z_pred, z_gt, DEFAULT_KERNEL, alpha_conf),
+        "rays": loss_rays_reference([v.rays for v in pred.views], [g.rays for g in gt.views], DEFAULT_KERNEL),
         "rot": loss_rot(
-            np.stack([v.pose.rotation for v in pred.views]), np.stack([g.pose.rotation for g in gt.views]), p
+            np.stack([v.pose.rotation for v in pred.views]), np.stack([g.pose.rotation for g in gt.views])
         ),
         "translation": loss_translation(
             np.stack([v.pose.translation for v in pred.views]),
             np.stack([g.pose.translation for g in gt.views]),
             z_pred,
             z_gt,
-            p,
         ),
         "depth": loss_depth_reference(
-            [v.depth for v in pred.views], [g.depth for g in gt.views], z_pred, z_gt, p, exclude_top
+            [v.depth for v in pred.views], [g.depth for g in gt.views], z_pred, z_gt, DEFAULT_KERNEL, exclude_top
         ),
-        "lpm": loss_local_pointmap_reference(pr_local, gt_local, z_pred, z_gt, p, exclude_top),
-        "scale": loss_scale(z_gt, pred.scale, z_pred, p),
+        "lpm": loss_local_pointmap_reference(pr_local, gt_local, z_pred, z_gt, DEFAULT_KERNEL, exclude_top),
+        "scale": loss_scale(z_gt, pred.scale, z_pred),
         "normal": 0.0,
         "gm": 0.0,
         "mask": 0.0,

@@ -107,8 +107,8 @@ def test_criterion_3_gradient_oracles():
         z_gt = NormScale(float(rng.uniform(0.1, 10.0)))
         z_pr = NormScale(float(rng.uniform(0.1, 10.0)))
         m = float(rng.uniform(0.1, 10.0))
-        got = loss_scale_grad_m(z_gt, MetricScale(m), z_pr, p)
-        ref = fd_central(lambda q: loss_scale(z_gt, MetricScale(q), z_pr, p), m)
+        got = loss_scale_grad_m(z_gt, MetricScale(m), z_pr)
+        ref = fd_central(lambda q: loss_scale(z_gt, MetricScale(q), z_pr), m)
         assert abs(got - ref) <= 1e-4 * max(1e-6, abs(ref))
     _report(3, "kernel / f_log / scale-loss gradients match finite differences (rel 1e-4)", t0)
 

@@ -755,6 +755,20 @@ def _run_cli(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _rerun(argv, out: Path):
+    """Run argv twice through _run_cli: None once it fails, else what it
+    wrote to ``out`` (a file's bytes or a directory's files), which must be
+    the same, with the same stdout, on the rerun."""
+    runs = []
+    for _ in range(2):
+        code, stdout = _run_cli(argv)
+        if code != 0:
+            return None
+        runs.append((stdout, _dir_bytes(out) if out.is_dir() else out.read_bytes()))
+    assert runs[0] == runs[1]
+    return runs[0][1]
+
+
 class TestCliFuzz:
     """One NaN or +-inf written into one float32 tensor payload, and drawn
     --tol/--threshold values: every run either exits 0 without a null in a
@@ -878,21 +892,81 @@ class TestManifestFuzz:
                 "forward": ["forward", "--scene", gt, "--inputs", "rays,pose,depth"],
                 "sample": ["sample", "--covis", str(doc_path), "--n", "2"],
             }[command] + ["--out", str(out)]
-            runs = []
-            for _ in range(2):
-                code, stdout = _run_cli(argv)
-                if code != 0:
-                    return
-                runs.append((stdout, _dir_bytes(out) if out.is_dir() else out.read_bytes()))
-            assert runs[0] == runs[1]
-            if command in ("covis", "loss", "eval", "sample"):  # JSON reports
-                assert b"null" not in runs[0][1]
+            written = _rerun(argv, out)
+            if written is not None and command in ("covis", "loss", "eval", "sample"):  # JSON reports
+                assert b"null" not in written
+
+
+class TestTensorHeaderFuzz:
+    """One header byte of one tensor file in a 3-view scene directory (magic,
+    version, dtype code, ndim or a dimension) replaced by a drawn value, or
+    its dimensions rewritten as another shape of the same element count.
+    Every run either exits 0 and writes the same bytes on a rerun, without a
+    null in a JSON report, or prints exactly one `error: <known category>:`
+    line."""
+
+    @pytest.fixture(scope="class")
+    def dirs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("header-fuzz")
+        assert main(["synth", "--seed", "6", "--views", "3", "--size", "28x28", "--spheres", "3", "--out", str(root / "gt")]) == 0
+        assert main(["forward", "--scene", str(root / "gt"), "--seed", "1", "--out", str(root / "pred")]) == 0
+        return root
+
+    @staticmethod
+    def _reshapes(dims: tuple) -> list[tuple]:
+        """Other shapes of the same element count."""
+        count = int(np.prod(dims))
+        return [(count,), dims[::-1], (*dims, 1), (1, *dims), (dims[0] * dims[1], *dims[2:]), (dims[0], count // dims[0])]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        command=st.sampled_from(["covis", "loss", "eval", "export-ply", "forward"]),
+        tree=st.sampled_from(["gt", "pred"]),
+        tensor=st.sampled_from(["view_000_rays", "view_001_depth", "view_002_validity", "view_001_mask"]),
+        change=st.one_of(
+            st.tuples(
+                st.sampled_from(["magic", "version", "dtype", "ndim", "dims"]),
+                st.integers(0, 10**6),
+                st.one_of(st.sampled_from([0, 1, 2, 3, 64, 255]), st.integers(0, 255)),
+            ),
+            st.tuples(st.just("shape"), st.integers(0, 10**6), st.none()),
+        ),
+    )
+    def test_cli_exits_cleanly(self, dirs, command, tree, tensor, change):
+        tree = "gt" if command in ("covis", "forward") else tree  # the commands that read only a scene
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name in ("gt", "pred"):
+                shutil.copytree(dirs / name, tmp / name)
+            path = tmp / tree / f"{tensor}.mapt"
+            raw = bytearray(path.read_bytes())
+            ndim = raw[6]
+            field, index, value = change
+            if field != "shape":  # one byte of the field: magic 0-3, version 4, dtype code 5, ndim 6, dims from 7
+                raw[{"magic": index % 4, "version": 4, "dtype": 5, "ndim": 6, "dims": 7 + index % (4 * ndim)}[field]] = value
+            else:
+                shapes = self._reshapes(struct.unpack(f"<{ndim}I", raw[7 : 7 + 4 * ndim]))
+                shape = shapes[index % len(shapes)]
+                raw[: 7 + 4 * ndim] = raw[:6] + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+            path.write_bytes(raw)
+
+            gt, pred, out = str(tmp / "gt"), str(tmp / "pred"), tmp / "out"
+            argv = {
+                "covis": ["covis", "--scene", gt],
+                "loss": ["loss", "--gt", gt, "--pred", pred, "--synthetic"],
+                "eval": ["eval", "--gt", gt, "--pred", pred, "--align-points"],
+                "export-ply": ["export-ply", "--scene", str(tmp / tree)],
+                "forward": ["forward", "--scene", gt, "--inputs", "rays,pose,depth"],
+            }[command] + ["--out", str(out)]
+            written = _rerun(argv, out)
+            if written is not None and command in ("covis", "loss", "eval"):  # JSON reports
+                assert b"null" not in written
 
 
 class TestCliArgumentFuzz:
-    """One drawn --size, --views, --n or --tol value, non-numbers included:
-    every run either exits 0 or prints exactly one `error: <known category>:`
-    line."""
+    """One drawn --size, --views, --n, --tol or --inputs value, non-numbers
+    included: every run either exits 0 or prints exactly one `error: <known
+    category>:` line."""
 
     NUMBERS = ["-1", "0", "1", "2", "3", "+2", " 2", "1_0"]
     OTHER = ["", "abc", "1.5", "2.0", "1e1", "nan", "inf", "-inf", "0x10", "--", "\u0662"]
@@ -923,6 +997,21 @@ class TestCliArgumentFuzz:
                 "--tol": ["covis", "--scene", str(dirs / "gt"), "--out", out],
             }[flag]
             _run_cli([*argv, f"{flag}={value}"])
+
+    MODALITIES = ["rays", "pose", "depth", "depth_sparse", "", "RAYS", "ray", " rays", "depth-sparse", "x", "--", "\u0662"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tokens=st.lists(st.sampled_from(MODALITIES), max_size=4),
+        sep=st.sampled_from([",", ", ", ";", " ", ",,"]),
+    )
+    def test_inputs_exits_cleanly(self, dirs, tokens, sep):
+        """A drawn --inputs list: every run either exits 0 and writes the
+        same bytes on a rerun, or prints exactly one error line."""
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "pred"
+            argv = ["forward", "--scene", str(dirs / "gt"), f"--inputs={sep.join(tokens)}", "--out", str(out)]
+            _rerun(argv, out)
 
 
 class TestPlyExport:

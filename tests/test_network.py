@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from mapt import network
+from mapt import geometry, network
 from mapt.errors import InvalidValueError, NumericOverflowError, ShapeError
 from mapt.geometry import Pose
 from mapt.network import (
@@ -185,7 +185,7 @@ class TestAlternatingAttention:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(network, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(geometry, "ThreadPoolExecutor", Spy)
         self._check_against_reference_encoder("global", 2 * _INLINE_TOKENS + 1)
         assert sizes == ([_MAX_WORKERS] if network._BLAS is not None else [])
 
@@ -461,7 +461,7 @@ def test_pool_tasks_give_the_inline_bits(monkeypatch):
             sizes.append(len(tasks))
             return super().map(fn, tasks)
 
-    monkeypatch.setattr(network, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(geometry, "ThreadPoolExecutor", Spy)
     runs = []
     for workers in (2, 1):
         monkeypatch.setattr(network, "_workers", lambda: workers)

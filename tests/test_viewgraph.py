@@ -9,7 +9,7 @@ from scipy import stats
 from mapt.errors import InsufficientComponentError, InvalidValueError, ShapeError
 from mapt.geometry import DepthAlongRay, Intrinsics, MetricScale, Pose
 from mapt.synth import AnalyticScene, SceneSample, ViewSample, gen_scene, render_view
-from mapt import viewgraph
+from mapt import geometry, viewgraph
 from mapt.viewgraph import (
     SPARSE_KEEP_FRACTION,
     CovisGraph,
@@ -113,11 +113,19 @@ class TestCovisibility:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(viewgraph, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(geometry, "ThreadPoolExecutor", Spy)
         _, scene = gen_scene(n_views=4, width=24, height=18, n_spheres=4, seed=14)
         got = covisibility(scene).fraction
         assert sizes == [3 if affinity else 5]
         np.testing.assert_array_equal(got, covisibility(scene, jobs=1).fraction)
+
+    def test_one_job_runs_in_the_calling_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            pytest.fail("covisibility(jobs=1) started a pool")
+
+        monkeypatch.setattr(geometry, "ThreadPoolExecutor", no_pool)
+        _, scene = gen_scene(n_views=4, width=24, height=18, n_spheres=4, seed=14)
+        np.testing.assert_array_equal(covisibility(scene, jobs=1).fraction, brute_force_covisibility(scene))
 
     def test_diagonal_exactly_one(self, small_scene):
         g = covisibility(small_scene)
