@@ -407,14 +407,14 @@ def _pool(what: str, masks: list, *grids: list) -> tuple[np.ndarray, ...]:
 
 def _pool_composed(masks: list, views: list) -> np.ndarray:
     """The rows _pool pools from [_compose(*v) for v in views] at ``masks``,
-    for the (points, validity, depth[, pose[, scale]]) ``views``, composed and
+    for the (rays, validity, depth[, pose[, scale]]) ``views``, composed and
     gathered in row bands, so that no composed grid exists whole."""
     idx = [np.flatnonzero(m) for m in masks]
     out, k = np.empty((sum(i.size for i in idx), 3)), 0
-    for m, i, (points, validity, depth, *stages) in zip(masks, idx, views):
+    for m, i, (rays, validity, depth, *stages) in zip(masks, idx, views):
         w = m.shape[1]
         for s in _blocks(m.shape[0], w):
-            band = _compose(points[s], validity[s], None if depth is None else depth[s], *stages)
+            band = _compose(rays[s], validity[s], depth[s], *stages)
             j = i[np.searchsorted(i, s.start * w) : np.searchsorted(i, s.stop * w)] - s.start * w
             np.take(band.reshape(-1, 3), j, axis=0, out=out[k : k + j.size], mode="clip")
             k += j.size

@@ -189,72 +189,56 @@ def _load_manifest(path: Path) -> dict:
     return manifest
 
 
-def _read_view_arrays(path: Path, i: int, entry: dict):
-    files = entry["files"]
-    for key in _VIEW_TENSORS:
-        if key not in files or not (path / files[key]).is_file():
-            raise FormatError(f"{path}: missing tensor file for {key!r}")
-    hw = (entry["height"], entry["width"])
-    arrays = {}
-    for key in (*_VIEW_TENSORS, "confidence"):
-        if key in files:
-            arrays[key] = read_tensor(path / files[key])
-            want = (*hw, 3) if key == "rays" else hw
-            if arrays[key].shape != want:
-                raise FormatError(f"{path}: view {i} {key!r} tensor is {arrays[key].shape}, manifest gives {want}")
-    rays = RayMap(arrays["rays"].astype(np.float64))
-    depth = DepthAlongRay(arrays["depth"].astype(np.float64), arrays["validity"] != 0)
-    conf = arrays["confidence"].astype(np.float64) if "confidence" in arrays else None
-    return rays, depth, arrays["mask"], conf
+def _read_views(path: Path, view) -> tuple[list, MetricScale]:
+    """The views and the metric scale of a scene directory. Per view: the
+    manifest entry's tensors, then its ray map, depth and pose, and then
+    ``view(i, entry, rays, depth, pose, arrays)`` makes the view from them,
+    with ``arrays`` the view's tensors by key."""
+    manifest = _load_manifest(path)
+    views = []
+    for i, entry in enumerate(manifest["views"]):
+        files = entry["files"]
+        for key in _VIEW_TENSORS:
+            if key not in files or not (path / files[key]).is_file():
+                raise FormatError(f"{path}: missing tensor file for {key!r}")
+        hw = (entry["height"], entry["width"])
+        arrays = {}
+        for key in (*_VIEW_TENSORS, "confidence"):
+            if key in files:
+                arrays[key] = read_tensor(path / files[key])
+                want = (*hw, 3) if key == "rays" else hw
+                if arrays[key].shape != want:
+                    raise FormatError(f"{path}: view {i} {key!r} tensor is {arrays[key].shape}, manifest gives {want}")
+        rays = RayMap(arrays["rays"].astype(np.float64))
+        depth = DepthAlongRay(arrays["depth"].astype(np.float64), arrays["validity"] != 0)
+        views.append(view(i, entry, rays, depth, _pose_from_list(entry["pose"]), arrays))
+    return views, MetricScale(manifest["metric_scale"])
 
 
 def read_scene(path) -> SceneSample:
     """Read a ground-truth scene directory into a SceneSample."""
     path = Path(path)
-    manifest = _load_manifest(path)
-    views = []
-    for i, entry in enumerate(manifest["views"]):
+
+    def view(i, entry, rays, depth, pose, arrays):
         if "intrinsics" not in entry:
             raise FormatError(f"{path}: view {i} lacks intrinsics (not a ground-truth scene)")
-        rays, depth, mask, _ = _read_view_arrays(path, i, entry)
-        pose = _pose_from_list(entry["pose"])
-        if i == 0:
-            ident = np.array([1.0, 0.0, 0.0, 0.0])
-            if np.max(np.abs(pose.rotation - ident)) > 1e-12 or np.max(np.abs(pose.translation)) > 1e-12:
-                raise FormatError(f"{path}: ground-truth view 0 pose must be identity")
-        fx, fy, cx, cy = entry["intrinsics"]
-        views.append(
-            ViewSample(
-                intrinsics=Intrinsics(fx=fx, fy=fy, cx=cx, cy=cy),
-                rays=rays,
-                depth=depth,
-                mask=mask != 0,
-                pose=pose,
-            )
-        )
-    return SceneSample(views=views, scale=MetricScale(manifest["metric_scale"]))
+        if i == 0 and np.abs(np.concatenate([pose.rotation - [1.0, 0.0, 0.0, 0.0], pose.translation])).max() > 1e-12:
+            raise FormatError(f"{path}: ground-truth view 0 pose must be identity")
+        return ViewSample(Intrinsics(*entry["intrinsics"]), rays, depth, arrays["mask"] != 0, pose)
+
+    return SceneSample(*_read_views(path, view))
 
 
 def read_factored(path) -> FactoredScene:
-    """Read any scene directory as a factored scene (prediction-shaped)."""
-    path = Path(path)
-    manifest = _load_manifest(path)
-    views = []
-    for i, entry in enumerate(manifest["views"]):
-        rays, depth, mask, conf = _read_view_arrays(path, i, entry)
-        mask_prob = (mask != 0).astype(np.float64) if mask.dtype == np.uint8 else np.clip(
-            mask.astype(np.float64), 0.0, 1.0
-        )
-        views.append(
-            FactoredView(
-                rays=rays,
-                depth=depth,
-                pose=_pose_from_list(entry["pose"]),
-                confidence=conf,
-                mask_prob=mask_prob,
-            )
-        )
-    return FactoredScene(views=views, scale=MetricScale(manifest["metric_scale"]))
+    """Read any scene directory as a factored scene (prediction-shaped). A u8
+    mask gives probabilities 0 and 1; a float mask is taken as it is, so the
+    FactoredView constructor rejects values outside [0, 1]."""
+
+    def view(i, entry, rays, depth, pose, arrays):
+        mask = arrays["mask"]
+        return FactoredView(rays, depth, pose, arrays.get("confidence"), mask != 0 if mask.dtype == np.uint8 else mask)
+
+    return FactoredScene(*_read_views(Path(path), view))
 
 
 # ---------------------------------------------------------------------------

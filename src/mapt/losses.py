@@ -205,10 +205,6 @@ def loss_depth(pred: list[DepthAlongRay], gt: list[DepthAlongRay], z_pred: NormS
     views before the DEFAULT_EXCLUDE_TOP largest residuals are dropped.
     """
     _, dp, dg = _pool("depth loss", [d.validity for d in gt], [d.values for d in pred], [d.values for d in gt])
-    return _depth_term(dp, dg, z_pred, z_gt)
-
-
-def _depth_term(dp, dg, z_pred, z_gt) -> float:
     res = _rowwise(lambda x, y: robust_kernel(np.abs(f_log(y / z_gt.value) - f_log(x / z_pred.value))), dp, dg)
     return _excluded_mean(res)
 
@@ -362,10 +358,9 @@ def total_loss(pred: FactoredScene, gt, synthetic: bool = False) -> LossReport:
     is set. Pixels enter the dense losses through the ground-truth validity
     masks; the prediction normalizer z_pred uses the same masks.
     """
-    what = "total loss"
     masks = [g.depth.validity for g in gt.views]
     confs = [v.confidence if v.confidence is not None else np.ones(v.depth.values.shape) for v in pred.views]
-    offsets, c, pv = _pool(what, masks, confs, [v.depth.validity for v in pred.views])
+    offsets, c, pv = _pool("total loss", masks, confs, [v.depth.validity for v in pred.views])
     # Pooled points are about as large as the grids they come from, so they are
     # composed from rays, depths and poses in row bands right before their term,
     # and at most two pooled point arrays exist at a time.
@@ -383,7 +378,7 @@ def total_loss(pred: FactoredScene, gt, synthetic: bool = False) -> LossReport:
         "translation": loss_translation(
             [v.pose.translation for v in pred.views], [g.pose.translation for g in gt.views], z_pred, z_gt
         ),
-        "depth": _depth_term(*_pool(what, masks, *([d for _, _, d in x] for x in local))[1:], z_pred, z_gt),
+        "depth": loss_depth([v.depth for v in pred.views], [g.depth for g in gt.views], z_pred, z_gt),
         "lpm": _lpm_term(*(_pool_composed(masks, x) for x in local), z_pred, z_gt),
         "scale": loss_scale(z_gt, pred.scale, z_pred),
         "normal": _normal_term(*local) if synthetic else 0.0,

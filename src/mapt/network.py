@@ -272,7 +272,15 @@ def _mlp4(x: np.ndarray, w: Weights, name: str) -> np.ndarray:
     return x
 
 
-def _block(x: np.ndarray, w: Weights, i: int, heads: int, audit: list | None, run) -> np.ndarray:
+def _softmax_rows(s: np.ndarray) -> np.ndarray:
+    """Softmax of each row (last axis) of a score array, in place; returns s."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _block(x: np.ndarray, w: Weights, i: int, heads: int, run) -> np.ndarray:
     """Pre-norm residual transformer block over (batch, tokens, dim) sequences.
 
     A task is a group of sequences of at most _INLINE_TOKENS tokens in all
@@ -301,32 +309,23 @@ def _block(x: np.ndarray, w: Weights, i: int, heads: int, audit: list | None, ru
         qkv[:, g, :, r] = h.reshape(g.stop - g.start, r.stop - r.start, 3, heads, dh).transpose(2, 0, 3, 1, 4)
         qkv[0, g, :, r] /= np.sqrt(dh)  # the score scale, exact for a power-of-two sqrt(dh)
 
-    def attend(task: tuple[slice, slice]) -> float:
+    def attend(task: tuple[slice, slice]) -> None:
         g, r = task
         n, m = g.stop - g.start, r.stop - r.start
         if not hasattr(scratch, "tile"):
             scratch.tile = np.empty((groups[0].stop - groups[0].start) * step * t)
         probs = scratch.tile[: n * m * t].reshape(n, m, t)
         att = np.empty((n, m, dim))
-        err = 0.0
         for hd in range(heads):
             np.matmul(qkv[0, g, hd, r], kt[g, hd], out=probs)
-            probs -= probs.max(axis=-1, keepdims=True)
-            np.exp(probs, out=probs)
-            probs /= probs.sum(axis=-1, keepdims=True)
-            if audit is not None:
-                err = max(err, float(np.max(np.abs(probs.sum(axis=-1) - 1.0))))
-            np.matmul(probs, qkv[2, g, hd], out=att[:, :, hd * dh : (hd + 1) * dh])
+            np.matmul(_softmax_rows(probs), qkv[2, g, hd], out=att[:, :, hd * dh : (hd + 1) * dh])
         y = x[g, r] + _linear(att, w, f"{blk}.attn.out")
         del att  # before the MLP's temporaries
         h = _layer_norm(y, w, f"{blk}.ln2")
         out[g, r] = y + _linear(_gelu(_linear(h, w, f"{blk}.mlp.0")), w, f"{blk}.mlp.1")
-        return err
 
     run(project, tasks)
-    err = max(run(attend, tasks), default=0.0)
-    if audit is not None:
-        audit.append(err)
+    run(attend, tasks)
     return out
 
 
@@ -429,7 +428,6 @@ def alternating_attention(
     tokens: TokenSet,
     weights: Weights,
     layer_types: tuple[str, ...] | None = None,
-    attention_audit: list | None = None,
 ) -> TokenSet:
     """Alternate frame-wise and global self-attention over the token set.
 
@@ -449,10 +447,10 @@ def alternating_attention(
     with _task_map(_workers()) as run:
         for i, kind in enumerate(layer_types):
             if kind == "frame":
-                x = _block(x, weights, i, cfg.heads, attention_audit, run)
+                x = _block(x, weights, i, cfg.heads, run)
             elif kind == "global":
                 seq = np.concatenate([x.reshape(1, v * p, dim), s[None, None, :]], axis=1)
-                seq = _block(seq, weights, i, cfg.heads, attention_audit, run)
+                seq = _block(seq, weights, i, cfg.heads, run)
                 x = seq[0, : v * p].reshape(v, p, dim)
                 s = seq[0, v * p]
             else:
@@ -541,9 +539,8 @@ def forward(
     rays: list[RayMap | None] | None = None,
     depths: list[DepthAlongRay | None] | None = None,
     poses: list[Pose | None] | None = None,
-    attention_audit: list | None = None,
 ) -> ModelOutput:
     """encode -> alternating attention -> heads; pure and deterministic."""
     tokens = encode_inputs(images, config, weights, rays=rays, depths=depths, poses=poses)
-    tokens = alternating_attention(tokens, weights, attention_audit=attention_audit)
+    tokens = alternating_attention(tokens, weights)
     return decode_heads(tokens, weights)

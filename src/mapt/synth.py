@@ -63,7 +63,10 @@ class AnalyticScene:
 
 @dataclass
 class ViewSample:
-    """Ground truth for one rendered view."""
+    """Ground truth for one rendered view. Like FactoredView, it checks at
+    construction that its intrinsics are an Intrinsics and that its rays,
+    depth and mask share one resolution (shapes only: the part constructors
+    check the values)."""
 
     intrinsics: Intrinsics
     rays: RayMap
@@ -71,6 +74,14 @@ class ViewSample:
     mask: np.ndarray  # (H, W) bool, False on sky / no-hit (ambiguous)
     pose: Pose  # view-to-view-0
     image: np.ndarray | None = None  # (H, W, 3) float32 in [0, 1]
+
+    def __post_init__(self):
+        if not isinstance(self.intrinsics, Intrinsics):
+            raise InvalidValueError(f"ground-truth views need Intrinsics, got {type(self.intrinsics).__name__}")
+        if (self.rays.height, self.rays.width) != (self.depth.height, self.depth.width):
+            raise ShapeError("ray map and depth resolutions differ")
+        if np.shape(self.mask) != self.depth.values.shape:
+            raise ShapeError("mask resolution differs from depth")
 
 
 @dataclass

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientComponentError, InvalidValueError, ShapeError
-from .geometry import DepthAlongRay, _blocks, _check, _rng, _task_map, quat_to_rot
+from .errors import EmptyDepthError, InsufficientComponentError, InvalidValueError, ShapeError
+from .geometry import DepthAlongRay, _blocks, _rng, _task_map, quat_to_rot
 from .synth import SceneSample
 
 # Training-time conditioning probabilities.
@@ -128,9 +128,8 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
     if not 0.0 <= rel_depth_tol < np.inf:
         raise InvalidValueError(f"rel_depth_tol must be finite and >= 0, got {rel_depth_tol}")
     views = scene.views
-    if any(v.intrinsics is None for v in views):
-        raise InvalidValueError("covisibility requires ground-truth intrinsics")
-    _check("covisibility", [v.depth.validity.shape for v in views], [v.rays.directions for v in views])
+    if not views:
+        raise EmptyDepthError("covisibility: no views")
     rots = quat_to_rot(np.array([v.pose.rotation for v in views]))
     trans = np.array([v.pose.translation for v in views])
     k = np.array([[v.intrinsics.fx, v.intrinsics.fy, v.intrinsics.cx, v.intrinsics.cy] for v in views])

@@ -663,6 +663,18 @@ class TestCliErrorContract:
         code = main(["loss", "--gt", str(scene_dir), "--pred", str(tmp_path / "p")])
         assert tensor in self._single_error(capsys, code, "invalid-value")
 
+    @pytest.mark.parametrize("command", ["loss", "eval"])
+    @pytest.mark.parametrize("value", [1.5, -0.5])
+    def test_float_mask_outside_unit_interval(self, scene_dir, tmp_path, capsys, command, value):
+        # a mask tensor read from disk is checked, not clipped into [0, 1]
+        write_factored(tmp_path / "p", read_scene(scene_dir).as_factored_scene())
+        path = tmp_path / "p" / "view_001_mask.mapt"
+        arr = read_tensor(path)
+        arr[0, 0] = value
+        write_tensor(path, arr)
+        code = main([command, "--gt", str(scene_dir), "--pred", str(tmp_path / "p")])
+        assert "mask probabilities must lie in [0, 1]" in self._single_error(capsys, code, "invalid-value")
+
     @pytest.mark.parametrize("size", [(0, 0), (0, 28), (28.0, 28), (True, 28)])
     def test_covis_view_size_not_a_positive_integer(self, scene_dir, capsys, size):
         manifest = json.loads((scene_dir / "scene.json").read_text())

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mapt.errors import InvalidValueError
+from mapt.errors import InvalidValueError, ShapeError
 from mapt.geometry import (
     DepthAlongRay,
     Intrinsics,
@@ -151,6 +153,29 @@ class TestGenScene:
             gen_scene(n_views=0, width=16, height=16, n_spheres=2, seed=0)
         with pytest.raises(InvalidValueError):
             gen_scene(n_views=1, width=4, height=16, n_spheres=2, seed=0)
+
+
+class TestViewSample:
+    """A ground-truth view is checked at construction: before this check, each
+    of these views reached evaluate_scene, total_loss or write_scene and
+    failed there with a numpy broadcast error, a TypeError or a directory
+    that the readers reject."""
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            (lambda v: {"rays": RayMap(v.rays.directions[:14, :14])}, ShapeError, "ray map and depth resolutions differ"),
+            (lambda v: {"depth": DepthAlongRay(v.depth.values[:, :14], v.depth.validity[:, :14])}, ShapeError, "ray map and depth"),
+            (lambda v: {"mask": v.mask[:14, :14]}, ShapeError, "mask resolution differs from depth"),
+            (lambda v: {"mask": v.mask[:, :, None]}, ShapeError, "mask resolution differs from depth"),
+            (lambda v: {"intrinsics": None}, InvalidValueError, "need Intrinsics, got NoneType"),
+            (lambda v: {"intrinsics": (20.0, 20.0, 14.0, 14.0)}, InvalidValueError, "need Intrinsics, got tuple"),
+        ],
+    )
+    def test_parts_must_agree(self, change, error, message):
+        _, s = gen_scene(n_views=2, width=28, height=28, n_spheres=3, seed=14)
+        with pytest.raises(error, match=message):
+            dataclasses.replace(s.views[1], **change(s.views[1]))
 
 
 class TestShadeView:
