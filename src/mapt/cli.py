@@ -3,17 +3,15 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import io as mio
-from .errors import FormatError, InvalidModalityError, InvalidValueError, MaptError
+from .errors import InvalidModalityError, InvalidValueError, MaptError
 from .geometry import _pool, compose_scene_points
+from .io import _json_text, covis_document, read_covis, read_model_config
 from .losses import (
     DEFAULT_ALPHA_CONF,
     DEFAULT_EXCLUDE_TOP,
@@ -27,7 +25,6 @@ from .synth import gen_scene, shade_view
 from .viewgraph import (
     DEFAULT_COVIS_THRESHOLD,
     DEFAULT_REL_DEPTH_TOL,
-    CovisGraph,
     InputConfig,
     build_adjacency,
     covisibility,
@@ -38,42 +35,12 @@ from .viewgraph import (
 VALID_MODALITIES = ("rays", "pose", "depth", "depth_sparse")
 
 
-def _jsonable(x):
-    if isinstance(x, float) and math.isnan(x):
-        return None
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(_jsonable(obj), indent=2) + "\n"
+    text = _json_text(obj)
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _read_json(path: str):
-    try:
-        return json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def _model_config(path: str) -> ModelConfig:
-    """ModelConfig from a JSON object whose keys override the defaults."""
-    overrides = _read_json(path)
-    fields = [f.name for f in dataclasses.fields(ModelConfig)]
-    valid = f"valid fields: {', '.join(fields)}"
-    if not isinstance(overrides, dict):
-        raise InvalidValueError(f"{path}: model config must be a JSON object; {valid}")
-    unknown = [k for k in overrides if k not in fields]
-    if unknown:
-        raise InvalidValueError(f"{path}: unknown model config field(s) {', '.join(map(repr, unknown))}; {valid}")
-    return ModelConfig(**overrides)
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -103,39 +70,15 @@ def cmd_synth(args) -> int:
 def cmd_covis(args) -> int:
     scene = mio.read_scene(args.scene)
     graph = covisibility(scene, rel_depth_tol=args.tol, jobs=args.jobs)
-    _emit(
-        {
-            "version": 1,
-            "n_views": graph.n,
-            "rel_depth_tol": float(args.tol),
-            "fraction": [[float(x) for x in row] for row in graph.fraction],
-        },
-        args.out,
-    )
+    _emit(covis_document(graph, args.tol), args.out)
     return 0
 
 
 def cmd_sample(args) -> int:
-    data = _read_json(args.covis)
-    if not isinstance(data, dict) or "fraction" not in data:
-        raise FormatError(f"{args.covis}: covisibility file lacks 'fraction'")
-    try:
-        fraction = np.array(data["fraction"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float64
-        raise FormatError(f"{args.covis}: 'fraction' is not a numeric matrix ({exc})") from exc
-    graph = CovisGraph(fraction)
-    adj = build_adjacency(graph, threshold=args.threshold)
+    adj = build_adjacency(read_covis(Path(args.covis)), threshold=args.threshold)
     views = random_walk_sample(adj, args.n, args.seed)
-    _emit(
-        {
-            "version": 1,
-            "threshold": float(args.threshold),
-            "seed": args.seed,
-            "n_views": len(views),
-            "views": views,
-        },
-        args.out,
-    )
+    doc = {"version": 1, "threshold": float(args.threshold), "seed": args.seed, "n_views": len(views), "views": views}
+    _emit(doc, args.out)
     return 0
 
 
@@ -166,45 +109,29 @@ def cmd_eval(args) -> int:
     gt = mio.read_scene(args.gt)
     pred = mio.read_factored(args.pred)
     report = evaluate_scene(pred, gt, align_points=args.align_points)
-    _emit(
-        {
-            "version": 1,
-            "config": {
-                "align_points": bool(args.align_points),
-                "tau_threshold": TAU_DEFAULT,
-                "auc_threshold_deg": AUC_DEFAULT_DEG,
-            },
-            "metrics": report.as_dict(),
-        },
-        args.out,
-    )
+    config = {"align_points": bool(args.align_points), "tau_threshold": TAU_DEFAULT, "auc_threshold_deg": AUC_DEFAULT_DEG}
+    _emit({"version": 1, "config": config, "metrics": report.as_dict()}, args.out)
     return 0
 
 
 def cmd_forward(args) -> int:
     scene = mio.read_scene(args.scene)
-    n = scene.n_views
     wanted = [t for t in args.inputs.split(",") if t]
     for t in wanted:
         if t not in VALID_MODALITIES:
             raise InvalidModalityError(f"unknown input modality {t!r}; valid: {', '.join(VALID_MODALITIES)}")
-    use_rays = "rays" in wanted
-    use_pose = "pose" in wanted
-    use_sparse = "depth_sparse" in wanted
-    use_depth = "depth" in wanted or use_sparse
 
-    model_cfg = _model_config(args.config) if args.config else ModelConfig()
+    model_cfg = read_model_config(Path(args.config)) if args.config else ModelConfig()
     weights = init_weights(model_cfg, args.seed)
-    config = InputConfig.from_modalities(
-        n, rays=use_rays, pose=use_pose, depth=use_depth, depth_sparse=use_sparse
-    )
+    # the modality names are from_modalities' switches; depth_sparse implies depth
+    config = InputConfig.from_modalities(scene.n_views, **{t: t in wanted for t in VALID_MODALITIES})
     images = [shade_view(v.rays, v.depth).astype(np.float64) for v in scene.views]
-    rays = [v.rays for v in scene.views] if use_rays else None
-    poses = [v.pose for v in scene.views] if use_pose else None
+    rays = [v.rays for v in scene.views] if config.rays_selected else None
+    poses = [v.pose for v in scene.views] if config.pose_selected else None
     depths = None
-    if use_depth:
+    if config.depth_selected:
         depths = [
-            sparsify_depth(v.depth, args.seed + i) if use_sparse else v.depth
+            sparsify_depth(v.depth, args.seed + i) if config.depth_sparse_mode else v.depth
             for i, v in enumerate(scene.views)
         ]
     out = forward(images, config, weights, rays=rays, depths=depths, poses=poses)

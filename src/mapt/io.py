@@ -1,5 +1,6 @@
-"""Bit-exact on-disk formats: the MAPT tensor container, scene manifests and
-binary PLY export.
+"""Every file mapt reads or writes: the bit-exact MAPT tensor container, scene
+manifests, covisibility and model-config JSON files, reports and binary PLY
+export. All JSON goes through one reader and one writer.
 
 Tensor container layout (little-endian): magic ``MAPT`` (4 bytes), version u8
 (=1), dtype u8 (1 = float32, 2 = uint8), ndim u8, ndim x u32 dims, then the
@@ -8,6 +9,7 @@ row-major payload. Reads reproduce writes bit-exactly.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, NumericOverflowError, ShapeError
+from .errors import FormatError, InvalidValueError, MaptError, NumericOverflowError, ShapeError
 from .geometry import (
     DepthAlongRay,
     FactoredScene,
@@ -27,7 +29,9 @@ from .geometry import (
     RayMap,
     _blocks,
 )
+from .network import ModelConfig
 from .synth import SceneSample, ViewSample
+from .viewgraph import CovisGraph
 
 MAGIC = b"MAPT"
 TENSOR_VERSION = 1
@@ -75,11 +79,69 @@ def read_tensor(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# JSON documents
+
+
+def _read_json(path):
+    """The JSON value of the file at ``path``, a Path. It is not re-wrapped, so
+    a Path subclass's own ``read_text`` reads it."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _json_text(obj) -> str:
+    """The text of every JSON document mapt writes. JSON has no NaN or
+    Infinity (RFC 8259), so a value that is not finite is an error."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericOverflowError(f"a value to write is not finite ({exc})") from exc
+
+
+def covis_document(graph: CovisGraph, rel_depth_tol: float) -> dict:
+    """The covisibility file ``mapt covis`` writes and ``read_covis`` reads."""
+    fraction = [[float(x) for x in row] for row in graph.fraction]
+    return {"version": 1, "n_views": graph.n, "rel_depth_tol": float(rel_depth_tol), "fraction": fraction}
+
+
+def read_covis(path) -> CovisGraph:
+    """The covisibility graph of a covisibility file; only its 'fraction' is read."""
+    data = _read_json(path)
+    if not isinstance(data, dict) or "fraction" not in data:
+        raise FormatError(f"{path}: covisibility file lacks 'fraction'")
+    try:
+        fraction = np.array(data["fraction"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float64
+        raise FormatError(f"{path}: 'fraction' is not a numeric matrix ({exc})") from exc
+    return CovisGraph(fraction)
+
+
+def read_model_config(path) -> ModelConfig:
+    """ModelConfig from a JSON object whose keys override the defaults."""
+    overrides = _read_json(path)
+    fields = [f.name for f in dataclasses.fields(ModelConfig)]
+    valid = f"valid fields: {', '.join(fields)}"
+    if not isinstance(overrides, dict):
+        raise InvalidValueError(f"{path}: model config must be a JSON object; {valid}")
+    unknown = [k for k in overrides if k not in fields]
+    if unknown:
+        raise InvalidValueError(f"{path}: unknown model config field(s) {', '.join(map(repr, unknown))}; {valid}")
+    return ModelConfig(**overrides)
+
+
+# ---------------------------------------------------------------------------
 # scene manifests
 
 
-def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+@contextlib.contextmanager
+def _located(where: str):
+    """Re-raise the block's MaptError as the same class, with ``where`` in front of its message."""
+    try:
+        yield
+    except MaptError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _pose_list(p: Pose) -> list[float]:
@@ -88,6 +150,11 @@ def _pose_list(p: Pose) -> list[float]:
 
 def _pose_from_list(vals) -> Pose:
     return Pose(np.array(vals[:4], dtype=np.float64), np.array(vals[4:], dtype=np.float64))
+
+
+def _identity(pose: Pose) -> bool:
+    """Whether a pose is the identity, as view 0 of a ground-truth scene on disk must be."""
+    return np.abs(np.concatenate([pose.rotation - [1.0, 0.0, 0.0, 0.0], pose.translation])).max() <= 1e-12
 
 
 def _numbers(vals, n: int) -> bool:
@@ -103,7 +170,9 @@ def _numbers(vals, n: int) -> bool:
 
 
 def write_scene(path, scene: SceneSample) -> None:
-    """Write a ground-truth scene directory (manifest + tensors)."""
+    """Write a ground-truth scene directory (manifest + tensors); view 0 must be at the identity."""
+    if scene.views and not _identity(_pose_from_list(_pose_list(scene.views[0].pose))):  # the pose as read back
+        raise FormatError(f"{Path(path)}: ground-truth view 0 pose must be identity")
     intrinsics = [{"intrinsics": [float(x) for x in dataclasses.astuple(v.intrinsics)]} for v in scene.views]
     _write_dir(path, scene, [v.mask.astype(np.uint8) for v in scene.views], [None] * scene.n_views, intrinsics)
 
@@ -142,23 +211,15 @@ def _write_dir(path, scene, masks: list, confidences: list, entries: list) -> No
         views.append(
             {"width": v.rays.width, "height": v.rays.height, **extra, "pose": _pose_list(v.pose), "files": files}
         )
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "n_views": scene.n_views,
-        "metric_scale": float(scene.scale.value),
-        "views": views,
-    }
-    _dump_json(path / MANIFEST_NAME, manifest)
+    manifest = {"version": MANIFEST_VERSION, "n_views": scene.n_views, "metric_scale": float(scene.scale.value), "views": views}
+    (path / MANIFEST_NAME).write_text(_json_text(manifest))
 
 
 def _load_manifest(path: Path) -> dict:
     mf = path / MANIFEST_NAME
     if not mf.is_file():
         raise FormatError(f"{path}: missing {MANIFEST_NAME}")
-    try:
-        manifest = json.loads(mf.read_text())
-    except ValueError as exc:
-        raise FormatError(f"{mf}: not valid JSON ({exc})") from exc
+    manifest = _read_json(mf)
     if not isinstance(manifest, dict):
         raise FormatError(f"{mf}: manifest must be a JSON object")
     if manifest.get("version") != MANIFEST_VERSION:
@@ -193,7 +254,8 @@ def _read_views(path: Path, view) -> tuple[list, MetricScale]:
     """The views and the metric scale of a scene directory. Per view: the
     manifest entry's tensors, then its ray map, depth and pose, and then
     ``view(i, entry, rays, depth, pose, arrays)`` makes the view from them,
-    with ``arrays`` the view's tensors by key."""
+    with ``arrays`` the view's tensors by key. A constructor's fault names
+    the directory and the view, and the file when it reads one tensor."""
     manifest = _load_manifest(path)
     views = []
     for i, entry in enumerate(manifest["views"]):
@@ -209,10 +271,14 @@ def _read_views(path: Path, view) -> tuple[list, MetricScale]:
                 want = (*hw, 3) if key == "rays" else hw
                 if arrays[key].shape != want:
                     raise FormatError(f"{path}: view {i} {key!r} tensor is {arrays[key].shape}, manifest gives {want}")
-        rays = RayMap(arrays["rays"].astype(np.float64))
-        depth = DepthAlongRay(arrays["depth"].astype(np.float64), arrays["validity"] != 0)
-        views.append(view(i, entry, rays, depth, _pose_from_list(entry["pose"]), arrays))
-    return views, MetricScale(manifest["metric_scale"])
+        with _located(f"{path}: view {i}: {files['rays']}"):
+            rays = RayMap(arrays["rays"].astype(np.float64))
+        with _located(f"{path}: view {i}"):
+            depth = DepthAlongRay(arrays["depth"].astype(np.float64), arrays["validity"] != 0)
+            pose = _pose_from_list(entry["pose"])
+        views.append(view(i, entry, rays, depth, pose, arrays))
+    with _located(str(path)):
+        return views, MetricScale(manifest["metric_scale"])
 
 
 def read_scene(path) -> SceneSample:
@@ -222,9 +288,10 @@ def read_scene(path) -> SceneSample:
     def view(i, entry, rays, depth, pose, arrays):
         if "intrinsics" not in entry:
             raise FormatError(f"{path}: view {i} lacks intrinsics (not a ground-truth scene)")
-        if i == 0 and np.abs(np.concatenate([pose.rotation - [1.0, 0.0, 0.0, 0.0], pose.translation])).max() > 1e-12:
+        if i == 0 and not _identity(pose):
             raise FormatError(f"{path}: ground-truth view 0 pose must be identity")
-        return ViewSample(Intrinsics(*entry["intrinsics"]), rays, depth, arrays["mask"] != 0, pose)
+        with _located(f"{path}: view {i}"):
+            return ViewSample(Intrinsics(*entry["intrinsics"]), rays, depth, arrays["mask"] != 0, pose)
 
     return SceneSample(*_read_views(path, view))
 
@@ -233,12 +300,14 @@ def read_factored(path) -> FactoredScene:
     """Read any scene directory as a factored scene (prediction-shaped). A u8
     mask gives probabilities 0 and 1; a float mask is taken as it is, so the
     FactoredView constructor rejects values outside [0, 1]."""
+    path = Path(path)
 
     def view(i, entry, rays, depth, pose, arrays):
         mask = arrays["mask"]
-        return FactoredView(rays, depth, pose, arrays.get("confidence"), mask != 0 if mask.dtype == np.uint8 else mask)
+        with _located(f"{path}: view {i}"):
+            return FactoredView(rays, depth, pose, arrays.get("confidence"), mask != 0 if mask.dtype == np.uint8 else mask)
 
-    return FactoredScene(*_read_views(Path(path), view))
+    return FactoredScene(*_read_views(path, view))
 
 
 # ---------------------------------------------------------------------------

@@ -48,16 +48,16 @@ class SimilarityTransform:
 @dataclass
 class MetricReport:
     """Per-scene benchmark numbers. Fields that need more views than the scene
-    has (trajectory/pose pair metrics) are NaN."""
+    has are None: ``ate_rmse`` below 3 views, the pose metrics for 1 view."""
 
     depth_rel: float
     depth_tau: float
     points_rel: float
     points_tau: float
-    ate_rmse: float
-    pose_auc5: float
-    pose_rra_deg: float
-    pose_rta_deg: float
+    ate_rmse: float | None
+    pose_auc5: float | None
+    pose_rra_deg: float | None
+    pose_rta_deg: float | None
     ray_err_deg: float
     scale_rel: float
 
@@ -245,19 +245,14 @@ def evaluate_scene(pred: FactoredScene, gt: SceneSample, align_points: bool = Fa
     points_rel = float(np.mean(rel_dist))
     points_tau = float(np.mean(rel_dist < (TAU_DEFAULT - 1.0)))
 
-    n = pred.n_views
-    if n >= 3:
-        ate = ate_rmse([v.pose for v in pred.views], [g.pose for g in gt.views])
-    else:
-        ate = float("nan")
-    if n >= 2:
-        rra, rta = pose_angular_errors([v.pose for v in pred.views], [g.pose for g in gt.views])
-        combined = np.where(np.isnan(rta), rra, np.fmax(rra, rta))
-        auc = auc_at_threshold(combined)
+    poses = [v.pose for v in pred.views], [g.pose for g in gt.views]
+    ate = ate_rmse(*poses) if pred.n_views >= 3 else None
+    auc = rra_mean = rta_mean = None
+    if pred.n_views >= 2:
+        rra, rta = pose_angular_errors(*poses)
+        auc = auc_at_threshold(np.where(np.isnan(rta), rra, np.fmax(rra, rta)))
         rra_mean = float(np.mean(rra))
         rta_mean = float(np.nanmean(rta))
-    else:
-        auc = rra_mean = rta_mean = float("nan")
 
     ray_err = float(np.mean([ray_angular_error(v.rays, g.rays) for v, g in zip(pred.views, gt.views)]))
     s_rel = scale_rel(pred.scale, gt.scale)

@@ -503,14 +503,14 @@ def evaluate_scene_reference(pred, gt, align_points=False) -> dict:
     out["points_rel"] = float(np.mean(rel_dist))
     out["points_tau"] = float(np.mean(rel_dist < (TAU_DEFAULT - 1.0)))
     n = pred.n_views
-    out["ate_rmse"] = ate_rmse([v.pose for v in pred.views], [g.pose for g in gt.views]) if n >= 3 else float("nan")
+    out["ate_rmse"] = ate_rmse([v.pose for v in pred.views], [g.pose for g in gt.views]) if n >= 3 else None
     if n >= 2:
         rra, rta = pose_angular_errors([v.pose for v in pred.views], [g.pose for g in gt.views])
         out["pose_auc5"] = auc_at_threshold(np.where(np.isnan(rta), rra, np.fmax(rra, rta)))
         out["pose_rra_deg"] = float(np.mean(rra))
         out["pose_rta_deg"] = float(np.nanmean(rta))
     else:
-        out["pose_auc5"] = out["pose_rra_deg"] = out["pose_rta_deg"] = float("nan")
+        out["pose_auc5"] = out["pose_rra_deg"] = out["pose_rta_deg"] = None
     out["ray_err_deg"] = float(np.mean([ray_angular_error(v.rays, g.rays) for v, g in zip(pred.views, gt.views)]))
     out["scale_rel"] = scale_rel(pred.scale, gt.scale)
     return out

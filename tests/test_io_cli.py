@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
@@ -20,12 +21,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mapt import errors, geometry
+from mapt import cli, errors, geometry
 from mapt.cli import main
-from mapt.errors import FormatError, NumericOverflowError
+from mapt.errors import FormatError, InvalidValueError, NumericOverflowError
 from mapt.geometry import DepthAlongRay, FactoredScene, FactoredView, Pose, RayMap, quat_to_rot
-from mapt.io import read_factored, read_scene, read_tensor, write_factored, write_ply, write_scene, write_tensor
-from mapt.synth import AnalyticScene, gen_scene
+from mapt.io import (
+    _json_text,
+    read_covis,
+    read_factored,
+    read_model_config,
+    read_scene,
+    read_tensor,
+    write_factored,
+    write_ply,
+    write_scene,
+    write_tensor,
+)
+from mapt.synth import AnalyticScene, SceneSample, gen_scene
 from mapt.viewgraph import covisibility
 
 from oracles import parse_ply, write_ply_reference
@@ -186,6 +198,21 @@ class TestSceneRoundTrip:
                 back = read_factored(path).views[0]
                 np.testing.assert_array_equal(back.depth.values, arrays["depth"])
                 np.testing.assert_array_equal(back.confidence, arrays["confidence"])
+
+    def test_view_zero_off_identity_is_not_written(self, tmp_path):
+        # read_scene rejects such a directory, so write_scene must not write one;
+        # one predicate decides for both, so an offset within 1e-12 round-trips
+        _, sample = gen_scene(n_views=2, width=16, height=12, n_spheres=3, seed=37)
+        for offset in (1e-9, 1e-13):
+            v0 = dataclasses.replace(sample.views[0], pose=Pose([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, offset]))
+            path = tmp_path / f"s{offset:g}"
+            if offset > 1e-12:
+                with pytest.raises(FormatError, match=re.escape(f"{path}: ground-truth view 0 pose must be identity")):
+                    write_scene(path, SceneSample([v0, sample.views[1]], sample.scale))
+                assert not path.exists()
+            else:
+                write_scene(path, SceneSample([v0, sample.views[1]], sample.scale))
+                assert read_scene(path).views[0].pose.translation[2] == offset
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FormatError):
@@ -398,6 +425,69 @@ def _walkthrough() -> None:
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0, argv
         Path(f"stdout_{k:02d}_{argv[0]}.txt").write_text(out.getvalue())
+
+
+class TestJsonFiles:
+    """The JSON files mapt reads and writes, through mapt.io's one reader and one writer."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.float64(np.inf)])
+    def test_non_finite_value_is_not_written(self, value):
+        # JSON has no NaN or Infinity (RFC 8259)
+        with pytest.raises(NumericOverflowError, match="not finite"):
+            _json_text({"metrics": {"a": 1.0, "b": [value]}})
+
+    def test_text(self):
+        assert _json_text({"a": [1.0, None], "b": 2}) == '{\n  "a": [\n    1.0,\n    null\n  ],\n  "b": 2\n}\n'
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("not json at all", FormatError, "not valid JSON"),
+            ('{"n_views": 2}', FormatError, "covisibility file lacks 'fraction'"),
+            ('{"fraction": [[1.0, "a"], [0.5, 1.0]]}', FormatError, "'fraction' is not a numeric matrix"),
+            ('{"fraction": [[1.0, 0.5], [0.5]]}', FormatError, "'fraction' is not a numeric matrix"),
+            ('{"fraction": [[1.0, null], [0.5, 1.0]]}', InvalidValueError, "fractions must lie in [0, 1]"),
+        ],
+    )
+    def test_read_covis(self, tmp_path, capsys, text, error, message):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(error, match=re.escape(message)) as exc:
+            read_covis(path)
+        if error is FormatError:
+            assert str(exc.value).startswith(f"{path}: ")
+        assert main(["sample", "--covis", str(path), "--n", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {exc.value.category}: {exc.value}\n"
+
+    def test_read_covis_of_covis_output(self, tmp_path):
+        _, sample = gen_scene(n_views=3, width=16, height=12, n_spheres=3, seed=38)
+        write_scene(tmp_path / "s", sample)
+        assert main(["covis", "--scene", str(tmp_path / "s"), "--out", str(tmp_path / "c.json")]) == 0
+        np.testing.assert_array_equal(read_covis(tmp_path / "c.json").fraction, covisibility(sample).fraction)
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ('{"bogus": 1}', InvalidValueError, "unknown model config field(s) 'bogus'; valid fields: depth, dim, heads"),
+            ("[4, 64]", InvalidValueError, "model config must be a JSON object; valid fields: depth, dim, heads"),
+            ("{depth: 2}", FormatError, "not valid JSON"),
+            (b"\xff\xfe", FormatError, "not valid JSON"),
+            ('{"dim": "64"}', InvalidValueError, "model config dim must be of type int"),
+        ],
+    )
+    def test_read_model_config(self, tmp_path, capsys, text, error, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(error, match=re.escape(message)) as exc:
+            read_model_config(path)
+        assert main(["synth", "--views", "2", "--size", "28x28", "--out", str(tmp_path / "s")]) == 0
+        assert main(["forward", "--scene", str(tmp_path / "s"), "--config", str(path), "--out", str(tmp_path / "p")]) == 1
+        assert capsys.readouterr().err == f"error: {exc.value.category}: {exc.value}\n"
+
+    def test_read_model_config_overrides(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"depth": 2, "dim": 32}))
+        config = read_model_config(tmp_path / "cfg.json")
+        assert (config.depth, config.dim, config.heads) == (2, 32, 4)
 
 
 class TestCliReruns:
@@ -675,6 +765,48 @@ class TestCliErrorContract:
         code = main([command, "--gt", str(scene_dir), "--pred", str(tmp_path / "p")])
         assert "mask probabilities must lie in [0, 1]" in self._single_error(capsys, code, "invalid-value")
 
+    @pytest.mark.parametrize(
+        "tree, edit, category, message",
+        [
+            ("p", lambda d: _edit_tensor(d / "view_001_mask.mapt", lambda a: a * 1.5), "invalid-value",
+             "view 1: mask probabilities must lie in [0, 1]"),
+            ("p", lambda d: _edit_tensor(d / "view_001_confidence.mapt", lambda a: a * 0.5), "invalid-value",
+             "view 1: confidence values must be finite and >= 1"),
+            ("p", lambda d: _edit_tensor(d / "view_001_rays.mapt", lambda a: a * 2.0), "invalid-value",
+             "view 1: view_001_rays.mapt: ray directions must be finite and unit length within 1e-6"),
+            ("s", lambda d: _edit_tensor(d / "view_001_depth.mapt", lambda a: a * np.nan), "invalid-value",
+             "view 1: valid depths must be finite and > 0"),
+            ("s", lambda d: _edit_manifest(d, lambda m: m["views"][1]["intrinsics"].__setitem__(0, -1.0)),
+             "invalid-intrinsics", "view 1: focal lengths must be > 0"),
+            ("s", lambda d: _edit_manifest(d, lambda m: m["views"][1]["pose"].__setitem__(0, 2.0)), "invalid-value",
+             "view 1: pose quaternion must be unit length within 1e-6"),
+            ("p", lambda d: _edit_manifest(d, lambda m: m.update(metric_scale=-1.0)), "invalid-value",
+             "metric scale must be finite and > 0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["loss", "eval"])
+    def test_value_fault_read_from_disk_names_its_place(self, scene_dir, tmp_path, capsys, tree, edit, category, message, command):
+        # the constructor's category, with the directory, the view and, for a
+        # constructor of one tensor, the file in front of its message
+        write_factored(tmp_path / "p", read_scene(scene_dir).as_factored_scene())
+        d = {"s": scene_dir, "p": tmp_path / "p"}[tree]
+        edit(d)
+        code = main([command, "--gt", str(scene_dir), "--pred", str(tmp_path / "p")])
+        assert self._single_error(capsys, code, category) == f"error: {category}: {d}: {message}"
+
+    @pytest.mark.parametrize("command, name, field", [("loss", "total_loss", "total"), ("eval", "evaluate_scene", "depth_rel")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_report_value(self, scene_dir, tmp_path, capsys, monkeypatch, command, name, field, value):
+        # JSON has no NaN or Infinity: the report is an error, and no file is written
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, **kw: dataclasses.replace(fn(*args, **kw), **{field: value}))
+        out = tmp_path / "report.json"
+        code = main([command, "--gt", str(scene_dir), "--pred", str(scene_dir), "--out", str(out)])
+        self._single_error(capsys, code, "numeric-overflow")
+        assert not out.exists()
+        assert main([command, "--gt", str(scene_dir), "--pred", str(scene_dir)]) == 1
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("size", [(0, 0), (0, 28), (28.0, 28), (True, 28)])
     def test_covis_view_size_not_a_positive_integer(self, scene_dir, capsys, size):
         manifest = json.loads((scene_dir / "scene.json").read_text())
@@ -779,6 +911,16 @@ def _rerun(argv, out: Path):
         runs.append((stdout, _dir_bytes(out) if out.is_dir() else out.read_bytes()))
     assert runs[0] == runs[1]
     return runs[0][1]
+
+
+def _edit_tensor(path: Path, change) -> None:
+    write_tensor(path, change(read_tensor(path)))
+
+
+def _edit_manifest(path: Path, change) -> None:
+    manifest = json.loads((path / "scene.json").read_text())
+    change(manifest)
+    (path / "scene.json").write_text(json.dumps(manifest))
 
 
 class TestCliFuzz:

@@ -349,6 +349,16 @@ class TestEvaluateScene:
         assert rep.ray_err_deg < 1e-5
         assert rep.scale_rel == 0.0
 
+    @pytest.mark.parametrize(
+        "n, undefined", [(1, {"ate_rmse", "pose_auc5", "pose_rra_deg", "pose_rta_deg"}), (2, {"ate_rmse"}), (3, set())]
+    )
+    def test_metrics_the_view_count_leaves_undefined_are_none(self, small_scene, n, undefined):
+        # ate_rmse needs 3 poses and the pose metrics a pair of views; every other field is a finite float
+        gt = SceneSample(small_scene.views[:n], small_scene.scale)
+        rep = evaluate_scene(gt.as_factored_scene(), gt).as_dict()
+        assert {k for k, v in rep.items() if v is None} == undefined
+        assert all(type(v) is float and np.isfinite(v) for k, v in rep.items() if k not in undefined)
+
     def test_halved_scale_with_alignment(self, small_scene):
         pred = small_scene.as_factored_scene()
         pred.scale = MetricScale(small_scene.scale.value / 2.0)
