@@ -223,9 +223,20 @@ class FactoredScene:
     views: list[FactoredView] = field(default_factory=list)
     scale: MetricScale = field(default_factory=lambda: MetricScale(1.0))
 
+    def __post_init__(self):
+        _check_scene(self, FactoredView)
+
     @property
     def n_views(self) -> int:
         return len(self.views)
+
+
+def _check_scene(scene, view_type: type) -> None:
+    """Check the types of a scene container's views and scale (no pass over values)."""
+    if not isinstance(scene.views, list) or not all(isinstance(v, view_type) for v in scene.views):
+        raise InvalidValueError(f"scene views must be a list of {view_type.__name__}")
+    if not isinstance(scene.scale, MetricScale):
+        raise InvalidValueError(f"scene scale must be a MetricScale, got {type(scene.scale).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,15 @@ def read_tensor(path) -> np.ndarray:
 # JSON documents
 
 
+@contextlib.contextmanager
+def _located(where: str):
+    """Re-raise the block's MaptError as the same class, with ``where`` in front of its message."""
+    try:
+        yield
+    except MaptError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def _read_json(path):
     """The JSON value of the file at ``path``, a Path. It is not re-wrapped, so
     a Path subclass's own ``read_text`` reads it."""
@@ -107,15 +116,22 @@ def covis_document(graph: CovisGraph, rel_depth_tol: float) -> dict:
 
 
 def read_covis(path) -> CovisGraph:
-    """The covisibility graph of a covisibility file; only its 'fraction' is read."""
+    """The covisibility graph of a covisibility file. Only 'fraction' is
+    needed; 'version' and 'n_views' are checked when present."""
     data = _read_json(path)
     if not isinstance(data, dict) or "fraction" not in data:
         raise FormatError(f"{path}: covisibility file lacks 'fraction'")
+    if data.get("version", 1) != 1:
+        raise FormatError(f"{path}: unsupported covisibility file version {data['version']!r}")
     try:
         fraction = np.array(data["fraction"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float64
         raise FormatError(f"{path}: 'fraction' is not a numeric matrix ({exc})") from exc
-    return CovisGraph(fraction)
+    with _located(str(path)):
+        graph = CovisGraph(fraction)
+    if data.get("n_views", graph.n) != graph.n:
+        raise FormatError(f"{path}: 'n_views' is {data['n_views']!r}, but 'fraction' is {graph.n}x{graph.n}")
+    return graph
 
 
 def read_model_config(path) -> ModelConfig:
@@ -128,20 +144,12 @@ def read_model_config(path) -> ModelConfig:
     unknown = [k for k in overrides if k not in fields]
     if unknown:
         raise InvalidValueError(f"{path}: unknown model config field(s) {', '.join(map(repr, unknown))}; {valid}")
-    return ModelConfig(**overrides)
+    with _located(str(path)):
+        return ModelConfig(**overrides)
 
 
 # ---------------------------------------------------------------------------
 # scene manifests
-
-
-@contextlib.contextmanager
-def _located(where: str):
-    """Re-raise the block's MaptError as the same class, with ``where`` in front of its message."""
-    try:
-        yield
-    except MaptError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _pose_list(p: Pose) -> list[float]:

@@ -221,19 +221,18 @@ def evaluate_scene(pred: FactoredScene, gt: SceneSample, align_points: bool = Fa
     global least-squares scale is fitted to the predicted points first.
     """
     masks = [g.depth.validity for g in gt.views]
-    m_pred = pred.scale.value
-    m_gt = gt.scale.value
 
     _, dp, dg = _pool("evaluate scene", masks, [v.depth.values for v in pred.views], [g.depth.values for g in gt.views])
     if not dg.size:
         raise EmptyDepthError("no valid pixels")
-    d_pred = m_pred * dp
-    d_gt = m_gt * dg
-    depth_rel = _abs_rel(d_pred, d_gt)
-    depth_tau = _inlier_ratio_tau(d_pred, d_gt)
+    dp *= pred.scale.value
+    dg *= gt.scale.value
+    depth_rel = _abs_rel(dp, dg)
+    depth_tau = _inlier_ratio_tau(dp, dg)
+    del dp, dg  # the metric depths, scaled in place, go before the points are composed
 
-    pw = _pool_composed(masks, [(v.rays.directions, v.depth.validity, v.depth.values, v.pose, m_pred) for v in pred.views])
-    gw = _pool_composed(masks, [(g.rays.directions, g.depth.validity, g.depth.values, g.pose, m_gt) for g in gt.views])
+    pw = _pool_composed(masks, [(v.rays.directions, v.depth.validity, v.depth.values, v.pose, pred.scale.value) for v in pred.views])
+    gw = _pool_composed(masks, [(g.rays.directions, g.depth.validity, g.depth.values, g.pose, gt.scale.value) for g in gt.views])
     if align_points:
         denom = float(np.sum(pw * pw))
         if denom <= 0.0:

@@ -358,6 +358,8 @@ def encode_inputs(
     """
     cfg = weights.config
     n = len(images)
+    if not n:
+        raise ShapeError("the network needs at least one view")
     if config.n_views != n:
         raise ShapeError(f"input config covers {config.n_views} views, got {n} images")
     rays = rays if rays is not None else [None] * n
@@ -370,11 +372,17 @@ def encode_inputs(
         for name, flags, inputs in checks:
             if flags[i] != (inputs[i] is not None):
                 raise InvalidValueError(f"view {i}: {name} flag/input inconsistency")
-    h, w = images[0].shape[:2]
+    shapes = [np.shape(im) for im in images]
+    bad = [s for s in shapes if len(s) != 3 or s[2] != 3]
+    if bad:
+        raise ShapeError(f"images must be (H, W, 3), got {bad[0]}")
+    h, w = shapes[0][:2]
     if h % cfg.patch or w % cfg.patch:
         raise ShapeError(f"image dims {h}x{w} must be divisible by patch {cfg.patch}")
-    if any(im.shape[:2] != (h, w) for im in images):
+    if any(s[:2] != (h, w) for s in shapes):
         raise ShapeError("all views must share one resolution")
+    if any(x is not None and (x.height, x.width) != (h, w) for x in (*rays, *depths)):
+        raise ShapeError(f"ray maps and depths must have the images' resolution {h}x{w}")
 
     # pose scale over the views that actually provide translations
     pose_idx = [i for i in range(n) if poses[i] is not None]

@@ -24,6 +24,7 @@ from .geometry import (
     Pose,
     RayMap,
     _blocks,
+    _check_scene,
     _compose,
     _dot3,
     _forward_normals,
@@ -90,6 +91,9 @@ class SceneSample:
 
     views: list[ViewSample]
     scale: MetricScale
+
+    def __post_init__(self):
+        _check_scene(self, ViewSample)
 
     @property
     def n_views(self) -> int:

@@ -161,9 +161,9 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         1 at the end. The row gathers view i's valid pixels and runs them in
         blocks of about _COVIS_BLOCK (target, pixel) pairs through reused
         buffers, testing every pair of a block; integer counts add up across
-        blocks. Out-of-bounds pairs gather a clamped pixel of their own
-        target and are masked out, and an invalid target pixel stores depth 0,
-        whose relative error is inf or nan and never passes. Arithmetic is written out
+        blocks. Out-of-bounds pairs gather some pixel of the stack and are
+        masked out, and an invalid target pixel stores depth 0, whose relative
+        error is inf or nan and never passes. Arithmetic is written out
         component-wise (broadcast over a stack of target views) so a naive
         per-pixel reference computes bit-identical values, whatever the block size.
         """
@@ -210,19 +210,15 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
                 inb &= np.less(u, w, out=front)
                 inb &= np.greater_equal(v, 0.0, out=front)
                 inb &= np.less(v, h, out=front)
-                # clamp every u, v into the image (fmax maps nan to 0), so that
-                # out-of-bounds pairs gather some pixel of their own target;
-                # in-bounds u, v truncate to the same pixel, and truncation is floor
-                np.fmax(u, 0.0, out=u)
-                np.fmin(u, w - 1, out=u)
-                np.fmax(v, 0.0, out=v)
-                np.fmin(v, h - 1, out=v)
-                np.copyto(px, u, casting="unsafe")
-                np.copyto(lin, v, casting="unsafe")
+                # in-bounds u, v truncate to their pixel (truncation is floor); the
+                # casts of other pairs' u, v (nan, inf or far off the image) give
+                # any index, which mode "clip" keeps in the stack and inb masks out
+                with np.errstate(invalid="ignore"):
+                    np.copyto(px, u, casting="unsafe")
+                    np.copyto(lin, v, casting="unsafe")
                 lin *= w
                 lin += px
                 lin += base
-                # every index is in range; with out=, mode "raise" would gather into a temporary first
                 dj = values.take(lin, out=az, mode="clip")
                 # the ray depth sqrt(cx^2 + cy^2 + cz^2), then its relative error, in cx
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

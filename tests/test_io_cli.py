@@ -23,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 
 from mapt import cli, errors, geometry
 from mapt.cli import main
-from mapt.errors import FormatError, InvalidValueError, NumericOverflowError
+from mapt.errors import FormatError, InvalidValueError, NumericOverflowError, ShapeError
 from mapt.geometry import DepthAlongRay, FactoredScene, FactoredView, Pose, RayMap, quat_to_rot
 from mapt.io import (
     _json_text,
@@ -447,6 +447,7 @@ class TestJsonFiles:
             ('{"fraction": [[1.0, "a"], [0.5, 1.0]]}', FormatError, "'fraction' is not a numeric matrix"),
             ('{"fraction": [[1.0, 0.5], [0.5]]}', FormatError, "'fraction' is not a numeric matrix"),
             ('{"fraction": [[1.0, null], [0.5, 1.0]]}', InvalidValueError, "fractions must lie in [0, 1]"),
+            ('{"fraction": [[1.0, 0.5]]}', ShapeError, "covisibility matrix must be square"),
         ],
     )
     def test_read_covis(self, tmp_path, capsys, text, error, message):
@@ -454,8 +455,7 @@ class TestJsonFiles:
         path.write_text(text)
         with pytest.raises(error, match=re.escape(message)) as exc:
             read_covis(path)
-        if error is FormatError:
-            assert str(exc.value).startswith(f"{path}: ")
+        assert str(exc.value).startswith(f"{path}: ")
         assert main(["sample", "--covis", str(path), "--n", "2"]) == 1
         assert capsys.readouterr().err == f"error: {exc.value.category}: {exc.value}\n"
 
@@ -480,6 +480,7 @@ class TestJsonFiles:
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(error, match=re.escape(message)) as exc:
             read_model_config(path)
+        assert str(exc.value).startswith(f"{path}: ")
         assert main(["synth", "--views", "2", "--size", "28x28", "--out", str(tmp_path / "s")]) == 0
         assert main(["forward", "--scene", str(tmp_path / "s"), "--config", str(path), "--out", str(tmp_path / "p")]) == 1
         assert capsys.readouterr().err == f"error: {exc.value.category}: {exc.value}\n"
@@ -564,6 +565,20 @@ class TestCliErrorContract:
         (tmp_path / "bad.json").write_text(text)
         code = main(["sample", "--covis", str(tmp_path / "bad.json"), "--n", "2"])
         self._single_error(capsys, code, "format")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"version": 7, "n_views": 5, "fraction": [[1.0]]}, "unsupported covisibility file version 7"),
+            ({"version": 1, "n_views": 5, "fraction": [[1.0]]}, "'n_views' is 5, but 'fraction' is 1x1"),
+            ({"n_views": "1", "fraction": [[1.0]]}, "'n_views' is '1', but 'fraction' is 1x1"),
+        ],
+    )
+    def test_sample_covis_header_disagrees(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(doc))
+        line = self._single_error(capsys, main(["sample", "--covis", str(path), "--n", "1"]), "format")
+        assert line == f"error: format: {path}: {message}"
 
     def test_forward_unknown_config_key(self, scene_dir, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"bogus": 1}))

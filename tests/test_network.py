@@ -166,6 +166,24 @@ class TestEncodeInputs:
         with pytest.raises(ShapeError):
             encode_inputs(_images(s), InputConfig.images_only(3), w)
 
+    def test_zero_views(self):
+        with pytest.raises(ShapeError, match="at least one view"):
+            forward([], InputConfig.images_only(0), init_weights(TOY, 0))
+
+    @pytest.mark.parametrize("shape", [(28, 28), (28, 28, 4)])
+    def test_image_not_hw3(self, shape):
+        images = _images(_scene())
+        images[1] = np.zeros(shape)
+        with pytest.raises(ShapeError, match=rf"images must be \(H, W, 3\), got \({shape[0]}, {shape[1]}"):
+            encode_inputs(images, InputConfig.images_only(3), init_weights(TOY, 0))
+
+    @pytest.mark.parametrize("modality", ["rays", "depths"])
+    def test_input_resolution_differs_from_images(self, modality):
+        full = _full_inputs(_scene())
+        full[modality][2] = _full_inputs(_scene(size=42))[modality][2]
+        with pytest.raises(ShapeError, match="ray maps and depths must have the images' resolution 28x28"):
+            encode_inputs(**full, weights=init_weights(TOY, 0))
+
 
 class TestAlternatingAttention:
     def test_single_view_frame_layers_equal_reference_encoder(self):

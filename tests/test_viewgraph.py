@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from mapt.errors import InsufficientComponentError, InvalidValueError, ShapeError
-from mapt.geometry import DepthAlongRay, Intrinsics, MetricScale, Pose
+from mapt.geometry import DepthAlongRay, Intrinsics, MetricScale, Pose, quat_to_rot
 from mapt.synth import AnalyticScene, SceneSample, ViewSample, gen_scene, render_view
 from mapt import geometry, viewgraph
 from mapt.viewgraph import (
@@ -89,6 +89,37 @@ class TestCovisibility:
         got = covisibility(scene).fraction
         np.testing.assert_array_equal(got, brute_force_covisibility(scene))
         assert np.all(got[~np.eye(5, dtype=bool)] > 0.0)
+
+    def test_degenerate_and_far_off_projections_match_brute_force(self):
+        """Pairs whose u, v are 0/0, far beyond int64 or far off the image
+        count as the per-pixel reference counts them, with no warning.
+
+        View 0 sits at the identity, so its world points are its local points
+        bit for bit, and view 1's camera centre is one of them: that pair has
+        cx = cy = cz = 0. View 2's focal length of 1e300 sends every pair
+        whose cx is not 0 far beyond int64, and view 3's principal point puts
+        every pair a million pixels off the image."""
+        scene = AnalyticScene(centers=np.array([[0.0, 0.0, 3.5], [0.6, -0.3, 3.2]]), radii=np.array([0.8, 0.5]))
+        k = Intrinsics(fx=20.0, fy=20.0, cx=12.0, cy=9.0)
+        rays, depth, _, _ = render_view(scene, k, Pose.identity(), 24, 18)
+        py, px = np.argwhere(depth.validity)[40]
+        assert np.array_equal(quat_to_rot(Pose.identity().rotation), np.eye(3))
+        on_surface = rays.directions[py, px] * depth.values[py, px]
+        turned = Pose(np.array([np.cos(0.2), 0.0, np.sin(0.2), 0.0]), on_surface)
+        targets = [
+            (k, Pose.identity()),
+            (k, turned),
+            (Intrinsics(fx=1e300, fy=1e300, cx=12.0, cy=9.0), Pose(turned.rotation, np.array([0.1, 0.0, 0.0]))),
+            (Intrinsics(fx=20.0, fy=20.0, cx=-1e6, cy=1e6), Pose.identity()),
+        ]
+        views = []
+        for intrinsics, pose in targets:
+            rays, depth, _, mask = render_view(scene, intrinsics, pose, 24, 18)
+            views.append(ViewSample(intrinsics=intrinsics, rays=rays, depth=depth, mask=mask, pose=pose))
+        sample = SceneSample(views=views, scale=MetricScale(1.0))
+        assert np.array_equal(sample.views[1].pose.translation, on_surface)
+        for jobs in (1, 2):
+            np.testing.assert_array_equal(covisibility(sample, jobs=jobs).fraction, brute_force_covisibility(sample))
 
     def test_serial_equals_parallel(self):
         _, scene = gen_scene(n_views=4, width=24, height=18, n_spheres=4, seed=14)
