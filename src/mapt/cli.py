@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -10,7 +11,9 @@ import numpy as np
 
 from . import io as mio
 from .errors import InvalidModalityError, InvalidValueError, MaptError
-from .geometry import _pool, compose_scene_points
+# perfbench's cli-small workload swaps mio, Path and compose_scene_points for spanned stand-ins, so
+# these names stay; its mio has only the scene readers and writers and write_ply, which export-ply calls
+from .geometry import _pool_bands, _pool_composed, compose_scene_points
 from .io import _json_text, covis_document, read_covis, read_model_config
 from .losses import (
     DEFAULT_ALPHA_CONF,
@@ -21,7 +24,7 @@ from .losses import (
 )
 from .metrics import AUC_DEFAULT_DEG, TAU_DEFAULT, evaluate_scene
 from .network import ModelConfig, forward, init_weights
-from .synth import gen_scene, shade_view
+from .synth import _shade_rows, gen_scene, shade_view
 from .viewgraph import (
     DEFAULT_COVIS_THRESHOLD,
     DEFAULT_REL_DEPTH_TOL,
@@ -142,12 +145,16 @@ def cmd_forward(args) -> int:
 
 def cmd_export_ply(args) -> int:
     scene = mio.read_factored(args.scene)
-    pointmaps = compose_scene_points(scene)
-    points = colors = np.zeros((0, 3))
-    if pointmaps:  # _pool rejects a scene without views; its PLY is empty
-        images = [shade_view(v.rays, v.depth) for v in scene.views]
-        _, points, colors = _pool("export-ply", [pm.validity for pm in pointmaps], [pm.points for pm in pointmaps], images)
-    mio.write_ply(args.out, points, np.round(colors * 255.0).astype(np.uint8))
+    views, masks = scene.views, [v.depth.validity for v in scene.views]
+    # the metric points and the colors of shade_view's float32 image are made
+    # and gathered one row band at a time: no whole grid, image or float color array
+    composed = [(v.rays.directions, v.depth.validity, v.depth.values, v.pose, scene.scale.value) for v in views]
+    points = _pool_composed(masks, composed)
+
+    def colors(i, s):
+        return np.round(_shade_rows(views[i].rays, views[i].depth, s).astype(np.float32) * 255.0).astype(np.uint8)
+
+    mio.write_ply(args.out, points, _pool_bands(masks, colors, np.uint8))
     print(f"wrote {points.shape[0]} points to {args.out}")
     return 0
 
@@ -215,9 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built once per process (about 1 ms): a parse leaves nothing in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if any(isinstance(v, list) for v in vars(args).values()):  # argparse before 3.12 reads "--x=--" as []
             raise InvalidValueError("an option value cannot be '--'")
         return args.func(args)

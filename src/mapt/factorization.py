@@ -82,7 +82,8 @@ def decode_log_scale(y: float) -> float:
     y = float(y)
     if not np.isfinite(y):
         raise InvalidValueError("encoded scale must be finite")
-    return float(np.clip(np.exp(y), LOG_SCALE_MIN, LOG_SCALE_MAX))
+    with np.errstate(over="ignore"):  # exp's inf clips to LOG_SCALE_MAX
+        return float(np.clip(np.exp(y), LOG_SCALE_MIN, LOG_SCALE_MAX))
 
 
 def f_log(x, axis: int | None = None):

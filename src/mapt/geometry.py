@@ -110,8 +110,11 @@ class Pose:
     translation: np.ndarray  # (3,) float64
 
     def __post_init__(self):
-        q = np.asarray(self.rotation, dtype=np.float64).reshape(4)
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        q = np.asarray(self.rotation, dtype=np.float64)
+        t = np.asarray(self.translation, dtype=np.float64)
+        if q.size != 4 or t.size != 3:
+            raise ShapeError(f"pose needs 4 quaternion and 3 translation components, got {q.size} and {t.size}")
+        q, t = q.reshape(4), t.reshape(3)
         n = np.linalg.norm(q)
         if not np.isfinite(n) or abs(n - 1.0) > 1e-6:
             raise InvalidValueError("pose quaternion must be unit length within 1e-6")
@@ -416,20 +419,23 @@ def _pool(what: str, masks: list, *grids: list) -> tuple[np.ndarray, ...]:
     return tuple(pooled)
 
 
-def _pool_composed(masks: list, views: list) -> np.ndarray:
-    """The rows _pool pools from [_compose(*v) for v in views] at ``masks``,
-    for the (rays, validity, depth[, pose[, scale]]) ``views``, composed and
-    gathered in row bands, so that no composed grid exists whole."""
-    idx = [np.flatnonzero(m) for m in masks]
-    out, k = np.empty((sum(i.size for i in idx), 3)), 0
-    for m, i, (rays, validity, depth, *stages) in zip(masks, idx, views):
-        w = m.shape[1]
-        for s in _blocks(m.shape[0], w):
-            band = _compose(rays[s], validity[s], depth[s], *stages)
-            j = i[np.searchsorted(i, s.start * w) : np.searchsorted(i, s.stop * w)] - s.start * w
-            np.take(band.reshape(-1, 3), j, axis=0, out=out[k : k + j.size], mode="clip")
+def _pool_bands(masks: list, band, dtype=np.float64) -> np.ndarray:
+    """The (N, 3) rows _pool pools at the (H, W) ``masks`` from per-view
+    (H, W, 3) grids, where ``band(i, s)`` gives rows ``s`` of view i's grid:
+    made and gathered one row band at a time, so that no grid exists whole."""
+    out, k = np.empty((sum(map(np.count_nonzero, masks)), 3), dtype), 0
+    for i, m in enumerate(masks):
+        for s in _blocks(m.shape[0], m.shape[1]):
+            j = np.flatnonzero(m[s])
+            np.take(band(i, s).reshape(-1, 3), j, axis=0, out=out[k : k + j.size], mode="clip")
             k += j.size
     return out
+
+
+def _pool_composed(masks: list, views: list) -> np.ndarray:
+    """The rows _pool pools from [_compose(*v) for v in views] at ``masks``,
+    for the (rays, validity, depth[, pose[, scale]]) ``views``, through _pool_bands."""
+    return _pool_bands(masks, lambda i, s: _compose(*(a[s] for a in views[i][:3]), *views[i][3:]))
 
 
 def _forward_normals(points: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

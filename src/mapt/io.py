@@ -100,6 +100,11 @@ def _read_json(path):
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def _is_int(value, want: int) -> bool:
+    """Whether a JSON value is the integer ``want``: ``true`` and ``1.0`` are not 1."""
+    return type(value) is int and value == want
+
+
 def _json_text(obj) -> str:
     """The text of every JSON document mapt writes. JSON has no NaN or
     Infinity (RFC 8259), so a value that is not finite is an error."""
@@ -121,7 +126,7 @@ def read_covis(path) -> CovisGraph:
     data = _read_json(path)
     if not isinstance(data, dict) or "fraction" not in data:
         raise FormatError(f"{path}: covisibility file lacks 'fraction'")
-    if data.get("version", 1) != 1:
+    if not _is_int(data.get("version", 1), 1):
         raise FormatError(f"{path}: unsupported covisibility file version {data['version']!r}")
     try:
         fraction = np.array(data["fraction"], dtype=np.float64)
@@ -129,7 +134,7 @@ def read_covis(path) -> CovisGraph:
         raise FormatError(f"{path}: 'fraction' is not a numeric matrix ({exc})") from exc
     with _located(str(path)):
         graph = CovisGraph(fraction)
-    if data.get("n_views", graph.n) != graph.n:
+    if not _is_int(data.get("n_views", graph.n), graph.n):
         raise FormatError(f"{path}: 'n_views' is {data['n_views']!r}, but 'fraction' is {graph.n}x{graph.n}")
     return graph
 
@@ -230,11 +235,11 @@ def _load_manifest(path: Path) -> dict:
     manifest = _read_json(mf)
     if not isinstance(manifest, dict):
         raise FormatError(f"{mf}: manifest must be a JSON object")
-    if manifest.get("version") != MANIFEST_VERSION:
+    if not _is_int(manifest.get("version"), MANIFEST_VERSION):
         raise FormatError(f"{path}: unsupported manifest version")
     if not isinstance(manifest.get("views"), list):
         raise FormatError(f"{path}: manifest 'views' must be a list")
-    if len(manifest["views"]) != manifest.get("n_views"):
+    if not _is_int(manifest.get("n_views"), len(manifest["views"])):
         raise FormatError(f"{path}: view count does not match manifest entries")
     if "metric_scale" not in manifest:
         raise FormatError(f"{path}: manifest lacks 'metric_scale'")
@@ -323,11 +328,15 @@ def read_factored(path) -> FactoredScene:
 
 
 def write_ply(path, points: np.ndarray, colors: np.ndarray) -> None:
-    """Binary little-endian PLY: float32 x/y/z plus uchar red/green/blue, written in row blocks after every check."""
-    with np.errstate(over="ignore"):
-        points = np.asarray(points, dtype="<f4").reshape(-1, 3)
-    if not np.isfinite(points).all():
-        raise NumericOverflowError("PLY points must be finite and within float32 range")
+    """Binary little-endian PLY: float32 x/y/z plus uchar red/green/blue, written
+    in row blocks after every check. The points are cast to float32 one block
+    at a time, for the finite check and again into the block's records, so no
+    whole float32 copy of them exists."""
+    points = np.asarray(points).reshape(-1, 3)
+    blocks = _blocks(points.shape[0])
+    with np.errstate(over="ignore"):  # a value beyond float32 casts to inf
+        if not all(np.isfinite(points[s].astype("<f4")).all() for s in blocks):
+            raise NumericOverflowError("PLY points must be finite and within float32 range")
     colors = np.asarray(colors, dtype=np.uint8).reshape(-1, 3)
     if points.shape[0] != colors.shape[0]:
         raise ShapeError("point and color counts differ")
@@ -344,7 +353,6 @@ def write_ply(path, points: np.ndarray, colors: np.ndarray) -> None:
         "property uchar blue\n"
         "end_header\n"
     ).encode("ascii")
-    blocks = _blocks(n)
     vertex = [("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("r", "u1"), ("g", "u1"), ("b", "u1")]
     rec = np.zeros(blocks[0].stop if blocks else 0, dtype=vertex)
     with open(path, "wb") as f:

@@ -126,8 +126,10 @@ def umeyama(src, dst) -> SimilarityTransform:
     Minimizes sum ||dst - (s R src + t)||^2. Needs >= 3 non-collinear points;
     collinear or coincident configurations raise DegenerateError.
     """
-    src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
-    dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    if src.ndim != 2 or src.shape[1] != 3:
+        raise ShapeError(f"point lists must be (N, 3), got {src.shape}")
     if src.shape != dst.shape:
         raise ShapeError("point lists must have equal shapes")
     if not (np.all(np.isfinite(src)) and np.all(np.isfinite(dst))):

@@ -10,6 +10,7 @@ tensor container (float32 payloads) reproduces them bit-exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ MIN_VALID_FRACTION = 0.1
 # ray depths whose float32 storage rounding would defeat the 1e-6 composition
 # checks. Pixels beyond the clip are invalid and ambiguous, like sky.
 MAX_RAY_DEPTH = 12.0
+_LIGHT = np.array([0.4, -0.6, -0.7]) / np.linalg.norm([0.4, -0.6, -0.7])  # shade_view's unit light direction
 
 
 @dataclass
@@ -187,31 +189,34 @@ def shade_view(rays: RayMap, depth: DepthAlongRay) -> np.ndarray:
     """Procedural image from rendered geometry alone: Lambertian-ish shading of
     forward-difference normals, sky gradient on misses. Returns (H, W, 3) f32."""
     h, w = depth.validity.shape
-    light = np.array([0.4, -0.6, -0.7])
-    light /= np.linalg.norm(light)
     out = np.empty((h, w, 3), dtype=np.float32)
     for s in _blocks(h, w):
-        rows = slice(s.start, s.stop + 1)  # one more row for the forward differences
-        dirs, v, d = rays.directions[s], depth.validity[s], depth.values[s]
-        normals = np.zeros(dirs.shape)
-        band = _forward_normals(_compose(rays.directions[rows], depth.validity[rows], depth.values[rows]), depth.validity[rows])[0]
-        normals[: len(band), :-1] = band
-        # fall back to facing the camera where no neighborhood normal exists
-        np.negative(dirs, out=normals, where=(_norm3(normals) < 0.5)[:, :, None])
-        flip = _dot3(normals, dirs) > 0.0
-        np.negative(normals, out=normals, where=flip[:, :, None])
-
-        lam = np.clip(_dot3(normals, -light), 0.0, 1.0)
-        bright = 0.25 + 0.75 * lam
-        img = np.empty(dirs.shape)
-        img[:, :, 0] = bright * 0.9
-        img[:, :, 1] = bright * (0.72 + 0.18 * np.sin(d))
-        img[:, :, 2] = bright * 0.62
-
-        dy_sky = dirs[:, :, 1]
-        sky = np.stack([0.45 + 0.25 * dy_sky, 0.55 + 0.2 * dy_sky, 0.85 + 0.1 * dy_sky], axis=2)
-        out[s] = np.clip(np.where(v[:, :, None], img, sky), 0.0, 1.0)
+        out[s] = _shade_rows(rays, depth, s)
     return out
+
+
+def _shade_rows(rays: RayMap, depth: DepthAlongRay, s: slice) -> np.ndarray:
+    """Rows ``s`` of shade_view's image, in float64 before its float32 cast."""
+    rows = slice(s.start, s.stop + 1)  # one more row for the forward differences
+    dirs, v, d = rays.directions[s], depth.validity[s], depth.values[s]
+    normals = np.zeros(dirs.shape)
+    band = _forward_normals(_compose(rays.directions[rows], depth.validity[rows], depth.values[rows]), depth.validity[rows])[0]
+    normals[: len(band), :-1] = band
+    # fall back to facing the camera where no neighborhood normal exists
+    np.negative(dirs, out=normals, where=(_norm3(normals) < 0.5)[:, :, None])
+    flip = _dot3(normals, dirs) > 0.0
+    np.negative(normals, out=normals, where=flip[:, :, None])
+
+    lam = np.clip(_dot3(normals, -_LIGHT), 0.0, 1.0)
+    bright = 0.25 + 0.75 * lam
+    img = np.empty(dirs.shape)
+    img[:, :, 0] = bright * 0.9
+    img[:, :, 1] = bright * (0.72 + 0.18 * np.sin(d))
+    img[:, :, 2] = bright * 0.62
+
+    dy_sky = dirs[:, :, 1]
+    sky = np.stack([0.45 + 0.25 * dy_sky, 0.55 + 0.2 * dy_sky, 0.85 + 0.1 * dy_sky], axis=2)
+    return np.clip(np.where(v[:, :, None], img, sky), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +291,8 @@ def gen_scene(
     it with jitter. Cameras and intrinsics are resampled (bounded retries) until
     the validity floor holds.
     """
+    if not all(isinstance(x, numbers.Integral) for x in (n_views, width, height, n_spheres)):
+        raise InvalidValueError("the view, pixel and sphere counts must be integers")
     if n_views < 1:
         raise InvalidValueError("need at least one view")
     if width < 8 or height < 8:

@@ -175,6 +175,18 @@ def write_ply_reference(path, points, colors) -> None:
     Path(path).write_bytes(header + rec.tobytes())
 
 
+def export_ply_reference(scene, path) -> None:
+    """The whole-grid export-ply: every view's whole metric point grid and
+    float32 shaded image, gathered at its validity and concatenated, the
+    colors rounded as np.round(image * 255.0), then one whole-array write."""
+    points, colors = [], []
+    for v in scene.views:
+        m = v.depth.validity
+        points.append(compose_reference(v.rays.directions, m, v.depth.values, v.pose, scene.scale.value)[m])
+        colors.append(np.round(shade_view_reference(v.rays, v.depth)[m] * 255.0).astype(np.uint8))
+    write_ply_reference(path, np.concatenate(points), np.concatenate(colors))
+
+
 def parse_ply(path) -> tuple[np.ndarray, np.ndarray]:
     """Struct-based binary PLY reader (x y z float32, r g b uint8)."""
     data = Path(path).read_bytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,17 @@ class TestLogScale:
     def test_non_finite(self):
         with pytest.raises(InvalidValueError):
             encode_log_scale(float("nan"))
+
+    def test_decode_clips_without_overflow_warning(self):
+        # the same bits as the clipped exp for every input; exp's overflow to inf clips to 1e6
+        ys = [-1e308, -1e6, -745.2, -13.8, -1.0, 0.0, 0.5, 13.8, 13.9, 709.7, 709.8, 1e6, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [decode_log_scale(y) for y in ys]
+        with np.errstate(over="ignore"):
+            want = [float(np.clip(np.exp(y), 1e-6, 1e6)) for y in ys]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert decode_log_scale(1e6) == 1e6
 
 
 class TestFLog:

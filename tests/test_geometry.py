@@ -347,6 +347,13 @@ class TestTypeInvariants:
         with pytest.raises(InvalidValueError):
             DepthAlongRay(np.array([[2.0, bad]]), np.array([[True, True]]))
 
+    @pytest.mark.parametrize(
+        "rotation, translation", [(np.array([1.0, 0.0, 0.0, 0.0, 0.0]), np.zeros(3)), (np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(2))]
+    )
+    def test_pose_rejects_wrong_component_counts(self, rotation, translation):
+        with pytest.raises(ShapeError, match="4 quaternion and 3 translation components"):
+            Pose(rotation, translation)
+
     @staticmethod
     def _view(confidence=None, mask_prob=None):
         rays = RayMap(np.tile(np.array([0.0, 0.0, 1.0]), (1, 2, 1)))

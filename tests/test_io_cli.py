@@ -245,6 +245,18 @@ class TestSceneRoundTrip:
             with pytest.raises(FormatError, match=f"view 1 lacks '{key}'"):
                 reader(tmp_path / "s")
 
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    @pytest.mark.parametrize("key, message", [("version", "unsupported manifest version"), ("n_views", "view count does not match")])
+    def test_manifest_counts_are_json_integers(self, tmp_path, key, message, value):
+        # a one-view scene: JSON true and 1.0 are not its version or view count 1
+        _, sample = gen_scene(n_views=1, width=16, height=12, n_spheres=3, seed=36)
+        write_scene(tmp_path / "s", sample)
+        manifest = json.loads((tmp_path / "s" / "scene.json").read_text())
+        (tmp_path / "s" / "scene.json").write_text(json.dumps({**manifest, key: value}))
+        for reader in (read_scene, read_factored):
+            with pytest.raises(FormatError, match=message):
+                reader(tmp_path / "s")
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -427,6 +439,71 @@ def _walkthrough() -> None:
         Path(f"stdout_{k:02d}_{argv[0]}.txt").write_text(out.getvalue())
 
 
+class TestParserReuse:
+    """main parses every call with one parser, built on its first call. A parse
+    leaves nothing behind in it: each call gives what a fresh parser gives."""
+
+    # per sequence, (exit code, or the --help SystemExit, and arguments) of each call
+    SEQUENCES = {
+        "two subcommands": [
+            (0, ["covis", "--scene", "{d}/s", "--jobs", "1", "--tol", "0.05"]),
+            (0, ["sample", "--covis", "{d}/c.json", "--n", "2", "--seed", "3"]),
+            (0, ["covis", "--scene", "{d}/s"]),
+            (0, ["sample", "--covis", "{d}/c.json", "--n", "2"]),
+        ],
+        "usage error then valid": [
+            (1, ["sample", "--covis", "{d}/c.json", "--n", "two"]),
+            (0, ["sample", "--covis", "{d}/c.json", "--n", "2"]),
+            (1, ["bogus"]),
+            (0, ["covis", "--scene", "{d}/s"]),
+        ],
+        "help then valid": [
+            ("exit 0", ["--help"]),
+            (0, ["covis", "--scene", "{d}/s"]),
+            ("exit 0", ["sample", "--help"]),
+            (0, ["sample", "--covis", "{d}/c.json", "--n", "2"]),
+        ],
+    }
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("parser")
+        assert main(["synth", "--seed", "4", "--views", "3", "--size", "28x28", "--out", str(d / "s")]) == 0
+        assert main(["covis", "--scene", str(d / "s"), "--out", str(d / "c.json")]) == 0
+        return d
+
+    @staticmethod
+    def _run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = f"exit {exc.code}"
+        return code, out.getvalue(), err.getvalue()
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.parametrize("name", list(SEQUENCES))
+    def test_calls_match_fresh_parsers(self, root, monkeypatch, name):
+        runs = [[a.format(d=root) for a in argv] for _, argv in self.SEQUENCES[name]]
+        reused = [self._run(argv) for argv in runs]
+        assert [r[0] for r in reused] == [code for code, _ in self.SEQUENCES[name]]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert reused == [self._run(argv) for argv in runs]
+
+    def test_options_do_not_carry_over(self):
+        for argv in (
+            ["covis", "--scene", "a", "--jobs", "3", "--out", "o"],
+            ["covis", "--scene", "a"],
+            ["forward", "--scene", "a", "--inputs", "rays", "--out", "p"],
+            ["forward", "--scene", "a", "--out", "p"],
+        ):
+            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
 class TestJsonFiles:
     """The JSON files mapt reads and writes, through mapt.io's one reader and one writer."""
 
@@ -572,6 +649,12 @@ class TestCliErrorContract:
             ({"version": 7, "n_views": 5, "fraction": [[1.0]]}, "unsupported covisibility file version 7"),
             ({"version": 1, "n_views": 5, "fraction": [[1.0]]}, "'n_views' is 5, but 'fraction' is 1x1"),
             ({"n_views": "1", "fraction": [[1.0]]}, "'n_views' is '1', but 'fraction' is 1x1"),
+            # JSON true and 1.0 are not the integer 1
+            ({"version": True, "n_views": 1, "fraction": [[1.0]]}, "unsupported covisibility file version True"),
+            ({"version": 1.0, "n_views": 1, "fraction": [[1.0]]}, "unsupported covisibility file version 1.0"),
+            ({"version": "1", "n_views": 1, "fraction": [[1.0]]}, "unsupported covisibility file version '1'"),
+            ({"version": 1, "n_views": True, "fraction": [[1.0]]}, "'n_views' is True, but 'fraction' is 1x1"),
+            ({"version": 1, "n_views": 1.0, "fraction": [[1.0]]}, "'n_views' is 1.0, but 'fraction' is 1x1"),
         ],
     )
     def test_sample_covis_header_disagrees(self, tmp_path, capsys, doc, message):
@@ -1240,11 +1323,22 @@ class TestPlyExport:
             write_ply(tmp_path / "x.ply", pts[:1], np.zeros((2, 3), np.uint8))
         assert not (tmp_path / "x.ply").exists()
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 3.5e38, -1e39])
+    def test_write_ply_rejects_a_point_in_a_later_block(self, tmp_path, bad):
+        # the points are checked block by block, through the float32 cast: one
+        # past float32 range in the last block still stops the write before the file opens
+        pts = np.zeros((2 * geometry._PIXEL_BLOCK + 1, 3))
+        pts[-1, 2] = bad
+        with pytest.raises(NumericOverflowError, match="finite and within float32 range"):
+            write_ply(tmp_path / "x.ply", pts, np.zeros(pts.shape, np.uint8))
+        assert not (tmp_path / "x.ply").exists()
+
     def test_write_ply_peak_memory(self, tmp_path):
         """The tracemalloc peak of writing 1e5 float64 points, in record bytes
-        (15 a point): near 1.0 with the float32 points and their finite check
-        first and then one block of records at a time, near 3.8 when the
-        record array, its bytes and the header joined to them were held."""
+        (15 a point): about 0.17 with the points cast to float32 one block at
+        a time, for the finite check and again for the records; 1.0 with a
+        whole float32 copy and its finite mask made first, and near 3.8 when
+        the record array, its bytes and the header joined to them were held."""
         n = 100_000
         rng = np.random.default_rng(0)
         pts, cols = rng.normal(0.0, 10.0, (n, 3)), rng.integers(0, 256, (n, 3), dtype=np.uint8)
@@ -1254,4 +1348,19 @@ class TestPlyExport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 15 * n
+        assert peak <= 0.4 * 15 * n
+
+    def test_export_peak_memory(self, tmp_path):
+        """The tracemalloc peak of export-ply on a 4-view 518x388 scene (737,511
+        points, an 11.1 MB PLY): about 56 MB with its points and colors made in
+        row bands, the scene it reads (about 30 MB) included; 107 MB when
+        every view's composed points and shaded image were held whole."""
+        args = ["synth", "--seed", "5", "--views", "4", "--size", "518x388", "--out", str(tmp_path / "s")]
+        assert main(args) == 0
+        tracemalloc.start()
+        try:
+            assert main(["export-ply", "--scene", str(tmp_path / "s"), "--out", str(tmp_path / "s.ply")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 70e6

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mapt import geometry
+from mapt.cli import main
 from mapt.factorization import f_log
 from mapt.geometry import (
     DepthAlongRay,
@@ -32,6 +33,7 @@ from mapt.geometry import (
     metric_upgrade,
     ray_angular_error,
 )
+from mapt.io import read_factored, write_factored, write_scene
 from mapt.losses import DEFAULT_KERNEL, _pool_half, loss_normal, loss_rays, total_loss
 from mapt.metrics import evaluate_scene
 from mapt.network import ModelConfig, alternating_attention, decode_heads, encode_inputs, init_weights
@@ -42,6 +44,7 @@ import oracles
 from oracles import (
     compose_reference,
     evaluate_scene_reference,
+    export_ply_reference,
     f_log_reference,
     forward_normals_reference,
     loss_normal_reference,
@@ -311,8 +314,8 @@ def _thin_scene(shapes, seed) -> tuple[FactoredScene, SceneSample]:
 
 
 class TestPixelBlocks:
-    """The dense chains of the losses, metrics and shading run in blocks of
-    geometry._PIXEL_BLOCK pooled rows, or row bands of about as many pixels;
+    """The dense chains of the losses, metrics, shading and PLY export run in
+    blocks of geometry._PIXEL_BLOCK pooled rows, or row bands of about as many pixels;
     the block size never changes a bit of any result. Block sizes 1 and 7
     split every view into one-row bands, 100 into bands of several rows."""
 
@@ -367,6 +370,26 @@ class TestPixelBlocks:
             _assert_same(evaluate_scene(pred, gt, align), ref)
         for v, g in zip(pred.views, gt.views):
             _same_bits(ray_angular_error(v.rays, g.rays), ray_angular_error_reference(v.rays, g.rays))
+
+    @pytest.fixture(scope="class")
+    def scene_dirs(self, scenes, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pixel-blocks")
+        for name, (pred, gt) in scenes.items():
+            write_factored(root / name / "pred", pred)
+            write_scene(root / name / "gt", gt)
+        return root
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("name", list(SCENES))
+    def test_export_ply(self, scene_dirs, tmp_path, monkeypatch, name, block):
+        """export-ply composes, shades and gathers in row bands: the bytes of
+        the whole-grid export, for a prediction and a ground-truth directory."""
+        monkeypatch.setattr(geometry, "_PIXEL_BLOCK", block)
+        for kind in ("pred", "gt"):
+            d = scene_dirs / name / kind
+            assert main(["export-ply", "--scene", str(d), "--out", str(tmp_path / "x.ply")]) == 0
+            export_ply_reference(read_factored(d), tmp_path / "ref.ply")
+            assert (tmp_path / "x.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
 
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("name", list(SCENES))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapt.errors import DegenerateError, EmptyDepthError, InvalidValueError, MaptError
+from mapt.errors import DegenerateError, EmptyDepthError, InvalidValueError, MaptError, ShapeError
 from mapt.geometry import (
     DepthAlongRay,
     FactoredScene,
@@ -167,6 +167,12 @@ class TestUmeyama:
         src = np.stack([np.arange(5.0), np.zeros(5), np.zeros(5)], axis=1)
         with pytest.raises(DegenerateError):
             umeyama(src, src)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 4), (12,)])
+    def test_rejects_points_that_are_not_n_by_3(self, shape):
+        pts = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        with pytest.raises(ShapeError, match=r"must be \(N, 3\)"):
+            umeyama(pts, pts)
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateError):

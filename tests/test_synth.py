@@ -96,6 +96,12 @@ class TestGenScene:
             np.testing.assert_array_equal(va.image, vb.image)
             assert va.intrinsics == vb.intrinsics
 
+    @pytest.mark.parametrize("field", ["n_views", "width", "height", "n_spheres"])
+    def test_rejects_counts_that_are_not_integers(self, field):
+        kwargs = dict(n_views=2, width=16, height=12, n_spheres=3, seed=0)
+        with pytest.raises(InvalidValueError, match="must be integers"):
+            gen_scene(**{**kwargs, field: 2.5 if field in ("n_views", "n_spheres") else 16.5})
+
     def test_single_view_identity_pose(self):
         _, s = gen_scene(n_views=1, width=16, height=16, n_spheres=3, seed=3)
         np.testing.assert_array_equal(s.views[0].pose.rotation, [1.0, 0.0, 0.0, 0.0])

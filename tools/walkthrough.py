@@ -31,8 +31,9 @@ INPUTS = {
 }
 
 # (expected exit code, arguments): the README walkthrough, then stdout output,
-# the other forward inputs, a 2-view scene whose eval has null metrics, and
-# files that fail to parse
+# the other forward inputs, a 2-view scene whose eval has null metrics, a
+# 3-view 518x392 scene whose exports span many row bands, and files that
+# fail to parse
 COMMANDS = [
     (0, "synth --seed 5 --views 4 --size 56x56 --spheres 4 --out scene/"),
     (0, "covis --scene scene/ --tol 0.05 --jobs 4 --out covis.json"),
@@ -55,6 +56,10 @@ COMMANDS = [
     (0, "synth --seed 3 --views 2 --size 28x28 --out scene2/"),
     (0, "forward --scene scene2/ --out pred2/"),
     (0, "eval --gt scene2/ --pred pred2/"),
+    (0, "synth --seed 5 --views 3 --size 518x392 --out scene_large/"),
+    (0, "forward --scene scene_large/ --seed 1 --inputs rays,pose --out pred_large/"),
+    (0, "export-ply --scene scene_large/ --out scene_large.ply"),
+    (0, "export-ply --scene pred_large/ --out pred_large.ply"),
     (1, "forward --scene scene/ --config config_unknown.json --out bad/"),
     (1, "forward --scene scene/ --config not_json.json --out bad/"),
     (1, "sample --covis not_json.json --n 2"),
