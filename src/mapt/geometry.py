@@ -13,6 +13,7 @@ public constructors and the network heads, NaN, +-inf and empty arrays included.
 from __future__ import annotations
 
 import contextlib
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -303,6 +304,7 @@ def _pinhole_directions(k: Intrinsics, width: int, height: int) -> np.ndarray:
 
 def rays_from_intrinsics(k: Intrinsics, width: int, height: int) -> RayMap:
     """Pinhole ray map: pixel (u, v) uses the pixel center (u + 0.5, v + 0.5)."""
+    _check_counts("image sizes", width, height)
     return RayMap(_pinhole_directions(k, width, height))
 
 
@@ -374,6 +376,12 @@ def _compose(points, validity, depth=None, pose=None, scale=None) -> np.ndarray:
     return pts
 
 
+def _check_counts(what: str, *counts) -> None:
+    """Raise InvalidValueError unless every count is a numbers.Integral (numpy integers pass)."""
+    if not all(isinstance(x, numbers.Integral) for x in counts):
+        raise InvalidValueError(f"{what} must be integers, got {', '.join(map(repr, counts))}")
+
+
 def _rng(seed) -> np.random.Generator:
     """``np.random.default_rng(seed)``, raising InvalidValueError for a seed numpy rejects."""
     try:
@@ -398,43 +406,31 @@ def _check(what: str, shapes: list, *grids: list) -> None:
 
 
 def _pool(what: str, masks: list, *grids: list) -> tuple[np.ndarray, ...]:
-    """The view offsets, then the pixels selected by ``masks[i]`` of view i of
-    each per-view grid list, concatenated in view order.
-
-    View i's pixels are rows ``offsets[i]:offsets[i + 1]`` of every pooled
-    array. Every grid list needs one (H, W, ...) array per (H, W) mask, at
-    that mask's resolution (see _check).
-    """
+    """The view offsets, then for each grid list, of one (H, W, ...) array per (H, W)
+    mask (see _check), its pixels at ``masks`` as _pool_bands gathers them. View i's
+    pixels are rows ``offsets[i]:offsets[i + 1]`` of every pooled array."""
     _check(what, [m.shape for m in masks], *grids)
-    idx = [np.flatnonzero(m) for m in masks]
-    offsets = np.cumsum([0] + [i.size for i in idx])
-    pooled = [offsets]
-    for g in grids:
-        out = np.empty((offsets[-1], *g[0].shape[masks[0].ndim :]), dtype=np.result_type(*g))
-        for x, m, i, a, b in zip(g, masks, idx, offsets, offsets[1:]):
-            # np.take into the output is several times faster than x[m] and a
-            # concatenate; mode="clip" skips the bounds check of valid indices
-            np.take(x.reshape(m.size, *x.shape[m.ndim :]), i, axis=0, out=out[a:b], mode="clip")
-        pooled.append(out)
-    return tuple(pooled)
+    offsets = np.cumsum([0] + [np.count_nonzero(m) for m in masks])
+    return offsets, *(_pool_bands(masks, lambda i, s: g[i][s], np.result_type(*g), g[0].shape[2:]) for g in grids)
 
 
-def _pool_bands(masks: list, band, dtype=np.float64) -> np.ndarray:
-    """The (N, 3) rows _pool pools at the (H, W) ``masks`` from per-view
-    (H, W, 3) grids, where ``band(i, s)`` gives rows ``s`` of view i's grid:
-    made and gathered one row band at a time, so that no grid exists whole."""
-    out, k = np.empty((sum(map(np.count_nonzero, masks)), 3), dtype), 0
+def _pool_bands(masks: list, band, dtype=np.float64, tail=(3,)) -> np.ndarray:
+    """The (N, *tail) rows at the (H, W) ``masks`` of per-view (H, W, *tail) grids, in
+    view order, where ``band(i, s)`` gives rows ``s`` of view i's grid: made and
+    gathered one row band at a time, so that a grid made by ``band`` never exists whole."""
+    out, k = np.empty((sum(map(np.count_nonzero, masks)), *tail), dtype), 0
     for i, m in enumerate(masks):
         for s in _blocks(m.shape[0], m.shape[1]):
             j = np.flatnonzero(m[s])
-            np.take(band(i, s).reshape(-1, 3), j, axis=0, out=out[k : k + j.size], mode="clip")
+            # np.take into the output is several times faster than x[m] and a
+            # concatenate; mode="clip" skips the bounds check of valid indices
+            np.take(band(i, s).reshape(-1, *tail), j, axis=0, out=out[k : k + j.size], mode="clip")
             k += j.size
     return out
 
 
 def _pool_composed(masks: list, views: list) -> np.ndarray:
-    """The rows _pool pools from [_compose(*v) for v in views] at ``masks``,
-    for the (rays, validity, depth[, pose[, scale]]) ``views``, through _pool_bands."""
+    """The rows _pool_bands gathers at ``masks`` from _compose of each (rays, validity, depth[, pose[, scale]]) view."""
     return _pool_bands(masks, lambda i, s: _compose(*(a[s] for a in views[i][:3]), *views[i][3:]))
 
 

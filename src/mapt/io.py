@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -70,7 +71,7 @@ def read_tensor(path) -> np.ndarray:
         dims = struct.unpack(f"<{ndim}I", dims)
         # the element count as an exact Python int: a uint64 product can wrap around
         count = np.prod(dims, dtype=object)
-        if Path(path).stat().st_size - f.tell() != _DTYPES[code].itemsize * count:
+        if os.fstat(f.fileno()).st_size - f.tell() != _DTYPES[code].itemsize * count:
             raise FormatError(f"{path}: payload size mismatch")
         try:
             return np.fromfile(f, dtype=_DTYPES[code], count=count).reshape(dims)
@@ -285,9 +286,9 @@ def _read_views(path: Path, view) -> tuple[list, MetricScale]:
                 if arrays[key].shape != want:
                     raise FormatError(f"{path}: view {i} {key!r} tensor is {arrays[key].shape}, manifest gives {want}")
         with _located(f"{path}: view {i}: {files['rays']}"):
-            rays = RayMap(arrays["rays"].astype(np.float64))
+            rays = RayMap(arrays["rays"])
         with _located(f"{path}: view {i}"):
-            depth = DepthAlongRay(arrays["depth"].astype(np.float64), arrays["validity"] != 0)
+            depth = DepthAlongRay(arrays["depth"], arrays["validity"] != 0)
             pose = _pose_from_list(entry["pose"])
         views.append(view(i, entry, rays, depth, pose, arrays))
     with _located(str(path)):
@@ -340,25 +341,15 @@ def write_ply(path, points: np.ndarray, colors: np.ndarray) -> None:
     colors = np.asarray(colors, dtype=np.uint8).reshape(-1, 3)
     if points.shape[0] != colors.shape[0]:
         raise ShapeError("point and color counts differ")
-    n = points.shape[0]
-    header = (
-        "ply\n"
-        "format binary_little_endian 1.0\n"
-        f"element vertex {n}\n"
-        "property float x\n"
-        "property float y\n"
-        "property float z\n"
-        "property uchar red\n"
-        "property uchar green\n"
-        "property uchar blue\n"
-        "end_header\n"
-    ).encode("ascii")
-    vertex = [("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("r", "u1"), ("g", "u1"), ("b", "u1")]
+    # the header names the record's fields, in order, with their PLY types
+    vertex = [("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("red", "u1"), ("green", "u1"), ("blue", "u1")]
+    props = "".join(f"property {'float' if t == '<f4' else 'uchar'} {name}\n" for name, t in vertex)
+    header = f"ply\nformat binary_little_endian 1.0\nelement vertex {points.shape[0]}\n{props}end_header\n".encode("ascii")
     rec = np.zeros(blocks[0].stop if blocks else 0, dtype=vertex)
     with open(path, "wb") as f:
         f.write(header)
         for s in blocks:
             r = rec[: s.stop - s.start]
             r["x"], r["y"], r["z"] = points[s, 0], points[s, 1], points[s, 2]
-            r["r"], r["g"], r["b"] = colors[s, 0], colors[s, 1], colors[s, 2]
+            r["red"], r["green"], r["blue"] = colors[s, 0], colors[s, 1], colors[s, 2]
             r.tofile(f)

@@ -35,6 +35,7 @@ from .geometry import (
     _forward_normals,
     _norm3,
     _pool,
+    _pool_bands,
     _pool_composed,
     _rowwise,
 )
@@ -241,7 +242,7 @@ def _pointmap_term(pp, pg, c, z_pred, z_gt) -> float:
 
 
 def loss_scale(z_gt: NormScale, m: MetricScale, z_pred: NormScale) -> float:
-    """Factored metric scale loss on log-space norm scales.
+    """Factored metric scale loss: f_log of the metric ground-truth norm z_gt against f_log(m * z_pred).
 
     Gradient contract: z_pred is treated as a constant (stop-gradient), so the
     loss only back-propagates into the metric scale m.
@@ -327,9 +328,10 @@ def loss_gradient_matching(pred_z: list[np.ndarray], gt_z: list[np.ndarray], val
     for _ in range(GM_SCALES):
         for ahead, behind in ((np.s_[:, 1:], np.s_[:, :-1]), (np.s_[1:, :], np.s_[:-1, :])):  # x, then y
             pairs = [m[ahead] & m[behind] for _, m in per_view]
-            _, grad = _pool("gradient matching loss", pairs, [np.abs(d[ahead] - d[behind]) for d, _ in per_view])
-            if grad.size:
-                total += float(np.mean(grad))
+            # |d[ahead] - d[behind]|, made and gathered one row band at a time
+            grad = _pool_bands(pairs, lambda i, s: np.abs(per_view[i][0][ahead][s] - per_view[i][0][behind][s]), tail=())
+            total += float(np.mean(grad)) if grad.size else 0.0
+            del pairs, grad  # before the next gather or the next scale's grids
         per_view = [_pool_half(d, m) for d, m in per_view]
     return total
 
@@ -380,7 +382,7 @@ def total_loss(pred: FactoredScene, gt, synthetic: bool = False) -> LossReport:
         ),
         "depth": loss_depth([v.depth for v in pred.views], [g.depth for g in gt.views], z_pred, z_gt),
         "lpm": _lpm_term(*(_pool_composed(masks, x) for x in local), z_pred, z_gt),
-        "scale": loss_scale(z_gt, pred.scale, z_pred),
+        "scale": loss_scale(NormScale(gt.scale.value * z_gt.value), pred.scale, z_pred),
         "normal": _normal_term(*local) if synthetic else 0.0,
         # z-depths of the local points, 0 where invalid: the bits of _compose(...)[:, :, 2]
         "gm": loss_gradient_matching(

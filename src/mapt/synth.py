@@ -10,7 +10,6 @@ tensor container (float32 payloads) reproduces them bit-exactly.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .geometry import (
     Pose,
     RayMap,
     _blocks,
+    _check_counts,
     _check_scene,
     _compose,
     _dot3,
@@ -291,8 +291,7 @@ def gen_scene(
     it with jitter. Cameras and intrinsics are resampled (bounded retries) until
     the validity floor holds.
     """
-    if not all(isinstance(x, numbers.Integral) for x in (n_views, width, height, n_spheres)):
-        raise InvalidValueError("the view, pixel and sphere counts must be integers")
+    _check_counts("the view, pixel and sphere counts", n_views, width, height, n_spheres)
     if n_views < 1:
         raise InvalidValueError("need at least one view")
     if width < 8 or height < 8:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDepthError, InsufficientComponentError, InvalidValueError, ShapeError
-from .geometry import DepthAlongRay, _blocks, _rng, _task_map, quat_to_rot
+from .geometry import DepthAlongRay, _blocks, _check_counts, _pool, _rng, _task_map, quat_to_rot
 from .synth import SceneSample
 
 # Training-time conditioning probabilities.
@@ -94,6 +94,7 @@ class InputConfig:
         depth_sparse: bool = False,
     ) -> "InputConfig":
         """All-view configuration from modality switches (the CLI path)."""
+        _check_counts("view counts", n_views)
         depth = depth or depth_sparse
         return cls(
             rays_given=[rays] * n_views,
@@ -167,8 +168,7 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         component-wise (broadcast over a stack of target views) so a naive
         per-pixel reference computes bit-identical values, whatever the block size.
         """
-        idx = np.flatnonzero(views[i].depth.validity)
-        d, dep = views[i].rays.directions.reshape(-1, 3).take(idx, axis=0), views[i].depth.values.take(idx)
+        _, d, dep = _pool("covisibility", [views[i].depth.validity], [views[i].rays.directions], [views[i].depth.values])
         ri, ti = rots[i], trans[i]
         lx = d[:, 0] * dep
         ly = d[:, 1] * dep
@@ -289,6 +289,7 @@ def random_walk_sample(adj: np.ndarray, n_views: int, rng_seed: int) -> list[int
     if not np.array_equal(adj, adj.T):
         raise InvalidValueError("adjacency must be symmetric (undirected)")
     n = adj.shape[0]
+    _check_counts("view counts", n_views)
     if n_views < 1:
         raise InvalidValueError("n_views must be >= 1")
     comps = _components(adj)
@@ -329,6 +330,7 @@ def sample_input_config(n_views: int, metric_gt_available: bool, rng_seed: int) 
     (p=0.5); per-view application per selected factor (p=0.95); metric-scale
     withholding when metric ground truth exists (p=0.05).
     """
+    _check_counts("view counts", n_views)
     if n_views < 1:
         raise InvalidValueError("n_views must be >= 1")
     rng = _rng(rng_seed)

@@ -461,7 +461,7 @@ def total_loss_reference(
             [v.depth for v in pred.views], [g.depth for g in gt.views], z_pred, z_gt, DEFAULT_KERNEL, exclude_top
         ),
         "lpm": loss_local_pointmap_reference(pr_local, gt_local, z_pred, z_gt, DEFAULT_KERNEL, exclude_top),
-        "scale": loss_scale(z_gt, pred.scale, z_pred),
+        "scale": loss_scale(NormScale(gt.scale.value * z_gt.value), pred.scale, z_pred),
         "normal": 0.0,
         "gm": 0.0,
         "mask": 0.0,

@@ -79,13 +79,17 @@ def test_criterion_1_oracle_composition():
 def test_criterion_2_zero_at_truth():
     t0 = time.perf_counter()
     w = loss_weights()
-    for seed in range(50):
-        _, sample = gen_scene(n_views=3, width=32, height=24, n_spheres=4, seed=2000 + seed, with_images=False)
+    # 50 scenes at the default metric scale 1 and 10 at each of five others
+    cases = [(seed, 1.0) for seed in range(50)] + [(seed, s) for s in (1e-3, 0.5, 2.0, 10.0, 1e3) for seed in range(10)]
+    for seed, scale in cases:
+        _, sample = gen_scene(
+            n_views=3, width=32, height=24, n_spheres=4, seed=2000 + seed, metric_scale=scale, with_images=False
+        )
         rep = total_loss(sample.as_factored_scene(), sample, synthetic=True)
         assert rep.total < 1e-6
         recomputed = sum(w[k] * rep.as_dict()[k] for k in w)
         assert abs(rep.total - recomputed) < 1e-9
-    _report(2, "total loss at ground truth is 0 within 1e-6 with the 10/1/0.1 identity", t0)
+    _report(2, "total loss at ground truth is 0 within 1e-6 with the 10/1/0.1 identity, metric scales 1e-3 to 1e3", t0)
 
 
 def test_criterion_3_gradient_oracles():

@@ -58,6 +58,15 @@ class TestRaysFromIntrinsics:
         assert np.max(np.abs(norms - 1.0)) < 1e-12
         assert np.min(r.directions[:, :, 2]) > 0.0
 
+    def test_image_sizes_must_be_integers(self):
+        # numpy integers pass
+        k = Intrinsics(10.0, 10.0, 1.0, 1.0)
+        with pytest.raises(InvalidValueError, match=r"image sizes must be integers, got 2.5, 2"):
+            rays_from_intrinsics(k, 2.5, 2)
+        with pytest.raises(InvalidValueError, match="image sizes must be integers"):
+            rays_from_intrinsics(k, 3, 2.0)
+        assert rays_from_intrinsics(k, np.int64(3), np.int32(2)).directions.shape == (2, 3, 3)
+
     def test_invalid_intrinsics(self):
         with pytest.raises(InvalidIntrinsicsError):
             Intrinsics(-1.0, 10.0, 0.0, 0.0)

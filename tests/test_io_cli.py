@@ -349,6 +349,16 @@ class TestCli:
             "lpm": 1.0, "scale": 1.0, "normal": 1.0, "gm": 1.0, "mask": 0.1,
         }
 
+    def test_loss_gt_vs_gt_at_metric_scale(self, tmp_path):
+        """The scale term compares the metric ground-truth norm s_gt * z_gt
+        with m * z_pred: 0 for a scene at metric scale 2 against itself."""
+        s = str(tmp_path / "s")
+        assert main(["synth", "--seed", "5", "--views", "3", "--size", "32x24", "--metric-scale", "2", "--out", s]) == 0
+        assert main(["loss", "--gt", s, "--pred", s, "--synthetic", "--out", str(tmp_path / "l.json")]) == 0
+        report = json.loads((tmp_path / "l.json").read_text())
+        assert report["terms"]["scale"] == 0.0
+        assert report["total"] < 1e-6
+
     def test_eval_gt_vs_gt(self, tmp_path):
         assert main(["synth", "--seed", "5", "--views", "3", "--size", "24x18", "--spheres", "4", "--out", str(tmp_path / "s")]) == 0
         assert main(["eval", "--gt", str(tmp_path / "s"), "--pred", str(tmp_path / "s"), "--out", str(tmp_path / "e.json")]) == 0

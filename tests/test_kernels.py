@@ -3,7 +3,7 @@
 values whose squares overflow or underflow, NaN and +-inf, and for every
 size of the row blocks they run in; plus guards that keep numpy's slow
 strided norm out of the hot paths and bound the peak memory of total_loss,
-evaluate_scene and shade_view."""
+loss_gradient_matching, evaluate_scene and shade_view."""
 
 import tracemalloc
 
@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from mapt import geometry
 from mapt.cli import main
-from mapt.factorization import f_log
+from mapt.factorization import NormScale, f_log, norm_scale
 from mapt.geometry import (
     DepthAlongRay,
     FactoredScene,
@@ -32,9 +32,21 @@ from mapt.geometry import (
     local_pointmap,
     metric_upgrade,
     ray_angular_error,
+    world_pointmap,
 )
 from mapt.io import read_factored, write_factored, write_scene
-from mapt.losses import DEFAULT_KERNEL, _pool_half, loss_normal, loss_rays, total_loss
+from mapt.losses import (
+    DEFAULT_ALPHA_CONF,
+    DEFAULT_EXCLUDE_TOP,
+    DEFAULT_KERNEL,
+    _pool_half,
+    loss_depth,
+    loss_gradient_matching,
+    loss_normal,
+    loss_pointmap_conf,
+    loss_rays,
+    total_loss,
+)
 from mapt.metrics import evaluate_scene
 from mapt.network import ModelConfig, alternating_attention, decode_heads, encode_inputs, init_weights
 from mapt.synth import SceneSample, ViewSample, gen_scene, shade_view
@@ -282,6 +294,17 @@ class TestHotPathGuards:
         pred = _perturbed(gt, np.random.default_rng(0))
         assert self._peak(lambda: evaluate_scene(pred, gt, align_points=True)) < 17 * (128 * 96 * 3 * 8)
 
+    def test_gradient_matching_peak_memory(self):
+        """loss_gradient_matching of 4 views at 256x192, counted in (N, H, W)
+        float64 grids of the whole scene: near 2.2 with the differences made
+        and gathered in row bands and dropped before the next gather, near 4.6
+        with a whole difference grid per view and direction."""
+        _, gt = gen_scene(n_views=4, width=256, height=192, n_spheres=5, seed=11, plane=True, with_images=False)
+        zg = [v.depth.values * v.rays.directions[:, :, 2] for v in gt.views]
+        zp = [z * np.exp(np.random.default_rng(0).normal(0.0, 0.02, z.shape)) for z in zg]
+        valid = [v.depth.validity for v in gt.views]
+        assert self._peak(lambda: loss_gradient_matching(zp, zg, valid)) < 2.6 * (4 * 256 * 192 * 8)
+
     def test_shade_view_peak_memory(self):
         """shade_view of one 256x192 view in row bands peaks near 3.9 of its
         dense grids, the float32 image included; whole-grid shading near 6.4."""
@@ -390,6 +413,29 @@ class TestPixelBlocks:
             assert main(["export-ply", "--scene", str(d), "--out", str(tmp_path / "x.ply")]) == 0
             export_ply_reference(read_factored(d), tmp_path / "ref.ply")
             assert (tmp_path / "x.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("name", list(SCENES))
+    def test_pooled_terms(self, scenes, monkeypatch, name, block):
+        """norm_scale, loss_depth, loss_pointmap_conf and loss_gradient_matching,
+        whose pixels geometry._pool_bands gathers in row bands."""
+        pred, gt = scenes[name]
+        monkeypatch.setattr(geometry, "_PIXEL_BLOCK", block)
+        pl = [local_pointmap(v.rays, v.depth) for v in pred.views]
+        gl = [local_pointmap(v.rays, v.depth) for v in gt.views]
+        pw = [world_pointmap(x, v.pose) for x, v in zip(pl, pred.views)]
+        gw = [world_pointmap(x, v.pose) for x, v in zip(gl, gt.views)]
+        _same_bits(norm_scale(gw).value, oracles.norm_scale_reference(gw).value)
+        z_pred, z_gt = NormScale(1.3), NormScale(0.7)
+        depths = [v.depth for v in pred.views], [g.depth for g in gt.views]
+        ref = oracles.loss_depth_reference(*depths, z_pred, z_gt, DEFAULT_KERNEL, DEFAULT_EXCLUDE_TOP)
+        _same_bits(loss_depth(*depths, z_pred, z_gt), ref)
+        conf = [v.confidence for v in pred.views]
+        ref = oracles.loss_pointmap_conf_reference(pw, gw, conf, z_pred, z_gt, DEFAULT_KERNEL, DEFAULT_ALPHA_CONF)
+        _same_bits(loss_pointmap_conf(pw, gw, conf, z_pred, z_gt), ref)
+        z = [x.points[:, :, 2] for x in pl], [x.points[:, :, 2] for x in gl]
+        valid = [g.depth.validity for g in gt.views]
+        _same_bits(loss_gradient_matching(*z, valid), oracles.loss_gradient_matching_reference(*z, valid))
 
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("name", list(SCENES))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mapt.errors import InvalidValueError
-from mapt.factorization import NormScale
+from mapt.factorization import NormScale, norm_scale
 from mapt.geometry import (
     DepthAlongRay,
     FactoredScene,
@@ -10,6 +10,8 @@ from mapt.geometry import (
     MetricScale,
     PointMap,
     RayMap,
+    local_pointmap,
+    world_pointmap,
 )
 from mapt.losses import (
     DEFAULT_ALPHA_CONF,
@@ -33,6 +35,7 @@ from mapt.losses import (
     robust_kernel_grad,
     total_loss,
 )
+from mapt.synth import SceneSample
 
 from oracles import fd_central, loss_gradient_matching_reference
 
@@ -307,6 +310,18 @@ class TestLossScale:
     def test_unit_residual_limit(self):
         got = loss_scale(NormScale(np.e - 1.0), MetricScale(1.0), NormScale(1e-12))
         np.testing.assert_allclose(got, robust_kernel(1.0), rtol=1e-9)
+
+    def test_total_loss_reads_the_ground_truth_scale(self, small_scene):
+        """total_loss passes loss_scale the metric ground-truth norm: zero at
+        truth for any metric scale, and the term of s * z_gt against z_pred
+        when only the ground truth's scale s moves."""
+        z = norm_scale([world_pointmap(local_pointmap(v.rays, v.depth), v.pose) for v in small_scene.views])
+        for s in (1e-3, 0.5, 1.0, 2.0, 1e3):
+            gt = SceneSample(views=small_scene.views, scale=MetricScale(s))
+            pred = gt.as_factored_scene()
+            assert total_loss(pred, gt).scale == 0.0
+            pred.scale = MetricScale(1.0)
+            assert total_loss(pred, gt).scale == loss_scale(NormScale(s * z.value), MetricScale(1.0), z)
 
     def test_grad_m_matches_fd(self):
         rng = np.random.default_rng(12)

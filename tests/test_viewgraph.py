@@ -289,6 +289,12 @@ class TestRandomWalk:
         with pytest.raises(InvalidValueError, match="non-negative integer"):
             random_walk_sample(self._path_graph(3), 2, rng_seed=-1)
 
+    def test_view_count_must_be_an_integer(self):
+        # numpy integers pass
+        with pytest.raises(InvalidValueError, match="view counts must be integers, got 2.5"):
+            random_walk_sample(self._path_graph(3), 2.5, rng_seed=0)
+        assert len(random_walk_sample(self._path_graph(3), np.int64(2), rng_seed=0)) == 2
+
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(1)
         adj = rng.random((12, 12)) < 0.25
@@ -347,6 +353,17 @@ class TestInputConfigSampler:
             for s, g in zip(cfg.depth_sparse, cfg.depth_given):
                 assert not (s and not g)
         assert hits > 0
+
+    def test_view_count_must_be_an_integer(self):
+        # numpy integers pass
+        with pytest.raises(InvalidValueError, match="view counts must be integers, got 2.5"):
+            sample_input_config(2.5, True, 0)
+        assert sample_input_config(np.int64(2), True, 0).n_views == 2
+
+    def test_modalities_view_count_must_be_an_integer(self):
+        with pytest.raises(InvalidValueError, match="view counts must be integers, got 2.5"):
+            InputConfig.from_modalities(2.5)
+        assert InputConfig.from_modalities(np.int64(2), rays=True).n_views == 2
 
     def test_metric_flags_require_availability(self):
         for seed in range(50):
