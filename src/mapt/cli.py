@@ -154,7 +154,7 @@ def cmd_export_ply(args) -> int:
     def colors(i, s):
         return np.round(_shade_rows(views[i].rays, views[i].depth, s).astype(np.float32) * 255.0).astype(np.uint8)
 
-    mio.write_ply(args.out, points, _pool_bands(masks, colors, np.uint8))
+    mio.write_ply(args.out, points, _pool_bands(masks, (colors, np.uint8, (3,)))[1])
     print(f"wrote {points.shape[0]} points to {args.out}")
     return 0
 

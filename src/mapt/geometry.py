@@ -37,6 +37,16 @@ _CONJ = np.array([1.0, -1.0, -1.0, -1.0])  # conjugation mask: conj(w, x, y, z) 
 _PIXEL_BLOCK = 1 << 14
 
 
+@contextlib.contextmanager
+def _typed(what: str, error: type = InvalidValueError):
+    """Raise ``error`` for the TypeError or ValueError that a conversion or
+    comparison in the block raises on an input of the wrong Python type."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise error(f"{what} must be real numbers: {e}") from None
+
+
 @dataclass
 class RayMap:
     """H x W grid of unit direction vectors in the camera frame (+z forward)."""
@@ -44,7 +54,8 @@ class RayMap:
     directions: np.ndarray  # (H, W, 3) float64
 
     def __post_init__(self):
-        d = np.asarray(self.directions, dtype=np.float64)
+        with _typed("ray directions"):
+            d = np.asarray(self.directions, dtype=np.float64)
         if d.ndim != 3 or d.shape[2] != 3:
             raise ShapeError(f"ray map must be (H, W, 3), got {d.shape}")
         if not np.all(np.abs(_norm3(d) - 1.0) <= RAY_UNIT_TOL):
@@ -70,8 +81,9 @@ class DepthAlongRay:
     validity: np.ndarray  # (H, W) bool
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        m = np.asarray(self.validity, dtype=bool)
+        with _typed("depth values and validity"):
+            v = np.asarray(self.values, dtype=np.float64)
+            m = np.asarray(self.validity, dtype=bool)
         if v.ndim != 2:
             raise ShapeError(f"depth grid must be (H, W), got {v.shape}")
         if m.shape != v.shape:
@@ -111,8 +123,9 @@ class Pose:
     translation: np.ndarray  # (3,) float64
 
     def __post_init__(self):
-        q = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64)
+        with _typed("pose components"):
+            q = np.asarray(self.rotation, dtype=np.float64)
+            t = np.asarray(self.translation, dtype=np.float64)
         if q.size != 4 or t.size != 3:
             raise ShapeError(f"pose needs 4 quaternion and 3 translation components, got {q.size} and {t.size}")
         q, t = q.reshape(4), t.reshape(3)
@@ -139,11 +152,11 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
-        vals = (self.fx, self.fy, self.cx, self.cy)
-        if not all(np.isfinite(v) for v in vals):
-            raise InvalidIntrinsicsError("intrinsics must be finite")
-        if self.fx <= 0.0 or self.fy <= 0.0:
-            raise InvalidIntrinsicsError("focal lengths must be > 0")
+        with _typed("intrinsics", InvalidIntrinsicsError):
+            if not all(np.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
+                raise InvalidIntrinsicsError("intrinsics must be finite")
+            if self.fx <= 0.0 or self.fy <= 0.0:
+                raise InvalidIntrinsicsError("focal lengths must be > 0")
 
 
 @dataclass
@@ -154,8 +167,9 @@ class PointMap:
     validity: np.ndarray  # (H, W) bool
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=np.float64)
-        m = np.asarray(self.validity, dtype=bool)
+        with _typed("pointmap points and validity"):
+            p = np.asarray(self.points, dtype=np.float64)
+            m = np.asarray(self.validity, dtype=bool)
         if p.ndim != 3 or p.shape[2] != 3:
             raise ShapeError(f"pointmap must be (H, W, 3), got {p.shape}")
         if m.shape != p.shape[:2]:
@@ -181,7 +195,8 @@ class MetricScale:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
+        with _typed("metric scale"):
+            v = float(self.value)
         if not np.isfinite(v) or v <= 0.0:
             raise InvalidValueError("metric scale must be finite and > 0")
         self.value = v
@@ -201,14 +216,16 @@ class FactoredView:
         if (self.rays.height, self.rays.width) != (self.depth.height, self.depth.width):
             raise ShapeError("ray map and depth resolutions differ")
         if self.confidence is not None:
-            c = np.asarray(self.confidence, dtype=np.float64)
+            with _typed("confidence values"):
+                c = np.asarray(self.confidence, dtype=np.float64)
             if c.shape != self.depth.values.shape:
                 raise ShapeError("confidence resolution differs from depth")
             if not np.all((c >= 1.0) & (c < np.inf)):
                 raise InvalidValueError("confidence values must be finite and >= 1")
             self.confidence = c
         if self.mask_prob is not None:
-            m = np.asarray(self.mask_prob, dtype=np.float64)
+            with _typed("mask probabilities"):
+                m = np.asarray(self.mask_prob, dtype=np.float64)
             if m.shape != self.depth.values.shape:
                 raise ShapeError("mask resolution differs from depth")
             if not np.all((m >= 0.0) & (m <= 1.0)):
@@ -407,31 +424,35 @@ def _check(what: str, shapes: list, *grids: list) -> None:
 
 def _pool(what: str, masks: list, *grids: list) -> tuple[np.ndarray, ...]:
     """The view offsets, then for each grid list, of one (H, W, ...) array per (H, W)
-    mask (see _check), its pixels at ``masks`` as _pool_bands gathers them. View i's
-    pixels are rows ``offsets[i]:offsets[i + 1]`` of every pooled array."""
+    mask (see _check), its pixels at ``masks`` as _pool_bands gathers them."""
     _check(what, [m.shape for m in masks], *grids)
-    offsets = np.cumsum([0] + [np.count_nonzero(m) for m in masks])
-    return offsets, *(_pool_bands(masks, lambda i, s: g[i][s], np.result_type(*g), g[0].shape[2:]) for g in grids)
+    return _pool_bands(masks, *((lambda i, s, g=g: g[i][s], np.result_type(*g), g[0].shape[2:]) for g in grids))
 
 
-def _pool_bands(masks: list, band, dtype=np.float64, tail=(3,)) -> np.ndarray:
-    """The (N, *tail) rows at the (H, W) ``masks`` of per-view (H, W, *tail) grids, in
+def _pool_bands(masks: list, *gathers: tuple) -> tuple[np.ndarray, ...]:
+    """The view offsets, then for each ``(band, dtype, tail)`` of ``gathers`` the
+    (N, *tail) rows at the (H, W) ``masks`` of per-view (H, W, *tail) grids, in
     view order, where ``band(i, s)`` gives rows ``s`` of view i's grid: made and
-    gathered one row band at a time, so that a grid made by ``band`` never exists whole."""
-    out, k = np.empty((sum(map(np.count_nonzero, masks)), *tail), dtype), 0
+    gathered one row band at a time, so that a grid made by ``band`` never exists
+    whole. Each band's pixels are found once for every gather. View i's pixels
+    are rows ``offsets[i]:offsets[i + 1]`` of every pooled array."""
+    offsets = np.cumsum([0] + [np.count_nonzero(m) for m in masks])
+    pooled = [np.empty((offsets[-1], *tail), dtype) for _, dtype, tail in gathers]
     for i, m in enumerate(masks):
+        k = offsets[i]
         for s in _blocks(m.shape[0], m.shape[1]):
             j = np.flatnonzero(m[s])
-            # np.take into the output is several times faster than x[m] and a
-            # concatenate; mode="clip" skips the bounds check of valid indices
-            np.take(band(i, s).reshape(-1, *tail), j, axis=0, out=out[k : k + j.size], mode="clip")
+            for (band, _, tail), out in zip(gathers, pooled):
+                # np.take into the output is several times faster than x[m] and a
+                # concatenate; mode="clip" skips the bounds check of valid indices
+                np.take(band(i, s).reshape(-1, *tail), j, axis=0, out=out[k : k + j.size], mode="clip")
             k += j.size
-    return out
+    return offsets, *pooled
 
 
 def _pool_composed(masks: list, views: list) -> np.ndarray:
     """The rows _pool_bands gathers at ``masks`` from _compose of each (rays, validity, depth[, pose[, scale]]) view."""
-    return _pool_bands(masks, lambda i, s: _compose(*(a[s] for a in views[i][:3]), *views[i][3:]))
+    return _pool_bands(masks, (lambda i, s: _compose(*(a[s] for a in views[i][:3]), *views[i][3:]), np.float64, (3,)))[1]
 
 
 def _forward_normals(points: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -329,7 +329,7 @@ def loss_gradient_matching(pred_z: list[np.ndarray], gt_z: list[np.ndarray], val
         for ahead, behind in ((np.s_[:, 1:], np.s_[:, :-1]), (np.s_[1:, :], np.s_[:-1, :])):  # x, then y
             pairs = [m[ahead] & m[behind] for _, m in per_view]
             # |d[ahead] - d[behind]|, made and gathered one row band at a time
-            grad = _pool_bands(pairs, lambda i, s: np.abs(per_view[i][0][ahead][s] - per_view[i][0][behind][s]), tail=())
+            _, grad = _pool_bands(pairs, (lambda i, s: np.abs(per_view[i][0][ahead][s] - per_view[i][0][behind][s]), np.float64, ()))
             total += float(np.mean(grad)) if grad.size else 0.0
             del pairs, grad  # before the next gather or the next scale's grids
         per_view = [_pool_half(d, m) for d, m in per_view]

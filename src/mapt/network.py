@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
+import math
 import numbers
 import threading
 from dataclasses import dataclass, field
@@ -244,11 +245,51 @@ def init_weights(config: ModelConfig, seed: int) -> Weights:
 # primitive layers
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    from scipy.special import erf  # imported here: only the network needs scipy
+# Cephes ndtr.c erf (Moshier 1989): T/U on |x| <= 1, erfc's P/Q on 1 < |x| < 8
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1, 1.96520832956077098242e2,
+          5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
+          1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
 
+
+def _polevl(x: np.ndarray, c: tuple, p1: bool = False) -> np.ndarray:
+    """Cephes polevl(x, c), or p1evl (an implied leading 1): Horner from c[0]."""
+    y = x + c[0] if p1 else x * c[0] + c[1]
+    for k in c[1 if p1 else 2 :]:
+        y *= x
+        y += k
+    return y
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of each value, with the bits of Cephes erf, so of scipy.special.erf
+    (a NaN stays NaN; scipy's NaN is always positive).
+
+    The tail takes exp(-x^2) from libm through math.exp, as Cephes does:
+    numpy's own exp differs from it in the last bit. From |x| = 8 on, where
+    1 - erfc(x) rounds to 1, the tail is evaluated at 8.
+    """
+    with np.errstate(all="ignore"):  # the core may overflow at |x| > 1, where the tail overwrites it
+        z = x * x
+        out = _polevl(z, _ERF_T)
+        out *= x
+        out /= _polevl(z, _ERF_U, p1=True)
+        tail = np.flatnonzero(z > 1.0)  # exactly where |x| > 1
+        if tail.size:
+            xt = x.take(tail)
+            v = np.minimum(np.abs(xt), 8.0)
+            y = np.fromiter(map(math.exp, (-z.take(tail)).tolist()), np.float64, tail.size)
+            y *= _polevl(v, _ERF_P)
+            y /= _polevl(v, _ERF_Q, p1=True)
+            np.put(out, tail, np.copysign(np.subtract(1.0, y, out=y), xt))
+    return out
+
+
+def _gelu(x: np.ndarray) -> np.ndarray:
     # 0.5 * x * (1 + erf(x / sqrt 2)) with two temporaries, in the same order
-    e = erf(x / np.sqrt(2.0))
+    e = _erf(x / np.sqrt(2.0))
     e += 1.0
     e *= 0.5 * x
     return e
@@ -387,12 +428,13 @@ def encode_inputs(
     # pose scale over the views that actually provide translations
     pose_idx = [i for i in range(n) if poses[i] is not None]
     norm_trans = {}
-    z_p = None
+    zp = None
     if pose_idx:
         pf = factor_pose_scale(np.stack([poses[i].translation for i in pose_idx]))
-        z_p = pf.z_p
         for slot, i in enumerate(pose_idx):
             norm_trans[i] = pf.normalized_translations[slot]
+        if config.metric_pose_scale_given:  # one embedding, added to every view with a pose
+            zp = _layer_norm(_mlp4(np.array([encode_log_scale(pf.z_p)]), weights, "mlp_zp"), weights, "ln_zp")[None, :]
 
     ph, pw = h // cfg.patch, w // cfg.patch
     tokens = np.empty((n, ph * pw, cfg.dim))
@@ -416,9 +458,8 @@ def encode_inputs(
                 emb += _layer_norm(q, weights, "ln_quat")[None, :]
                 t = _mlp4(norm_trans[i], weights, "mlp_trans")
                 emb += _layer_norm(t, weights, "ln_trans")[None, :]
-                if config.metric_pose_scale_given:
-                    zp = _mlp4(np.array([encode_log_scale(z_p)]), weights, "mlp_zp")
-                    emb += _layer_norm(zp, weights, "ln_zp")[None, :]
+                if zp is not None:
+                    emb += zp
         tokens[g] = _layer_norm(embs, weights, "ln_fuse")
 
     with _task_map(_workers()) as run:

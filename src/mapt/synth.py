@@ -128,18 +128,18 @@ def _raycast_arrays(scene: AnalyticScene, origin: np.ndarray, dirs: np.ndarray) 
     d = np.asarray(dirs, dtype=np.float64)
     o = np.asarray(origin, dtype=np.float64).reshape(3)
     best = np.full(d.shape[:-1], np.inf)
+    flat = best.reshape(-1)  # a view: best is contiguous
     for c, r in zip(scene.centers, scene.radii):
         oc = o - c
         b = 2.0 * (d @ oc)
         c0 = float(oc @ oc - r * r)
         disc = b * b - 4.0 * c0
-        hit = disc >= 0.0
-        sq = np.sqrt(np.where(hit, disc, 0.0))
-        t0 = (-b - sq) / 2.0
-        t1 = (-b + sq) / 2.0
-        t = np.where(t0 > RAY_HIT_EPS, t0, np.where(t1 > RAY_HIT_EPS, t1, np.inf))
-        t = np.where(hit, t, np.inf)
-        best = np.minimum(best, t)
+        # the roots only where the ray meets the sphere
+        hit = np.flatnonzero(disc >= 0.0)
+        bh, sq = b.reshape(-1)[hit], np.sqrt(disc.reshape(-1)[hit])
+        t0 = (-bh - sq) / 2.0
+        t1 = (-bh + sq) / 2.0
+        flat[hit] = np.minimum(flat[hit], np.where(t0 > RAY_HIT_EPS, t0, np.where(t1 > RAY_HIT_EPS, t1, np.inf)))
     if scene.ground_plane is not None:
         dz = d[..., 2]
         safe = np.abs(dz) > 1e-12

@@ -363,6 +363,38 @@ class TestTypeInvariants:
         with pytest.raises(ShapeError, match="4 quaternion and 3 translation components"):
             Pose(rotation, translation)
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: RayMap("x"), "ray directions"),
+            (lambda: DepthAlongRay("x", np.ones((1, 1), bool)), "depth values"),
+            (lambda: MetricScale("a"), "metric scale"),
+            (lambda: MetricScale(None), "metric scale"),
+            (lambda: Pose("abcd", [0.0, 0.0, 0.0]), "pose components"),
+            (lambda: Pose([1.0, 0.0, 0.0, 0.0], [0.0, "y", 0.0]), "pose components"),
+            (lambda: PointMap("x", np.ones((1, 1), bool)), "pointmap points"),
+            (lambda: TestTypeInvariants._view(confidence="c"), "confidence"),
+            (lambda: TestTypeInvariants._view(mask_prob=[[0.5, "p"]]), "mask probabilities"),
+        ],
+    )
+    def test_wrong_python_types_are_invalid_values(self, make, field):
+        with pytest.raises(InvalidValueError, match=f"{field}.* must be real numbers"):
+            make()
+
+    @pytest.mark.parametrize("fx", ["a", None, 1 + 2j, "1.5"])
+    def test_wrong_python_type_intrinsics_are_invalid(self, fx):
+        with pytest.raises(InvalidIntrinsicsError, match="intrinsics must be real numbers"):
+            Intrinsics(fx, 1.0, 0.0, 0.0)
+
+    def test_accepted_types_store_the_same_values(self):
+        # what the constructors accepted before the type checks, they store as before
+        assert MetricScale("2.5").value == 2.5 and MetricScale(np.float32(0.5)).value == 0.5
+        assert Intrinsics(np.float32(2.0), 3, 0, True).fx == np.float32(2.0)
+        assert Pose([1, 0, 0, 0], (1, 2, 3)).translation.tolist() == [1.0, 2.0, 3.0]
+        np.testing.assert_array_equal(RayMap([[[0, 0, 1]]]).directions, [[[0.0, 0.0, 1.0]]])
+        d = DepthAlongRay([[1, 2]], [[1, 0]])
+        assert d.values.tolist() == [[1.0, 0.0]] and d.validity.tolist() == [[True, False]]
+
     @staticmethod
     def _view(confidence=None, mask_prob=None):
         rays = RayMap(np.tile(np.array([0.0, 0.0, 1.0]), (1, 2, 1)))

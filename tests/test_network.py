@@ -106,6 +106,37 @@ def _reference_encoder(x, w: Weights, layer_indices, heads):
     return ln(x, w["ln_out.g"], w["ln_out.b"])
 
 
+class TestErf:
+    """network._erf has the bits of scipy.special.erf (Cephes erf), and warns
+    on no input (pyproject turns warnings into errors)."""
+
+    EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0), 5.9, 6.0,
+             np.nextafter(8.0, 0.0), 8.0, 26.0, 27.0, 30.0, -30.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 5e-324,
+             1e308, -1e308, 1e154, 1e155, 1e40, -1e40]
+
+    @staticmethod
+    def _same_bits(x):
+        got, want = network._erf(x), erf(x)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_gelu_input_range(self):
+        # GELU inputs after the division by sqrt 2 (sigma about 0.42), wider
+        # draws, and draws around |x| = 1, where the tail starts
+        rng = np.random.default_rng(0)
+        for x in (rng.normal(0.0, 0.42, 600_000), rng.normal(0.0, 1.0, 200_000), rng.normal(0.0, 3.0, 100_000),
+                  rng.uniform(-9.0, 9.0, 100_000), rng.uniform(0.99, 1.01, 100_000)):
+            self._same_bits(x)
+            self._same_bits(x.reshape(-1, 50).T)  # not C-contiguous
+
+    def test_edge_values(self):
+        self._same_bits(np.array(self.EDGES))
+        for v in self.EDGES:  # a tail of at most one value
+            self._same_bits(np.array([v]))
+            self._same_bits(np.array([[0.25, v], [-0.5, 0.75]]))
+        assert np.isnan(network._erf(np.array([-np.nan]))[0])
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(InvalidValueError):
@@ -298,7 +329,6 @@ class TestAlternatingAttention:
     def test_global_attention_peak_memory_below_a_tenth_of_one_dense_score_array(self, monkeypatch):
         # each worker holds one head's rows x T score tile: about 20 MB in all
         # against 38 MB, and 41 MB with every head's scores in one buffer
-        # (scipy is already imported here; its first import adds about 14 MB)
         peak, dense = self._global_layer_peak(monkeypatch)
         assert peak < dense / 10
 
