@@ -141,4 +141,6 @@ def metric_norm_scale(m: MetricScale, z_pred: NormScale) -> NormScale:
     Contract: the scale loss treats z_pred as a constant (stop-gradient), so
     its analytic derivative with respect to any geometry prediction is zero.
     """
+    if not isinstance(m, MetricScale) or not isinstance(z_pred, NormScale):
+        raise InvalidValueError(f"metric_norm_scale needs a MetricScale and a NormScale, got {type(m).__name__} and {type(z_pred).__name__}")
     return NormScale(m.value * z_pred.value)

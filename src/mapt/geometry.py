@@ -615,6 +615,8 @@ def ray_angular_error(pred: RayMap, gt: RayMap) -> float:
     The cosine divides by both norms so the tolerated 1e-6 unit-length slack
     does not register as angular error.
     """
+    if not isinstance(pred, RayMap) or not isinstance(gt, RayMap):
+        raise InvalidValueError(f"ray_angular_error needs two RayMaps, got {type(pred).__name__} and {type(gt).__name__}")
     if pred.directions.shape != gt.directions.shape:
         raise ShapeError("ray map resolutions differ")
     a, b = pred.directions.reshape(-1, 3), gt.directions.reshape(-1, 3)

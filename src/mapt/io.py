@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -47,20 +48,33 @@ MANIFEST_VERSION = 1
 _VIEW_TENSORS = ("rays", "depth", "validity", "mask")
 
 
+@contextlib.contextmanager
+def _overwrite(path):
+    """``path`` opened for binary writing, and cut at the end of what the block
+    wrote, not before it: ext4 starts writing back a file truncated to 0 and
+    written again at its close (auto_da_alloc), which costs far more than the write."""
+    with open(path, "wb", opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as f:
+        yield f
+        f.truncate()
+
+
 def write_tensor(path, arr: np.ndarray) -> None:
     arr = np.asarray(arr)
     code = DTYPE_U8 if arr.dtype in (np.bool_, np.uint8) else DTYPE_F32
-    with open(path, "wb") as f:
+    with _overwrite(path) as f:
         f.write(MAGIC + struct.pack(f"<BBB{arr.ndim}I", TENSOR_VERSION, code, arr.ndim, *arr.shape))
-        arr.astype(_DTYPES[code], copy=False).tofile(f)
+        f.write(np.ascontiguousarray(arr, dtype=_DTYPES[code]))  # C order; a copy only to cast or reorder
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=0, opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as f:
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):  # a FIFO, say: O_NONBLOCK kept its open from waiting for a writer
+            raise FormatError(f"{path}: not a regular file")
         head = f.read(7)
         if len(head) < 7 or head[:4] != MAGIC:
             raise FormatError(f"{path}: not a MAPT tensor file")
-        version, code, ndim = struct.unpack("<BBB", head[4:7])
+        version, code, ndim = head[4:7]
         if version != TENSOR_VERSION:
             raise FormatError(f"{path}: unsupported tensor version {version}")
         dims = f.read(4 * ndim)
@@ -69,14 +83,18 @@ def read_tensor(path) -> np.ndarray:
         if code not in _DTYPES:
             raise FormatError(f"{path}: unknown dtype code {code}")
         dims = struct.unpack(f"<{ndim}I", dims)
-        # the element count as an exact Python int: a uint64 product can wrap around
-        count = np.prod(dims, dtype=object)
-        if os.fstat(f.fileno()).st_size - f.tell() != _DTYPES[code].itemsize * count:
+        if st.st_size - 7 - 4 * ndim != _DTYPES[code].itemsize * math.prod(dims):  # Python ints: no uint64 wrap-around
             raise FormatError(f"{path}: payload size mismatch")
         try:
-            return np.fromfile(f, dtype=_DTYPES[code], count=count).reshape(dims)
+            arr = np.empty(dims, _DTYPES[code])
         except ValueError as exc:  # dims numpy cannot hold: more than 64, or huge ones beside a 0
             raise FormatError(f"{path}: unsupported tensor shape {dims}") from exc
+        buf = arr.reshape(-1).view(np.uint8)
+        while buf.size and (n := f.readinto(buf)):  # one read may return less than asked
+            buf = buf[n:]
+        if buf.size:  # the file shrank: no unread part of the array is returned
+            raise FormatError(f"{path}: payload size mismatch")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +244,8 @@ def _write_dir(path, scene, masks: list, confidences: list, entries: list) -> No
             {"width": v.rays.width, "height": v.rays.height, **extra, "pose": _pose_list(v.pose), "files": files}
         )
     manifest = {"version": MANIFEST_VERSION, "n_views": scene.n_views, "metric_scale": float(scene.scale.value), "views": views}
-    (path / MANIFEST_NAME).write_text(_json_text(manifest))
+    with _overwrite(path / MANIFEST_NAME) as f:
+        f.write(_json_text(manifest).encode())
 
 
 def _load_manifest(path: Path) -> dict:
@@ -271,17 +290,19 @@ def _read_views(path: Path, view) -> tuple[list, MetricScale]:
     with ``arrays`` the view's tensors by key. A constructor's fault names
     the directory and the view, and the file when it reads one tensor."""
     manifest = _load_manifest(path)
+    prefix = "" if str(path) == "." else os.path.join(path, "")  # so that prefix + name is str(path / name)
     views = []
     for i, entry in enumerate(manifest["views"]):
         files = entry["files"]
+        names = {key: str(path / name) if "/" in name else prefix + name for key, name in files.items()}
         for key in _VIEW_TENSORS:
-            if key not in files or not (path / files[key]).is_file():
+            if key not in names or not os.path.isfile(names[key]):
                 raise FormatError(f"{path}: missing tensor file for {key!r}")
         hw = (entry["height"], entry["width"])
         arrays = {}
         for key in (*_VIEW_TENSORS, "confidence"):
-            if key in files:
-                arrays[key] = read_tensor(path / files[key])
+            if key in names:
+                arrays[key] = read_tensor(names[key])
                 want = (*hw, 3) if key == "rays" else hw
                 if arrays[key].shape != want:
                     raise FormatError(f"{path}: view {i} {key!r} tensor is {arrays[key].shape}, manifest gives {want}")
@@ -346,7 +367,7 @@ def write_ply(path, points: np.ndarray, colors: np.ndarray) -> None:
     props = "".join(f"property {'float' if t == '<f4' else 'uchar'} {name}\n" for name, t in vertex)
     header = f"ply\nformat binary_little_endian 1.0\nelement vertex {points.shape[0]}\n{props}end_header\n".encode("ascii")
     rec = np.zeros(blocks[0].stop if blocks else 0, dtype=vertex)
-    with open(path, "wb") as f:
+    with _overwrite(path) as f:
         f.write(header)
         for s in blocks:
             r = rec[: s.stop - s.start]

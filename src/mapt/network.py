@@ -306,8 +306,10 @@ def _linear(x: np.ndarray, w: Weights, name: str) -> np.ndarray:
 
 
 def _mlp4(x: np.ndarray, w: Weights, name: str) -> np.ndarray:
+    """The MLP of each row of a (k, fin) stack: one gemv per row and layer, so a
+    row gets the bits it gets alone, and one GELU per layer over the stack."""
     for i in range(4):
-        x = _linear(x, w, f"{name}.{i}")
+        x = np.array([_linear(row, w, f"{name}.{i}") for row in x])
         if i < 3:
             x = _gelu(x)
     return x
@@ -425,16 +427,17 @@ def encode_inputs(
     if any(x is not None and (x.height, x.width) != (h, w) for x in (*rays, *depths)):
         raise ShapeError(f"ray maps and depths must have the images' resolution {h}x{w}")
 
-    # pose scale over the views that actually provide translations
+    # pose scale over the views that actually provide translations, and their pose embeddings by view
     pose_idx = [i for i in range(n) if poses[i] is not None]
-    norm_trans = {}
+    pose_emb = {}
     zp = None
     if pose_idx:
         pf = factor_pose_scale(np.stack([poses[i].translation for i in pose_idx]))
-        for slot, i in enumerate(pose_idx):
-            norm_trans[i] = pf.normalized_translations[slot]
+        q = _layer_norm(_mlp4(np.stack([poses[i].rotation for i in pose_idx]), weights, "mlp_quat"), weights, "ln_quat")
+        t = _layer_norm(_mlp4(pf.normalized_translations, weights, "mlp_trans"), weights, "ln_trans")
+        pose_emb = dict(zip(pose_idx, zip(q, t)))
         if config.metric_pose_scale_given:  # one embedding, added to every view with a pose
-            zp = _layer_norm(_mlp4(np.array([encode_log_scale(pf.z_p)]), weights, "mlp_zp"), weights, "ln_zp")[None, :]
+            zp = _layer_norm(_mlp4(np.array([[encode_log_scale(pf.z_p)]]), weights, "mlp_zp"), weights, "ln_zp")
 
     ph, pw = h // cfg.patch, w // cfg.patch
     tokens = np.empty((n, ph * pw, cfg.dim))
@@ -451,13 +454,11 @@ def encode_inputs(
                 d = _linear(_patchify(df.normalized.values[:, :, None], cfg.patch), weights, "patch_depth")
                 emb += _layer_norm(d, weights, "ln_depth")
                 if config.metric_depth_scale_given:
-                    zd = _mlp4(np.array([encode_log_scale(df.z_d)]), weights, "mlp_zd")
-                    emb += _layer_norm(zd, weights, "ln_zd")[None, :]
+                    zd = _mlp4(np.array([[encode_log_scale(df.z_d)]]), weights, "mlp_zd")
+                    emb += _layer_norm(zd, weights, "ln_zd")
             if poses[i] is not None:
-                q = _mlp4(poses[i].rotation, weights, "mlp_quat")
-                emb += _layer_norm(q, weights, "ln_quat")[None, :]
-                t = _mlp4(norm_trans[i], weights, "mlp_trans")
-                emb += _layer_norm(t, weights, "ln_trans")[None, :]
+                emb += pose_emb[i][0]
+                emb += pose_emb[i][1]
                 if zp is not None:
                     emb += zp
         tokens[g] = _layer_norm(embs, weights, "ln_fuse")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDepthError, InsufficientComponentError, InvalidValueError, ShapeError
-from .geometry import DepthAlongRay, _blocks, _check_counts, _pool, _rng, _task_map, quat_to_rot
+from .geometry import DepthAlongRay, _blocks, _check_counts, _pool, _rng, _task_map, _usable_cpus, quat_to_rot
 from .synth import SceneSample
 
 # Training-time conditioning probabilities.
@@ -121,8 +121,8 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
     A valid pixel of view i is covisible in view j when its world point lands
     in front of j, projects inside j's image, the nearest pixel is valid, and
     the reprojected ray depth matches the sampled one within rel_depth_tol.
-    Rows (source views) run on ``jobs`` threads (None: one per usable CPU;
-    1: in the calling thread).
+    Rows (source views) run on ``jobs`` threads (None: one per usable CPU), but
+    on no more than one per _COVIS_BLOCK (target, pixel) pairs; one thread is the caller's.
     """
     if jobs is not None and jobs < 1:
         raise InvalidValueError("jobs must be >= 1")
@@ -237,7 +237,8 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         row[i] = 1.0
         return row
 
-    with _task_map(jobs) as run:
+    pairs = (len(views) - 1) * sum(int(np.count_nonzero(v.depth.validity)) for v in views)
+    with _task_map(min(_usable_cpus() if jobs is None else jobs, max(1, pairs // _COVIS_BLOCK))) as run:
         return CovisGraph(np.array(run(covis_row, range(len(views)))))
 
 

@@ -192,3 +192,8 @@ class TestMetricNormScale:
     def test_products(self):
         assert metric_norm_scale(MetricScale(1.0), NormScale(2.0)).value == 2.0
         assert metric_norm_scale(MetricScale(3.0), NormScale(0.5)).value == 1.5
+
+    @pytest.mark.parametrize("args", [([], []), (MetricScale(2.0), 0.5), (2.0, NormScale(0.5))])
+    def test_other_types_raise_invalid_value(self, args):
+        with pytest.raises(InvalidValueError, match="metric_norm_scale needs a MetricScale and a NormScale"):
+            metric_norm_scale(*args)

@@ -320,6 +320,12 @@ class TestRayAngularError:
         with pytest.raises(ShapeError):
             ray_angular_error(self._const_map([0, 0, 1.0], 2, 2), self._const_map([0, 0, 1.0], 2, 3))
 
+    def test_bare_arrays_raise_invalid_value(self):
+        r = self._const_map([0.0, 0.0, 1.0])
+        for args in ((r.directions, r.directions), (r, r.directions), (r.directions, r)):
+            with pytest.raises(InvalidValueError, match="ray_angular_error needs two RayMaps, got "):
+                ray_angular_error(*args)
+
 
 class TestTypeInvariants:
     def test_raymap_rejects_non_unit(self):

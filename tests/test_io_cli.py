@@ -8,6 +8,7 @@ import operator
 import os
 import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -141,6 +142,144 @@ class TestTensorContainer:
                 return
             write_tensor(path, back)
             assert path.read_bytes() == data
+
+
+class TestLeanReader:
+    """The contract of the reader that opens each tensor file once: what it
+    returns, and the errors a directory of odd files gives through
+    read_scene, read_factored and the CLI."""
+
+    @pytest.fixture
+    def no_hang(self):
+        """Fail a read that blocks (on a FIFO, say) instead of hanging the suite."""
+
+        def hung(signum, frame):
+            pytest.fail("the read blocked")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture
+    def dirs(self, tmp_path):
+        """A ground-truth scene directory and a predicted one (with confidence tensors)."""
+        _, sample = gen_scene(n_views=2, width=16, height=12, n_spheres=3, seed=33)
+        write_scene(tmp_path / "s", sample)
+        write_factored(tmp_path / "p", sample.as_factored_scene())
+        return tmp_path / "s", tmp_path / "p"
+
+    @staticmethod
+    def _cli_error(capsys, scene) -> str:
+        assert main(["covis", "--scene", str(scene)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: format: ")
+        return err[0]
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory", "dangling link"])
+    def test_non_regular_tensor_file_is_missing(self, dirs, capsys, no_hang, kind):
+        for d in dirs:
+            path = d / "view_000_depth.mapt"
+            path.unlink()
+            if kind == "fifo":
+                os.mkfifo(path)
+            elif kind == "directory":
+                path.mkdir()
+            else:
+                path.symlink_to(d / "nowhere.mapt")
+            message = f"{d}: missing tensor file for 'depth'"
+            for reader in (read_scene, read_factored):
+                with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+                    reader(d)
+        assert self._cli_error(capsys, dirs[0]) == f"error: format: {dirs[0]}: missing tensor file for 'depth'"
+
+    def test_fifo_confidence_file_does_not_block(self, dirs, no_hang):
+        # the optional confidence tensor is not checked before the reads: its
+        # read refuses a FIFO, and a missing file or a directory gives the OSError of its open
+        path = dirs[1] / "view_001_confidence.mapt"
+        path.unlink()
+        with pytest.raises(FileNotFoundError):
+            read_factored(dirs[1])
+        path.mkdir()
+        with pytest.raises(IsADirectoryError):
+            read_factored(dirs[1])
+        path.rmdir()
+        os.mkfifo(path)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not a regular file$"):
+            read_factored(dirs[1])
+
+    def test_read_tensor_of_a_fifo_does_not_block(self, tmp_path, no_hang):
+        os.mkfifo(tmp_path / "t.mapt")
+        with pytest.raises(FormatError, match="not a regular file"):
+            read_tensor(tmp_path / "t.mapt")
+        with pytest.raises(IsADirectoryError):
+            read_tensor(tmp_path)
+
+    def test_missing_depth_is_reported_before_corrupt_rays(self, dirs, capsys):
+        for d in dirs:
+            (d / "view_000_depth.mapt").unlink()
+            (d / "view_000_rays.mapt").write_bytes(b"NOPE")
+            for reader in (read_scene, read_factored):
+                with pytest.raises(FormatError, match=re.escape(f"{d}: missing tensor file for 'depth'")):
+                    reader(d)
+        assert "missing tensor file for 'depth'" in self._cli_error(capsys, dirs[0])
+
+    def test_short_payload_is_a_size_mismatch(self, dirs, capsys):
+        path = dirs[0] / "view_001_validity.mapt"
+        path.write_bytes(path.read_bytes()[:-1])
+        for reader in (read_scene, read_factored):
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: payload size mismatch$"):
+                reader(dirs[0])
+        assert self._cli_error(capsys, dirs[0]) == f"error: format: {path}: payload size mismatch"
+
+    def test_read_that_comes_up_short_is_a_size_mismatch(self, tmp_path, monkeypatch):
+        # fstat reports the size the header promises, but the file ends one element early:
+        # the read comes up short, and no unread part of the array is returned
+        path = tmp_path / "t.mapt"
+        write_tensor(path, np.arange(6, dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:-4])
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((*fstat(fd)[:6], fstat(fd).st_size + 4, *fstat(fd)[7:10])))
+        with pytest.raises(FormatError, match="payload size mismatch"):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (0, 2, 3), (5,), (4, 3), (2, 3, 3)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.bool_, np.float64])
+    def test_read_tensor_returns_writable_contiguous_arrays(self, tmp_path, shape, dtype):
+        arr = (np.arange(int(np.prod(shape))) % 3).astype(dtype).reshape(shape)
+        write_tensor(tmp_path / "t.mapt", arr)
+        back = read_tensor(tmp_path / "t.mapt")
+        assert back.dtype == (np.uint8 if dtype in (np.uint8, np.bool_) else np.float32)
+        assert back.shape == shape
+        assert back.flags.writeable and back.flags.c_contiguous
+        np.testing.assert_array_equal(back, arr.astype(back.dtype))
+
+    def test_overwriting_longer_files_leaves_no_stale_bytes(self, tmp_path):
+        # the writers cut a file at the end of what they wrote, not before it
+        _, big = gen_scene(n_views=3, width=24, height=18, n_spheres=3, seed=5)
+        _, small = gen_scene(n_views=2, width=16, height=12, n_spheres=3, seed=6)
+        for write, a, b in ((write_scene, big, small), (write_factored, big.as_factored_scene(), small.as_factored_scene())):
+            write(tmp_path / "fresh", b)
+            write(tmp_path / "over", a)
+            write(tmp_path / "over", b)
+            for f in sorted((tmp_path / "fresh").iterdir()):
+                assert (tmp_path / "over" / f.name).read_bytes() == f.read_bytes()
+            shutil.rmtree(tmp_path / "fresh")
+            shutil.rmtree(tmp_path / "over")
+        pts = np.arange(60, dtype=np.float64).reshape(20, 3)
+        write_ply(tmp_path / "fresh.ply", pts[:5], np.zeros((5, 3)))
+        write_ply(tmp_path / "over.ply", pts, np.zeros((20, 3)))
+        write_ply(tmp_path / "over.ply", pts[:5], np.zeros((5, 3)))
+        assert (tmp_path / "over.ply").read_bytes() == (tmp_path / "fresh.ply").read_bytes()
+
+    def test_write_tensor_writes_non_contiguous_arrays_in_c_order(self, tmp_path):
+        arr = np.arange(24, dtype=np.float64).reshape(4, 6)
+        for view in (arr.T, arr[::2, ::3], np.asfortranarray(arr)):
+            write_tensor(tmp_path / "t.mapt", view)
+            raw = (tmp_path / "t.mapt").read_bytes()
+            assert raw[7 + 4 * view.ndim :] == np.ascontiguousarray(view, dtype=np.float32).tobytes()
+            np.testing.assert_array_equal(read_tensor(tmp_path / "t.mapt"), view.astype(np.float32))
 
 
 class TestSceneRoundTrip:

@@ -51,6 +51,11 @@ def _mixed_resolution_scene():
     return SceneSample(views=[a.views[0], b.views[1], a.views[1], b.views[2], a.views[2]], scale=a.scale)
 
 
+# a _COVIS_BLOCK that gives the 4-view 24x18 scenes below many blocks of pairs,
+# so that covisibility with jobs > 1 runs them on a pool
+_SMALL_BLOCK = 64
+
+
 class TestCovisibility:
     def test_identical_cameras_full_overlap(self):
         scene = _scene_from_poses([Pose.identity(), Pose.identity()])
@@ -90,7 +95,7 @@ class TestCovisibility:
         np.testing.assert_array_equal(got, brute_force_covisibility(scene))
         assert np.all(got[~np.eye(5, dtype=bool)] > 0.0)
 
-    def test_degenerate_and_far_off_projections_match_brute_force(self):
+    def test_degenerate_and_far_off_projections_match_brute_force(self, monkeypatch):
         """Pairs whose u, v are 0/0, far beyond int64 or far off the image
         count as the per-pixel reference counts them, with no warning.
 
@@ -118,11 +123,13 @@ class TestCovisibility:
             views.append(ViewSample(intrinsics=intrinsics, rays=rays, depth=depth, mask=mask, pose=pose))
         sample = SceneSample(views=views, scale=MetricScale(1.0))
         assert np.array_equal(sample.views[1].pose.translation, on_surface)
+        monkeypatch.setattr(viewgraph, "_COVIS_BLOCK", _SMALL_BLOCK)  # so that jobs=2 runs on a pool
         for jobs in (1, 2):
             np.testing.assert_array_equal(covisibility(sample, jobs=jobs).fraction, brute_force_covisibility(sample))
 
-    def test_serial_equals_parallel(self):
+    def test_serial_equals_parallel(self, monkeypatch):
         _, scene = gen_scene(n_views=4, width=24, height=18, n_spheres=4, seed=14)
+        monkeypatch.setattr(viewgraph, "_COVIS_BLOCK", _SMALL_BLOCK)  # so that jobs > 1 runs on a pool
         serial = covisibility(scene, jobs=1).fraction
         for jobs in (2, 4, None):
             np.testing.assert_array_equal(covisibility(scene, jobs=jobs).fraction, serial)
@@ -145,6 +152,7 @@ class TestCovisibility:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(geometry, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(viewgraph, "_COVIS_BLOCK", _SMALL_BLOCK)  # enough blocks for a thread per CPU
         _, scene = gen_scene(n_views=4, width=24, height=18, n_spheres=4, seed=14)
         got = covisibility(scene).fraction
         assert sizes == [3 if affinity else 5]
@@ -157,6 +165,36 @@ class TestCovisibility:
         monkeypatch.setattr(geometry, "ThreadPoolExecutor", no_pool)
         _, scene = gen_scene(n_views=4, width=24, height=18, n_spheres=4, seed=14)
         np.testing.assert_array_equal(covisibility(scene, jobs=1).fraction, brute_force_covisibility(scene))
+
+    def test_less_than_a_block_runs_in_the_calling_thread(self, monkeypatch):
+        _, scene = gen_scene(n_views=4, width=56, height=56, n_spheres=4, seed=0)
+        pairs = 3 * sum(int(v.depth.validity.sum()) for v in scene.views)
+        assert 0 < pairs < viewgraph._COVIS_BLOCK
+        serial = covisibility(scene, jobs=1).fraction
+
+        def no_pool(*args, **kwargs):
+            pytest.fail("covisibility of less than one block of pairs started a pool")
+
+        monkeypatch.setattr(geometry, "ThreadPoolExecutor", no_pool)
+        np.testing.assert_array_equal(covisibility(scene, jobs=2).fraction, serial)
+        np.testing.assert_array_equal(covisibility(scene).fraction, serial)
+
+    @pytest.mark.parametrize("blocks, workers", [(1, None), (2, 2), (3, 3), (9, 4)])
+    def test_one_thread_per_block_of_pairs_at_most(self, monkeypatch, blocks, workers):
+        _, scene = gen_scene(n_views=4, width=24, height=18, n_spheres=4, seed=14)
+        pairs = 3 * sum(int(v.depth.validity.sum()) for v in scene.views)
+        monkeypatch.setattr(viewgraph, "_COVIS_BLOCK", pairs // blocks)
+        sizes = []
+
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(geometry, "ThreadPoolExecutor", Spy)
+        got = covisibility(scene, jobs=4).fraction
+        assert sizes == ([] if workers is None else [workers])
+        np.testing.assert_array_equal(got, brute_force_covisibility(scene))
 
     def test_diagonal_exactly_one(self, small_scene):
         g = covisibility(small_scene)
