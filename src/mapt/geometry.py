@@ -291,11 +291,11 @@ def _blocks(n: int, width: int = 1, budget: int | None = None) -> list[slice]:
 
 
 @contextlib.contextmanager
-def _task_map(workers: int | None):
-    """Yield run(fn, tasks): the list of fn over tasks, in order, inline for
-    one task or one worker and otherwise on one pool of ``workers`` threads
-    (None: one per usable CPU), whose threads start on first use."""
-    workers = _usable_cpus() if workers is None else workers
+def _task_map(jobs: int | None, most: int):
+    """Yield run(fn, tasks): the list of fn over tasks, in order, on ``jobs``
+    threads (None: one per usable CPU) but at most ``most``, the threads the
+    caller's work can use. One task or one thread runs inline, others on one pool."""
+    workers = min(_usable_cpus() if jobs is None else jobs, most)
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
         yield lambda fn, tasks: list(map(fn, tasks) if pool is None or len(tasks) < 2 else pool.map(fn, tasks))
 

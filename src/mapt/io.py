@@ -295,17 +295,17 @@ def _read_views(path: Path, view) -> tuple[list, MetricScale]:
     for i, entry in enumerate(manifest["views"]):
         files = entry["files"]
         names = {key: str(path / name) if "/" in name else prefix + name for key, name in files.items()}
-        for key in _VIEW_TENSORS:
+        keys = (*_VIEW_TENSORS, "confidence") if "confidence" in names else _VIEW_TENSORS
+        for key in keys:  # a listed tensor that is not a regular file is missing, whatever its slot
             if key not in names or not os.path.isfile(names[key]):
                 raise FormatError(f"{path}: missing tensor file for {key!r}")
         hw = (entry["height"], entry["width"])
         arrays = {}
-        for key in (*_VIEW_TENSORS, "confidence"):
-            if key in names:
-                arrays[key] = read_tensor(names[key])
-                want = (*hw, 3) if key == "rays" else hw
-                if arrays[key].shape != want:
-                    raise FormatError(f"{path}: view {i} {key!r} tensor is {arrays[key].shape}, manifest gives {want}")
+        for key in keys:
+            arrays[key] = read_tensor(names[key])
+            want = (*hw, 3) if key == "rays" else hw
+            if arrays[key].shape != want:
+                raise FormatError(f"{path}: view {i} {key!r} tensor is {arrays[key].shape}, manifest gives {want}")
         with _located(f"{path}: view {i}: {files['rays']}"):
             rays = RayMap(arrays["rays"])
         with _located(f"{path}: view {i}"):

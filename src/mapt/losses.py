@@ -39,6 +39,7 @@ from .geometry import (
     _pool_composed,
     _rowwise,
 )
+from .synth import SceneSample
 
 # Weight of each term in the total objective, in the order the total adds
 # them: the global pointmap term is up-weighted and the mask term
@@ -352,14 +353,15 @@ def loss_mask(pred_prob: list[np.ndarray], gt: list[np.ndarray]) -> float:
 # total
 
 
-def total_loss(pred: FactoredScene, gt, synthetic: bool = False) -> LossReport:
+def total_loss(pred: FactoredScene, gt: SceneSample, synthetic: bool = False) -> LossReport:
     """Full weighted objective of a predicted factored scene against ground truth.
 
-    ``gt`` is a ground-truth scene sample (see mapt.synth.SceneSample). The
-    normal and gradient-matching terms are forced to 0 unless ``synthetic``
+    The normal and gradient-matching terms are forced to 0 unless ``synthetic``
     is set. Pixels enter the dense losses through the ground-truth validity
     masks; the prediction normalizer z_pred uses the same masks.
     """
+    if not isinstance(pred, FactoredScene) or not isinstance(gt, SceneSample):
+        raise InvalidValueError(f"total_loss needs a FactoredScene and a SceneSample, got {type(pred).__name__} and {type(gt).__name__}")
     masks = [g.depth.validity for g in gt.views]
     confs = [v.confidence if v.confidence is not None else np.ones(v.depth.values.shape) for v in pred.views]
     offsets, c, pv = _pool("total loss", masks, confs, [v.depth.validity for v in pred.views])

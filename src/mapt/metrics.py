@@ -222,6 +222,8 @@ def evaluate_scene(pred: FactoredScene, gt: SceneSample, align_points: bool = Fa
     that relative distance is below (tau - 1). With align_points set, one
     global least-squares scale is fitted to the predicted points first.
     """
+    if not isinstance(pred, FactoredScene) or not isinstance(gt, SceneSample):
+        raise InvalidValueError(f"evaluate_scene needs a FactoredScene and a SceneSample, got {type(pred).__name__} and {type(gt).__name__}")
     masks = [g.depth.validity for g in gt.views]
 
     _, dp, dg = _pool("evaluate scene", masks, [v.depth.values for v in pred.views], [g.depth.values for g in gt.views])

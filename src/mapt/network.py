@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidValueError, NumericOverflowError, ShapeError
 from .factorization import encode_log_scale, factor_depth, factor_pose_scale
-from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, Pose, RayMap, _blocks, _norm3, _rng, _task_map, _usable_cpus
+from .geometry import DepthAlongRay, FactoredScene, FactoredView, MetricScale, Pose, RayMap, _blocks, _norm3, _rng, _task_map
 from .viewgraph import InputConfig
 
 EXP_CLIP = 30.0
@@ -56,39 +56,35 @@ def _openblas_threads():
 _BLAS = _openblas_threads()
 
 
-def _workers() -> int:
-    """Threads that run a stage's tasks: one per usable CPU, at most
-    _MAX_WORKERS. One (no pool) without the OpenBLAS symbols, since BLAS may
-    then run its own threads."""
-    return 1 if _BLAS is None else min(_usable_cpus(), _MAX_WORKERS)
+_BLAS_LOCK = threading.Lock()
+_blas_users = _blas_saved = 0  # the stages inside _stage, and the thread count the first of them saved
 
 
-class _OneBlasThread(contextlib.ContextDecorator):
-    """Decorator holding OpenBLAS at one thread while a network stage runs, or
-    doing nothing without the symbols. The count is process-global: the first
-    stage to enter saves it and the last to leave restores it, so stages
-    running on several threads at once nest safely."""
-
-    def __init__(self):
-        self.lock, self.users, self.saved = threading.Lock(), 0, 0
-
-    def __enter__(self):
-        if _BLAS is not None:
-            with self.lock:
-                if self.users == 0:
-                    self.saved = _BLAS[0]()
-                    _BLAS[1](1)
-                self.users += 1
-
-    def __exit__(self, *exc):
-        if _BLAS is not None:
-            with self.lock:
-                self.users -= 1
-                if self.users == 0:
-                    _BLAS[1](self.saved)
-
-
-_one_blas_thread = _OneBlasThread()
+@contextlib.contextmanager
+def _stage():
+    """The scope of one network stage: it holds OpenBLAS at one thread and
+    yields the stage's task runner (geometry._task_map) on at most
+    _MAX_WORKERS threads. The count is process-global: the first stage to
+    enter saves it and the last to leave restores it, so stages running on
+    several threads at once nest safely. Without the OpenBLAS symbols nothing
+    is held and the tasks run inline, since BLAS may then run its own threads."""
+    global _blas_users, _blas_saved
+    blas = _BLAS
+    if blas is not None:
+        with _BLAS_LOCK:
+            if _blas_users == 0:
+                _blas_saved = blas[0]()
+                blas[1](1)
+            _blas_users += 1
+    try:
+        with _task_map(None, 1 if blas is None else _MAX_WORKERS) as run:
+            yield run
+    finally:
+        if blas is not None:
+            with _BLAS_LOCK:
+                _blas_users -= 1
+                if _blas_users == 0:
+                    blas[1](_blas_saved)
 
 
 @dataclass
@@ -383,7 +379,6 @@ def _patchify(arr: np.ndarray, patch: int) -> np.ndarray:
     return arr.reshape(*lead, (h // patch) * (w // patch), patch * patch * c)
 
 
-@_one_blas_thread
 def encode_inputs(
     images: list[np.ndarray],
     config: InputConfig,
@@ -427,43 +422,43 @@ def encode_inputs(
     if any(x is not None and (x.height, x.width) != (h, w) for x in (*rays, *depths)):
         raise ShapeError(f"ray maps and depths must have the images' resolution {h}x{w}")
 
-    # pose scale over the views that actually provide translations, and their pose embeddings by view
-    pose_idx = [i for i in range(n) if poses[i] is not None]
-    pose_emb = {}
-    zp = None
-    if pose_idx:
-        pf = factor_pose_scale(np.stack([poses[i].translation for i in pose_idx]))
-        q = _layer_norm(_mlp4(np.stack([poses[i].rotation for i in pose_idx]), weights, "mlp_quat"), weights, "ln_quat")
-        t = _layer_norm(_mlp4(pf.normalized_translations, weights, "mlp_trans"), weights, "ln_trans")
-        pose_emb = dict(zip(pose_idx, zip(q, t)))
-        if config.metric_pose_scale_given:  # one embedding, added to every view with a pose
-            zp = _layer_norm(_mlp4(np.array([[encode_log_scale(pf.z_p)]]), weights, "mlp_zp"), weights, "ln_zp")
+    with _stage() as run:
+        # pose scale over the views that actually provide translations, and their pose embeddings by view
+        pose_idx = [i for i in range(n) if poses[i] is not None]
+        pose_emb = {}
+        zp = None
+        if pose_idx:
+            pf = factor_pose_scale(np.stack([poses[i].translation for i in pose_idx]))
+            q = _layer_norm(_mlp4(np.stack([poses[i].rotation for i in pose_idx]), weights, "mlp_quat"), weights, "ln_quat")
+            t = _layer_norm(_mlp4(pf.normalized_translations, weights, "mlp_trans"), weights, "ln_trans")
+            pose_emb = dict(zip(pose_idx, zip(q, t)))
+            if config.metric_pose_scale_given:  # one embedding, added to every view with a pose
+                zp = _layer_norm(_mlp4(np.array([[encode_log_scale(pf.z_p)]]), weights, "mlp_zp"), weights, "ln_zp")
 
-    ph, pw = h // cfg.patch, w // cfg.patch
-    tokens = np.empty((n, ph * pw, cfg.dim))
+        ph, pw = h // cfg.patch, w // cfg.patch
+        tokens = np.empty((n, ph * pw, cfg.dim))
 
-    def embed(g: slice) -> None:
-        img = np.asarray(images[g], dtype=np.float64)  # one stack; each view still runs its own gemms
-        embs = _layer_norm(_linear(_patchify(img, cfg.patch), weights, "patch_image"), weights, "ln_image")
-        for i, emb in zip(range(g.start, g.stop), embs):
-            if rays[i] is not None:
-                r = _linear(_patchify(rays[i].directions, cfg.patch), weights, "patch_rays")
-                emb += _layer_norm(r, weights, "ln_rays")
-            if depths[i] is not None:
-                df = factor_depth(depths[i])
-                d = _linear(_patchify(df.normalized.values[:, :, None], cfg.patch), weights, "patch_depth")
-                emb += _layer_norm(d, weights, "ln_depth")
-                if config.metric_depth_scale_given:
-                    zd = _mlp4(np.array([[encode_log_scale(df.z_d)]]), weights, "mlp_zd")
-                    emb += _layer_norm(zd, weights, "ln_zd")
-            if poses[i] is not None:
-                emb += pose_emb[i][0]
-                emb += pose_emb[i][1]
-                if zp is not None:
-                    emb += zp
-        tokens[g] = _layer_norm(embs, weights, "ln_fuse")
+        def embed(g: slice) -> None:
+            img = np.asarray(images[g], dtype=np.float64)  # one stack; each view still runs its own gemms
+            embs = _layer_norm(_linear(_patchify(img, cfg.patch), weights, "patch_image"), weights, "ln_image")
+            for i, emb in zip(range(g.start, g.stop), embs):
+                if rays[i] is not None:
+                    r = _linear(_patchify(rays[i].directions, cfg.patch), weights, "patch_rays")
+                    emb += _layer_norm(r, weights, "ln_rays")
+                if depths[i] is not None:
+                    df = factor_depth(depths[i])
+                    d = _linear(_patchify(df.normalized.values[:, :, None], cfg.patch), weights, "patch_depth")
+                    emb += _layer_norm(d, weights, "ln_depth")
+                    if config.metric_depth_scale_given:
+                        zd = _mlp4(np.array([[encode_log_scale(df.z_d)]]), weights, "mlp_zd")
+                        emb += _layer_norm(zd, weights, "ln_zd")
+                if poses[i] is not None:
+                    emb += pose_emb[i][0]
+                    emb += pose_emb[i][1]
+                    if zp is not None:
+                        emb += zp
+            tokens[g] = _layer_norm(embs, weights, "ln_fuse")
 
-    with _task_map(_workers()) as run:
         run(embed, _blocks(n, ph * pw, _INLINE_TOKENS))
     tokens[0] = tokens[0] + weights["ref_embed"]
     return TokenSet(tokens=tokens, scale_token=weights["scale_token"].copy(), patch_grid=(ph, pw))
@@ -473,7 +468,6 @@ def encode_inputs(
 # transformer
 
 
-@_one_blas_thread
 def alternating_attention(
     tokens: TokenSet,
     weights: Weights,
@@ -494,7 +488,7 @@ def alternating_attention(
     v, p, dim = tokens.tokens.shape
     x = tokens.tokens
     s = tokens.scale_token
-    with _task_map(_workers()) as run:
+    with _stage() as run:
         for i, kind in enumerate(layer_types):
             if kind == "frame":
                 x = _block(x, weights, i, cfg.heads, run)
@@ -524,7 +518,6 @@ def _bounded_exp(x: np.ndarray) -> np.ndarray:
     return np.exp(np.clip(x, -EXP_CLIP, EXP_CLIP))
 
 
-@_one_blas_thread
 def decode_heads(tokens: TokenSet, weights: Weights) -> ModelOutput:
     """Decode tokens into the factored output.
 
@@ -557,20 +550,20 @@ def decode_heads(tokens: TokenSet, weights: Weights) -> ModelOutput:
         maps[1, g] = 1.0 + _bounded_exp(dense[4])
         maps[2, g] = _sigmoid(dense[5])
 
-    with _task_map(_workers()) as run:
+    with _stage() as run:
         run(dense_head, _blocks(v, p, _INLINE_TOKENS))
 
-    pooled = tokens.tokens.mean(axis=1)
-    hdn = _gelu(_linear(pooled, weights, "head_pose.0"))
-    hdn = _gelu(_linear(hdn, weights, "head_pose.1"))
-    pose_raw = _linear(hdn, weights, "head_pose.2")
-    poses = []
-    for q, t in zip(pose_raw[:, :4], pose_raw[:, 4:7]):
-        nq = np.linalg.norm(q)
-        poses.append(Pose(np.array([1.0, 0.0, 0.0, 0.0]) if nq < 1e-12 else q / nq, t))
+        pooled = tokens.tokens.mean(axis=1)
+        hdn = _gelu(_linear(pooled, weights, "head_pose.0"))
+        hdn = _gelu(_linear(hdn, weights, "head_pose.1"))
+        pose_raw = _linear(hdn, weights, "head_pose.2")
+        poses = []
+        for q, t in zip(pose_raw[:, :4], pose_raw[:, 4:7]):
+            nq = np.linalg.norm(q)
+            poses.append(Pose(np.array([1.0, 0.0, 0.0, 0.0]) if nq < 1e-12 else q / nq, t))
 
-    sc = np.maximum(_linear(tokens.scale_token, weights, "head_scale.0"), 0.0)
-    sc = _linear(sc, weights, "head_scale.1")
+        sc = np.maximum(_linear(tokens.scale_token, weights, "head_scale.0"), 0.0)
+        sc = _linear(sc, weights, "head_scale.1")
 
     return ModelOutput(
         rays=[RayMap(r) for r in rays],

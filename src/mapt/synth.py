@@ -303,23 +303,17 @@ def gen_scene(
         scene = _sample_analytic(rng, n_spheres, plane)
         cluster = scene.centers.mean(axis=0)
         views: list[ViewSample] = []
-        scene_ok = True
         for i in range(n_views):
-            view = None
             for _attempt in range(60):
                 k = _sample_intrinsics(rng, width, height)
                 pose = Pose.identity() if i == 0 else _sample_camera(rng, cluster)
                 rays, depth, validity, mask = render_view(scene, k, pose, width, height)
                 if float(validity.mean()) >= MIN_VALID_FRACTION:
-                    image = shade_view(rays, depth) if with_images else None
-                    view = ViewSample(
-                        intrinsics=k, rays=rays, depth=depth, mask=mask, pose=pose, image=image
-                    )
                     break
-            if view is None:
-                scene_ok = False
-                break
-            views.append(view)
-        if scene_ok:
+            else:
+                break  # no camera met the floor: a new scene
+            image = shade_view(rays, depth) if with_images else None
+            views.append(ViewSample(intrinsics=k, rays=rays, depth=depth, mask=mask, pose=pose, image=image))
+        else:
             return scene, SceneSample(views=views, scale=MetricScale(metric_scale))
     raise RetryBudgetError("could not generate a scene meeting the validity floor")

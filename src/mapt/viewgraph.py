@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDepthError, InsufficientComponentError, InvalidValueError, ShapeError
-from .geometry import DepthAlongRay, _blocks, _check_counts, _pool, _rng, _task_map, _usable_cpus, quat_to_rot
+from .geometry import DepthAlongRay, _blocks, _check_counts, _pool, _rng, _task_map, quat_to_rot
 from .synth import SceneSample
 
 # Training-time conditioning probabilities.
@@ -124,6 +124,8 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
     Rows (source views) run on ``jobs`` threads (None: one per usable CPU), but
     on no more than one per _COVIS_BLOCK (target, pixel) pairs; one thread is the caller's.
     """
+    if not isinstance(scene, SceneSample):
+        raise InvalidValueError(f"covisibility needs a SceneSample, got {type(scene).__name__}")
     if jobs is not None and jobs < 1:
         raise InvalidValueError("jobs must be >= 1")
     if not 0.0 <= rel_depth_tol < np.inf:
@@ -238,7 +240,7 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         return row
 
     pairs = (len(views) - 1) * sum(int(np.count_nonzero(v.depth.validity)) for v in views)
-    with _task_map(min(_usable_cpus() if jobs is None else jobs, max(1, pairs // _COVIS_BLOCK))) as run:
+    with _task_map(jobs, max(1, pairs // _COVIS_BLOCK)) as run:
         return CovisGraph(np.array(run(covis_row, range(len(views)))))
 
 

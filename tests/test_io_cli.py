@@ -194,20 +194,22 @@ class TestLeanReader:
                     reader(d)
         assert self._cli_error(capsys, dirs[0]) == f"error: format: {dirs[0]}: missing tensor file for 'depth'"
 
-    def test_fifo_confidence_file_does_not_block(self, dirs, no_hang):
-        # the optional confidence tensor is not checked before the reads: its
-        # read refuses a FIFO, and a missing file or a directory gives the OSError of its open
+    @pytest.mark.parametrize("kind", ["missing", "fifo", "directory", "dangling link"])
+    def test_non_regular_confidence_file_is_missing(self, dirs, capsys, no_hang, kind):
+        # a listed confidence tensor goes through the check of the other slots, before any read
         path = dirs[1] / "view_001_confidence.mapt"
         path.unlink()
-        with pytest.raises(FileNotFoundError):
+        if kind == "fifo":
+            os.mkfifo(path)
+        elif kind == "directory":
+            path.mkdir()
+        elif kind == "dangling link":
+            path.symlink_to(dirs[1] / "nowhere.mapt")
+        message = f"{dirs[1]}: missing tensor file for 'confidence'"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             read_factored(dirs[1])
-        path.mkdir()
-        with pytest.raises(IsADirectoryError):
-            read_factored(dirs[1])
-        path.rmdir()
-        os.mkfifo(path)
-        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not a regular file$"):
-            read_factored(dirs[1])
+        assert main(["export-ply", "--scene", str(dirs[1]), "--out", str(dirs[1].parent / "p.ply")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: format: {message}"]
 
     def test_read_tensor_of_a_fifo_does_not_block(self, tmp_path, no_hang):
         os.mkfifo(tmp_path / "t.mapt")

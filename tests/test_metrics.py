@@ -30,6 +30,7 @@ from mapt.metrics import (
 )
 from mapt.losses import total_loss
 from mapt.synth import SceneSample, ViewSample, gen_scene
+from mapt.viewgraph import covisibility
 
 from conftest import random_pose
 from oracles import pose_angular_errors_reference, rotation_angle_deg, umeyama_reference
@@ -501,3 +502,18 @@ class TestSceneContainers:
             pred, gt = build(small_scene)
             total_loss(pred, gt)
             evaluate_scene(pred, gt)
+
+    @pytest.mark.parametrize("bad", [None, 1, "x", "swapped"])
+    @pytest.mark.parametrize("fn", [total_loss, evaluate_scene, covisibility])
+    def test_scene_level_functions_reject_other_types(self, small_scene, fn, bad):
+        # each raised AttributeError: '...' object has no attribute 'views';
+        # a SceneSample as the prediction is a wrong type too
+        pred, gt = small_scene.as_factored_scene(), small_scene
+        if fn is covisibility:
+            calls = [(pred,) if bad == "swapped" else (bad,)]
+        else:
+            calls = [(gt, pred), (gt, gt)] if bad == "swapped" else [(bad, gt), (pred, bad)]
+        for args in calls:
+            got = " and ".join(type(a).__name__ for a in args)
+            with pytest.raises(InvalidValueError, match=f"^{fn.__name__} needs an? [A-Za-z ]+, got {got}$"):
+                fn(*args)

@@ -539,9 +539,11 @@ def test_pool_tasks_give_the_inline_bits(monkeypatch, row_sums):
             return super().map(fn, tasks)
 
     monkeypatch.setattr(geometry, "ThreadPoolExecutor", Spy)
+    # on a 64-CPU host, so that _MAX_WORKERS alone sets the pool size
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     runs = []
     for workers in (2, 1):
-        monkeypatch.setattr(network, "_workers", lambda: workers)
+        monkeypatch.setattr(network, "_MAX_WORKERS", workers)
         row_sums.clear()
         out = forward(**_full_inputs(s), weights=w)
         views = out.as_factored_scene().views
