@@ -3,6 +3,8 @@ geometric-input configuration sampler used for training-style conditioning."""
 
 from __future__ import annotations
 
+import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,8 @@ SPARSE_KEEP_FRACTION = 0.1
 
 DEFAULT_COVIS_THRESHOLD = 0.25
 DEFAULT_REL_DEPTH_TOL = 0.05
-_COVIS_BLOCK = 1 << 16  # (target, pixel) pairs per covisibility row block: 7 float64 and 2 int64 buffers of this size per thread
+_COVIS_BLOCK = 1 << 16  # (target, pixel) pairs per covisibility block: 7 float64 and 2 int64 buffers of this size per thread
+_COVIS_RUN = 1 << 13  # source pixels a covisibility task pools at least, where the views allow: numpy's ufunc buffer size
 
 
 @dataclass
@@ -32,7 +35,10 @@ class CovisGraph:
     fraction: np.ndarray  # (n, n) float64 in [0, 1]
 
     def __post_init__(self):
-        f = np.asarray(self.fraction, dtype=np.float64)
+        try:
+            f = np.asarray(self.fraction, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise InvalidValueError(f"covisibility fractions must be real numbers, got {type(self.fraction).__name__}: {e}") from None
         if f.ndim != 2 or f.shape[0] != f.shape[1]:
             raise ShapeError("covisibility matrix must be square")
         if not np.all((f >= 0.0) & (f <= 1.0)):
@@ -115,19 +121,29 @@ class InputConfig:
 # covisibility
 
 
+def _check_real(what: str, x) -> None:
+    """Raise InvalidValueError unless x is a numbers.Real (numpy floats pass)."""
+    if not isinstance(x, numbers.Real):
+        raise InvalidValueError(f"{what} must be a real number, got {type(x).__name__}")
+
+
 def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TOL, jobs: int | None = None) -> CovisGraph:
     """Pairwise covisibility via lift-and-reproject with a relative depth check.
 
     A valid pixel of view i is covisible in view j when its world point lands
     in front of j, projects inside j's image, the nearest pixel is valid, and
     the reprojected ray depth matches the sampled one within rel_depth_tol.
-    Rows (source views) run on ``jobs`` threads (None: one per usable CPU), but
-    on no more than one per _COVIS_BLOCK (target, pixel) pairs; one thread is the caller's.
+    Runs of consecutive source views go to ``jobs`` threads (None: one per usable
+    CPU), but to no more than one per _COVIS_BLOCK (target, pixel) pairs; one
+    thread is the caller's.
     """
     if not isinstance(scene, SceneSample):
         raise InvalidValueError(f"covisibility needs a SceneSample, got {type(scene).__name__}")
+    if jobs is not None and (isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral)):
+        raise InvalidValueError(f"jobs must be None or an integer, got {type(jobs).__name__}")
     if jobs is not None and jobs < 1:
         raise InvalidValueError("jobs must be >= 1")
+    _check_real("rel_depth_tol", rel_depth_tol)
     if not 0.0 <= rel_depth_tol < np.inf:
         raise InvalidValueError(f"rel_depth_tol must be finite and >= 0, got {rel_depth_tol}")
     views = scene.views
@@ -136,11 +152,11 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
     rots = quat_to_rot(np.array([v.pose.rotation for v in views]))
     trans = np.array([v.pose.translation for v in views])
     k = np.array([[v.intrinsics.fx, v.intrinsics.fy, v.intrinsics.cx, v.intrinsics.cy] for v in views])
-    # group target views by resolution so one source row is evaluated against
-    # a whole stack of targets in a few vectorized passes; cols[r][k] is the
-    # (targets, 1) column of rotation entries (k, r), the depth maps are
-    # raveled so one linear index gathers from a stack, and base is each
-    # target's first index in it
+    # group target views by resolution so that a block of source pixels is
+    # evaluated against a slice of a whole stack of targets in a few vectorized
+    # passes; cols[r][k] is the (targets, 1) column of rotation entries (k, r),
+    # the depth maps are raveled so one linear index gathers from a stack, and
+    # base is each target's first index in it
     groups = {}
     for j, v in enumerate(views):
         groups.setdefault(v.depth.validity.shape, []).append(j)
@@ -156,74 +172,109 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         )
         for idxs in map(np.array, groups.values())
     ]
+    # each task is a run of consecutive source views with at least _COVIS_RUN
+    # valid pixels between them, or the views that are left
+    sizes = np.array([np.count_nonzero(v.depth.validity) for v in views])
+    runs, pooled = [[]], 0
+    for i, n in enumerate(sizes):
+        if pooled >= _COVIS_RUN:
+            runs.append([])
+            pooled = 0
+        runs[-1].append(i)
+        pooled += n
 
-    def covis_row(i: int) -> np.ndarray:
-        """Covisible fractions of view i's valid pixels into every view.
+    def covis_run(run: list[int]) -> np.ndarray:
+        """Rows ``run`` of the covisibility matrix: the covisible fractions of
+        each of those views' valid pixels into every view.
 
-        Each stack is evaluated whole, view i included, and entry i is set to
-        1 at the end. The row gathers view i's valid pixels and runs them in
-        blocks of about _COVIS_BLOCK (target, pixel) pairs through reused
-        buffers, testing every pair of a block; integer counts add up across
-        blocks. Out-of-bounds pairs gather some pixel of the stack and are
-        masked out, and an invalid target pixel stores depth 0, whose relative
-        error is inf or nan and never passes. Arithmetic is written out
-        component-wise (broadcast over a stack of target views) so a naive
-        per-pixel reference computes bit-identical values, whatever the block size.
+        The run's valid pixels are pooled into one array. Each stack is
+        evaluated whole, the run's own views included, whose entries are set to
+        1 at the end. Every block is a slice of a stack's targets times a slice
+        of at most _COVIS_BLOCK of the pooled pixels, so that the passes that
+        broadcast a (targets, 1) column run along rows as long as the run:
+        numpy buffers such a pass when its rows are shorter than its ufunc
+        buffer, at about 3x the cost. A block tests every one of its pairs in
+        reused buffers of at most _COVIS_BLOCK pairs, and a (source, target)
+        count adds up its source's segments of the blocks. Out-of-bounds pairs
+        gather some pixel of the stack and are masked out, and an invalid target
+        pixel stores depth 0, whose relative error is inf or nan and never
+        passes; pairs whose arithmetic overflows fail a test the same way.
+        Arithmetic is written out component-wise (broadcast over the targets)
+        so a naive per-pixel reference computes bit-identical values, whatever
+        the block size or the run length.
         """
-        _, d, dep = _pool("covisibility", [views[i].depth.validity], [views[i].rays.directions], [views[i].depth.values])
-        ri, ti = rots[i], trans[i]
-        lx = d[:, 0] * dep
-        ly = d[:, 1] * dep
-        lz = d[:, 2] * dep
-        wx = ri[0, 0] * lx + ri[0, 1] * ly + ri[0, 2] * lz + ti[0]
-        wy = ri[1, 0] * lx + ri[1, 1] * ly + ri[1, 2] * lz + ti[1]
-        wz = ri[2, 0] * lx + ri[2, 1] * ly + ri[2, 2] * lz + ti[2]
-        row = np.zeros(len(views))
-        for idxs, cols, t, (fx, fy, px0, py0), (h, w), values, base in stacks:
-            blocks = _blocks(dep.size, idxs.size, _COVIS_BLOCK)
-            size = idxs.size * (blocks[0].stop if blocks else 0)
-            buf, lbuf, masks = np.empty((7, size)), np.empty((2, size), dtype=np.int64), np.empty((2, size), dtype=bool)
-            counts = np.zeros(idxs.size, dtype=np.int64)
-            for s in blocks:
-                m = s.stop - s.start
-                ax, ay, az, cx, cy, cz, tmp = buf[:, : idxs.size * m].reshape(7, idxs.size, m)
-                px, lin = lbuf[:, : idxs.size * m].reshape(2, idxs.size, m)
-                front, inb = masks[:, : idxs.size * m].reshape(2, idxs.size, m)
-                np.subtract(wx[s], t[0], out=ax)
-                np.subtract(wy[s], t[1], out=ay)
-                np.subtract(wz[s], t[2], out=az)
-                for c, (r0, r1, r2) in zip((cx, cy, cz), cols):
-                    np.multiply(r0, ax, out=c)
-                    c += np.multiply(r1, ay, out=tmp)
-                    c += np.multiply(r2, az, out=tmp)
-                # u and v reuse the buffers of ax and ay; pairs behind the
-                # target divide by cz <= 0, and inb masks their u, v out
-                u, v = ax, ay
-                np.greater(cz, 0.0, out=front)
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            src = [views[i] for i in run]
+            offsets, d, dep = _pool(
+                "covisibility", [v.depth.validity for v in src], [v.rays.directions for v in src], [v.depth.values for v in src]
+            )
+            # each view's world points r0 * lx + r1 * ly + r2 * lz + t, added up
+            # in that order, from its local points l = d * dep; from here on
+            # the blocks need only the world points
+            wx, wy, wz = world = np.empty((3, dep.size))
+            for i, a, b in zip(run, offsets, offsets[1:]):
+                lx, ly, lz = np.multiply(d[a:b].T, dep[a:b], order="C")
+                for c, (r0, r1, r2), tc in zip(world[:, a:b], rots[i], trans[i]):
+                    np.multiply(r0, lx, out=c)
+                    c += r1 * ly
+                    c += r2 * lz
+                    c += tc
+            del d, dep, lx, ly, lz
+            # the run's views with valid pixels, and for each pixel block the
+            # slice of them with pixels in it and where each one's pixels start
+            # in it; reduceat sums a block's pixels from each start up to the
+            # next, and would give an element, not 0, for an empty segment
+            full = np.flatnonzero(np.diff(offsets))
+            firsts = offsets[full]
+            m = min(offsets[-1], _COVIS_BLOCK)
+            pixel_blocks = []
+            for ps in _blocks(offsets[-1], 1, m):
+                lo, hi = np.searchsorted(firsts, ps.start, "right") - 1, np.searchsorted(firsts, ps.stop)
+                pixel_blocks.append((ps, slice(lo, hi), np.maximum(firsts[lo:hi], ps.start) - ps.start))
+            rows = np.zeros((len(run), len(views)))
+            for idxs, cols, t, kcols, (h, w), values, base in stacks:
+                counts = np.zeros((idxs.size, full.size), dtype=np.int64)
+                target_blocks = _blocks(idxs.size, m, _COVIS_BLOCK)
+                size = target_blocks[0].stop * m
+                buf, lbuf, masks = np.empty((7, size)), np.empty((2, size), dtype=np.int64), np.empty((2, size), dtype=bool)
+                for ts, (ps, vs, starts) in itertools.product(target_blocks, pixel_blocks):
+                    nt, npx = ts.stop - ts.start, ps.stop - ps.start
+                    ax, ay, az, cx, cy, cz, tmp = buf[:, : nt * npx].reshape(7, nt, npx)
+                    px, lin = lbuf[:, : nt * npx].reshape(2, nt, npx)
+                    front, inb = masks[:, : nt * npx].reshape(2, nt, npx)
+                    (tx, ty, tz), (fx, fy, px0, py0) = t[:, ts], kcols[:, ts]
+                    np.subtract(wx[ps], tx, out=ax)
+                    np.subtract(wy[ps], ty, out=ay)
+                    np.subtract(wz[ps], tz, out=az)
+                    for c, (r0, r1, r2) in zip((cx, cy, cz), cols[:, :, ts]):
+                        np.multiply(r0, ax, out=c)
+                        c += np.multiply(r1, ay, out=tmp)
+                        c += np.multiply(r2, az, out=tmp)
+                    # u and v reuse the buffers of ax and ay; pairs behind the
+                    # target divide by cz <= 0, and inb masks their u, v out
+                    u, v = ax, ay
+                    np.greater(cz, 0.0, out=front)
                     np.divide(cx, cz, out=u)
                     u *= fx
                     u += px0
                     np.divide(cy, cz, out=v)
                     v *= fy
                     v += py0
-                np.greater_equal(u, 0.0, out=inb)
-                inb &= front
-                inb &= np.less(u, w, out=front)
-                inb &= np.greater_equal(v, 0.0, out=front)
-                inb &= np.less(v, h, out=front)
-                # in-bounds u, v truncate to their pixel (truncation is floor); the
-                # casts of other pairs' u, v (nan, inf or far off the image) give
-                # any index, which mode "clip" keeps in the stack and inb masks out
-                with np.errstate(invalid="ignore"):
+                    np.greater_equal(u, 0.0, out=inb)
+                    inb &= front
+                    inb &= np.less(u, w, out=front)
+                    inb &= np.greater_equal(v, 0.0, out=front)
+                    inb &= np.less(v, h, out=front)
+                    # in-bounds u, v truncate to their pixel (truncation is floor); the
+                    # casts of other pairs' u, v (nan, inf or far off the image) give
+                    # any index, which mode "clip" keeps in the stack and inb masks out
                     np.copyto(px, u, casting="unsafe")
                     np.copyto(lin, v, casting="unsafe")
-                lin *= w
-                lin += px
-                lin += base
-                dj = values.take(lin, out=az, mode="clip")
-                # the ray depth sqrt(cx^2 + cy^2 + cz^2), then its relative error, in cx
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    lin *= w
+                    lin += px
+                    lin += base[ts]
+                    dj = values.take(lin, out=az, mode="clip")
+                    # the ray depth sqrt(cx^2 + cy^2 + cz^2), then its relative error, in cx
                     cx *= cx
                     cx += np.multiply(cy, cy, out=tmp)
                     cx += np.multiply(cz, cz, out=tmp)
@@ -231,21 +282,26 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
                     cx -= dj
                     np.abs(cx, out=cx)
                     cx /= dj
-                np.less_equal(cx, rel_depth_tol, out=front)
-                front &= inb
-                counts += np.count_nonzero(front, axis=1)
-            # a view without valid pixels has all counts 0 and a row of 0s
-            row[idxs] = counts / max(dep.size, 1)
-        row[i] = 1.0
-        return row
+                    np.less_equal(cx, rel_depth_tol, out=front)
+                    front &= inb
+                    # reduceat first casts the whole mask to the sum's type: int32
+                    # holds any count of one block, at half the cost of int64
+                    counts[ts, vs] += np.add.reduceat(front, starts, axis=1, dtype=np.int32)
+                rows[np.ix_(full, idxs)] = counts.T / np.diff(offsets)[full, None]
+            # a view without valid pixels keeps a row of 0s
+            rows[np.arange(len(run)), run] = 1.0
+            return rows
 
-    pairs = (len(views) - 1) * sum(int(np.count_nonzero(v.depth.validity)) for v in views)
-    with _task_map(jobs, max(1, pairs // _COVIS_BLOCK)) as run:
-        return CovisGraph(np.array(run(covis_row, range(len(views)))))
+    pairs = (len(views) - 1) * int(sizes.sum())
+    with _task_map(jobs, max(1, pairs // _COVIS_BLOCK)) as run_tasks:
+        return CovisGraph(np.concatenate(run_tasks(covis_run, runs)))
 
 
 def build_adjacency(g: CovisGraph, threshold: float = DEFAULT_COVIS_THRESHOLD) -> np.ndarray:
     """Undirected adjacency: edge when either directed fraction reaches the threshold."""
+    if not isinstance(g, CovisGraph):
+        raise InvalidValueError(f"build_adjacency needs a CovisGraph, got {type(g).__name__}")
+    _check_real("threshold", threshold)
     if not np.isfinite(threshold):
         raise InvalidValueError(f"threshold must be finite, got {threshold}")
     sym = np.maximum(g.fraction, g.fraction.T)
@@ -377,6 +433,8 @@ def sample_input_config(n_views: int, metric_gt_available: bool, rng_seed: int) 
 def sparsify_depth(d: DepthAlongRay, rng_seed: int = 0) -> DepthAlongRay:
     """Keep floor(SPARSE_KEEP_FRACTION * valid) uniformly random valid pixels,
     invalidate the rest. Retained values are bit-equal to the originals."""
+    if not isinstance(d, DepthAlongRay):
+        raise InvalidValueError(f"sparsify_depth needs a DepthAlongRay, got {type(d).__name__}")
     rng = _rng(rng_seed)
     idx = np.flatnonzero(d.validity.ravel())
     k = int(np.floor(SPARSE_KEEP_FRACTION * idx.size))

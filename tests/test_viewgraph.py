@@ -51,6 +51,24 @@ def _mixed_resolution_scene():
     return SceneSample(views=[a.views[0], b.views[1], a.views[1], b.views[2], a.views[2]], scale=a.scale)
 
 
+def _far_apart_scene():
+    """Four views whose cameras sit at x = 1e308, 0, 0 and -1e308: the pairs
+    between the outer two overflow to inf or nan in the camera transform."""
+    scene = _scene_from_poses([Pose.identity()] * 4)
+    poses = [Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([x, 0.0, 0.0])) for x in (1e308, 0.0, 0.0, -1e308)]
+    views = [ViewSample(intrinsics=v.intrinsics, rays=v.rays, depth=v.depth, mask=v.mask, pose=p) for v, p in zip(scene.views, poses)]
+    return SceneSample(views=views, scale=scene.scale)
+
+
+def _sparse_views_scene():
+    """Seven 9x7 views of fewer than 64 valid pixels each, the fourth facing
+    away with none: a run of at least 64 pixels pools two or more of them, and
+    the empty view sits inside a run."""
+    turned = [Pose(np.array([np.cos(a), 0.0, np.sin(a), 0.0]), np.array([0.2 * a, 0.0, 0.0])) for a in (0.0, 0.05, -0.05)]
+    back = Pose(np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(3))
+    return _scene_from_poses([*turned, back, *turned], width=9, height=7)
+
+
 # a _COVIS_BLOCK that gives the 4-view 24x18 scenes below many blocks of pairs,
 # so that covisibility with jobs > 1 runs them on a pool
 _SMALL_BLOCK = 64
@@ -127,11 +145,22 @@ class TestCovisibility:
         for jobs in (1, 2):
             np.testing.assert_array_equal(covisibility(sample, jobs=jobs).fraction, brute_force_covisibility(sample))
 
+    def test_overflowing_pairs_match_brute_force(self, monkeypatch):
+        """Pairs whose w - t overflows are not covisible, with no warning
+        escaping (the suite turns warnings into errors)."""
+        scene = _far_apart_scene()
+        with np.errstate(over="ignore", invalid="ignore"):
+            brute = brute_force_covisibility(scene)
+        assert brute[0, 3] == brute[3, 0] == 0.0 < brute[1, 2]
+        monkeypatch.setattr(viewgraph, "_COVIS_BLOCK", _SMALL_BLOCK)  # so that jobs=2 runs on a pool
+        for jobs in (1, 2):
+            np.testing.assert_array_equal(covisibility(scene, jobs=jobs).fraction, brute)
+
     def test_serial_equals_parallel(self, monkeypatch):
         _, scene = gen_scene(n_views=4, width=24, height=18, n_spheres=4, seed=14)
         monkeypatch.setattr(viewgraph, "_COVIS_BLOCK", _SMALL_BLOCK)  # so that jobs > 1 runs on a pool
         serial = covisibility(scene, jobs=1).fraction
-        for jobs in (2, 4, None):
+        for jobs in (2, 4, None, np.int64(2)):  # numpy integers pass
             np.testing.assert_array_equal(covisibility(scene, jobs=jobs).fraction, serial)
 
     @pytest.mark.parametrize("affinity", [True, False])
@@ -209,16 +238,36 @@ class TestCovisibility:
         g = covisibility(small_scene, rel_depth_tol=0.0)
         assert np.all(g.fraction <= covisibility(small_scene).fraction)
 
+    @pytest.mark.parametrize("jobs, got", [("2", "str"), (2.5, "float"), (True, "bool"), (np.bool_(True), "bool")])
+    def test_rejects_jobs_of_other_types(self, small_scene, jobs, got):
+        with pytest.raises(InvalidValueError, match=f"jobs must be None or an integer, got {got}"):
+            covisibility(small_scene, jobs=jobs)
+
+    @pytest.mark.parametrize("tol, got", [("x", "str"), (None, "NoneType")])
+    def test_rejects_tolerance_of_other_types(self, small_scene, tol, got):
+        with pytest.raises(InvalidValueError, match=f"rel_depth_tol must be a real number, got {got}"):
+            covisibility(small_scene, rel_depth_tol=tol)
+
 
 class TestCovisBlocks:
-    """Each row runs its (target, pixel) pairs in blocks of at most
-    viewgraph._COVIS_BLOCK; the block size never changes a bit of the result."""
+    """A task pools the valid pixels of consecutive source views until they
+    reach viewgraph._COVIS_RUN, and runs their (target, pixel) pairs in blocks
+    of at most viewgraph._COVIS_BLOCK; neither changes a bit of the result."""
 
     SCENES = {
         "eight_view_64": lambda: gen_scene(n_views=8, width=64, height=64, n_spheres=5, seed=12, plane=True)[1],
         "mixed_resolution": _mixed_resolution_scene,
         "opposite_facing": _opposite_facing_scene,
+        "sparse_views": _sparse_views_scene,
     }
+    # every scene at every block size, except 1-pair blocks of the 8-view 64x64
+    # scene: they take about 12 s a call, and the smaller scenes cover them
+    BLOCKS = [
+        (name, block)
+        for name in SCENES
+        for block in (1, 7, 100, viewgraph._COVIS_BLOCK)
+        if (name, block) != ("eight_view_64", 1)
+    ]
 
     @pytest.fixture(scope="class")
     def cases(self):
@@ -226,14 +275,39 @@ class TestCovisBlocks:
         return {name: (s, brute_force_covisibility(s), covisibility(s).fraction) for name, s in scenes.items()}
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("block", [1, 7, 100, viewgraph._COVIS_BLOCK])
-    @pytest.mark.parametrize("name", list(SCENES))
-    def test_block_size_never_changes_result(self, cases, monkeypatch, name, block, jobs):
+    @pytest.mark.parametrize("run", [1, 64, viewgraph._COVIS_RUN])
+    @pytest.mark.parametrize("name, block", BLOCKS)
+    def test_block_size_never_changes_result(self, cases, monkeypatch, name, block, run, jobs):
         scene, brute, default = cases[name]
         monkeypatch.setattr(viewgraph, "_COVIS_BLOCK", block)
+        monkeypatch.setattr(viewgraph, "_COVIS_RUN", run)
         got = covisibility(scene, jobs=jobs).fraction
         np.testing.assert_array_equal(got, brute)
         np.testing.assert_array_equal(got, default)
+
+    @pytest.mark.parametrize(
+        "run, runs",
+        [
+            # view 3 has no valid pixels, so it starts a run that it does not fill
+            (1, [[0], [1], [2], [3, 4], [5], [6]]),
+            # and here it sits inside a run
+            (64, [[0, 1], [2, 3, 4], [5, 6]]),
+            (viewgraph._COVIS_RUN, [[0, 1, 2, 3, 4, 5, 6]]),
+        ],
+    )
+    def test_runs_pool_consecutive_views(self, cases, monkeypatch, run, runs):
+        scene = cases["sparse_views"][0]
+        assert [int(v.depth.validity.sum()) for v in scene.views] == [60, 56, 47, 0, 60, 56, 47]
+        pooled = []
+
+        def spy(what, masks, *grids):
+            pooled.append([next(j for j, v in enumerate(scene.views) if v.depth.validity is m) for m in masks])
+            return geometry._pool(what, masks, *grids)
+
+        monkeypatch.setattr(viewgraph, "_pool", spy)
+        monkeypatch.setattr(viewgraph, "_COVIS_RUN", run)
+        covisibility(scene, jobs=1)
+        assert pooled == runs
 
     def test_peak_memory_below_a_few_dense_pair_arrays(self):
         _, scene = gen_scene(n_views=24, width=168, height=168, n_spheres=5, seed=3, plane=True)
@@ -278,6 +352,21 @@ class TestAdjacency:
     def test_rejects_non_finite_threshold(self, threshold):
         with pytest.raises(InvalidValueError, match="threshold"):
             build_adjacency(self._graph(0.3, 0.1), threshold=threshold)
+
+    @pytest.mark.parametrize("threshold, got", [("x", "str"), (None, "NoneType"), (np.array([0.5, 0.5]), "ndarray")])
+    def test_rejects_threshold_of_other_types(self, threshold, got):
+        with pytest.raises(InvalidValueError, match=f"threshold must be a real number, got {got}"):
+            build_adjacency(self._graph(0.3, 0.1), threshold=threshold)
+
+    @pytest.mark.parametrize("g", [None, np.eye(2)])
+    def test_rejects_graphs_of_other_types(self, g):
+        with pytest.raises(InvalidValueError, match=f"build_adjacency needs a CovisGraph, got {type(g).__name__}"):
+            build_adjacency(g)
+
+    @pytest.mark.parametrize("fraction, got", [("x", "str"), ([["a", 1.0]], "list"), (object(), "object")])
+    def test_graph_rejects_fractions_of_other_types(self, fraction, got):
+        with pytest.raises(InvalidValueError, match=f"covisibility fractions must be real numbers, got {got}"):
+            CovisGraph(fraction)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
     def test_graph_rejects_fraction_out_of_range(self, bad):
@@ -440,6 +529,11 @@ class TestSparsifyDepth:
         vals = rng.uniform(1.0, 9.0, size=shape)
         valid = rng.random(shape) < 0.8
         return DepthAlongRay(np.where(valid, vals, 0.0), valid)
+
+    @pytest.mark.parametrize("d", [None, np.ones((4, 4))])
+    def test_rejects_other_types(self, d):
+        with pytest.raises(InvalidValueError, match=f"sparsify_depth needs a DepthAlongRay, got {type(d).__name__}"):
+            sparsify_depth(d, 1)
 
     def test_under_ten_valid_pixels_keep_none(self):
         # floor(SPARSE_KEEP_FRACTION * 9) = 0
