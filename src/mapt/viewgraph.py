@@ -190,12 +190,13 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
         The run's valid pixels are pooled into one array. Each stack is
         evaluated whole, the run's own views included, whose entries are set to
         1 at the end. Every block is a slice of a stack's targets times a slice
-        of at most _COVIS_BLOCK of the pooled pixels, so that the passes that
-        broadcast a (targets, 1) column run along rows as long as the run:
-        numpy buffers such a pass when its rows are shorter than its ufunc
-        buffer, at about 3x the cost. A block tests every one of its pairs in
-        reused buffers of at most _COVIS_BLOCK pairs, and a (source, target)
-        count adds up its source's segments of the blocks. Out-of-bounds pairs
+        of at most _COVIS_BLOCK of the pooled pixels (or of the stack's target
+        count, if that is larger), so that the passes that broadcast a
+        (targets, 1) column run along rows as long as the run: numpy buffers
+        such a pass when its rows are shorter than its ufunc buffer, at about
+        3x the cost. A block tests every one of its pairs in reused buffers of
+        at most that many pairs, and a (source, target) count adds up its
+        source's segments of the blocks. Out-of-bounds pairs
         gather some pixel of the stack and are masked out, and an invalid target
         pixel stores depth 0, whose relative error is inf or nan and never
         passes; pairs whose arithmetic overflows fail a test the same way.
@@ -220,21 +221,25 @@ def covisibility(scene: SceneSample, rel_depth_tol: float = DEFAULT_REL_DEPTH_TO
                     c += r2 * lz
                     c += tc
             del d, dep, lx, ly, lz
-            # the run's views with valid pixels, and for each pixel block the
-            # slice of them with pixels in it and where each one's pixels start
-            # in it; reduceat sums a block's pixels from each start up to the
-            # next, and would give an element, not 0, for an empty segment
+            # the run's views with valid pixels, and where each one's pixels start
             full = np.flatnonzero(np.diff(offsets))
             firsts = offsets[full]
-            m = min(offsets[-1], _COVIS_BLOCK)
-            pixel_blocks = []
-            for ps in _blocks(offsets[-1], 1, m):
-                lo, hi = np.searchsorted(firsts, ps.start, "right") - 1, np.searchsorted(firsts, ps.stop)
-                pixel_blocks.append((ps, slice(lo, hi), np.maximum(firsts[lo:hi], ps.start) - ps.start))
             rows = np.zeros((len(run), len(views)))
             for idxs, cols, t, kcols, (h, w), values, base in stacks:
+                # a block holds as many pairs as one pixel against every target
+                # of the stack at least: smaller blocks only add passes
+                budget = max(_COVIS_BLOCK, idxs.size)
+                m = min(offsets[-1], budget)
+                # for each pixel block, the slice of the run's views with pixels
+                # in it and where each one's pixels start in it; reduceat sums a
+                # block's pixels from each start up to the next, and would give
+                # an element, not 0, for an empty segment
+                pixel_blocks = []
+                for ps in _blocks(offsets[-1], 1, m):
+                    lo, hi = np.searchsorted(firsts, ps.start, "right") - 1, np.searchsorted(firsts, ps.stop)
+                    pixel_blocks.append((ps, slice(lo, hi), np.maximum(firsts[lo:hi], ps.start) - ps.start))
                 counts = np.zeros((idxs.size, full.size), dtype=np.int64)
-                target_blocks = _blocks(idxs.size, m, _COVIS_BLOCK)
+                target_blocks = _blocks(idxs.size, m, budget)
                 size = target_blocks[0].stop * m
                 buf, lbuf, masks = np.empty((7, size)), np.empty((2, size), dtype=np.int64), np.empty((2, size), dtype=bool)
                 for ts, (ps, vs, starts) in itertools.product(target_blocks, pixel_blocks):

@@ -260,14 +260,7 @@ class TestCovisBlocks:
         "opposite_facing": _opposite_facing_scene,
         "sparse_views": _sparse_views_scene,
     }
-    # every scene at every block size, except 1-pair blocks of the 8-view 64x64
-    # scene: they take about 12 s a call, and the smaller scenes cover them
-    BLOCKS = [
-        (name, block)
-        for name in SCENES
-        for block in (1, 7, 100, viewgraph._COVIS_BLOCK)
-        if (name, block) != ("eight_view_64", 1)
-    ]
+    BLOCKS = [(name, block) for name in SCENES for block in (1, 7, 100, viewgraph._COVIS_BLOCK)]
 
     @pytest.fixture(scope="class")
     def cases(self):
